@@ -3,7 +3,7 @@ GO ?= go
 # Minimum per-package statement coverage (percent) for the cover gate.
 COVER_FLOOR ?= 60
 
-.PHONY: build vet detvet lint test short race race-mem race-machine race-passes race-interp race-cache race-serve bench bench-mem bench-machine bench-cache bench-interp-fused benchsmoke cachesmoke servesmoke cover all check
+.PHONY: build vet detvet lint test short race bench bench-mem bench-machine bench-cache bench-interp-fused benchsmoke cover all check
 
 build:
 	$(GO) build ./...
@@ -32,55 +32,14 @@ test:
 short:
 	$(GO) test -short ./...
 
+# Every package's tests under the race detector: the allocator
+# front-end, sharded event engine, result cache and experiment service
+# included.
 race:
-	$(GO) test -race ./...
-
-# Focused race leg for the concurrent allocator front-end (CPUCache) and
-# the parallel experiment runner — the two places goroutines share state.
-race-mem:
-	$(GO) test -race ./internal/mem ./internal/exp
-
-# Focused race leg for the sharded event engine: the queue/barrier tests
-# plus the stack-level sequential-vs-sharded oracles, under the race
-# detector with multiple engine workers forced.
-race-machine:
-	$(GO) test -race ./internal/sim -run 'TestSharded|TestCancel'
-	$(GO) test -race ./internal/core -run 'DomainOracle'
-	$(GO) test -race ./internal/chaos -run 'TestShardedInvariantHooksFirePerShard'
-
-# Focused race leg for the optimizer: the analysis-driven passes and
-# their dataflow substrate share no state, and this keeps it that way
-# when experiment cells run them from parallel workers.
-race-passes:
-	$(GO) test -race ./internal/analysis ./internal/passes -run 'TestGlobalDCE|TestLICM|TestCoalesce|TestOptimize|TestAvailCopies|TestAnalyzePurity|TestDomTree|TestLoopNest'
-	$(GO) test -race ./internal/core -run 'TestCARATGeomeanUnderSix'
-
-# Focused race leg for the interpreter engines: concurrent executors
-# over a shared quiescent module (each with its own Interp) must stay
-# race-free with superinstruction fusion active, and the fused
-# differential sweeps keep the engines honest under the detector.
-race-interp:
-	$(GO) test -race ./internal/interp
-	$(GO) test -race ./internal/passes -run 'TestDifferentialPassPipelines|FuzzDifferentialPipelines'
-
-# Focused race leg for the result cache: the sharded LRU, singleflight
-# coalescing, and the pool-slot handoff between them are the newest
-# concurrent surfaces; the core leg runs the cached drivers at multiple
-# pool widths over one shared Cache.
-race-cache:
-	$(GO) test -race ./internal/cache
-	$(GO) test -race ./internal/core -run 'TestCached|TestChaosKeys|TestTableDigest'
-
-# Focused race leg for the experiment service: the job store, bounded
-# queue, NDJSON streamers, and graceful shutdown all share state with
-# the worker goroutines and the cache/pool underneath; the whole suite
-# (byte-identity, duplicate coalescing, backpressure, cancellation,
-# shutdown leak checks, chaos replay) runs under the detector.
-race-serve:
-	$(GO) test -race -timeout 600s ./internal/serve
+	$(GO) test -race -timeout 600s ./...
 
 # Full benchmark sweep, then regenerate BENCH_interp.json (interpreter
-# fast path vs reference engine vs the pinned seed baseline).
+# fast path vs reference engine).
 bench:
 	$(GO) test -bench=. -benchmem -count=3 ./...
 	$(GO) run ./cmd/benchdiff -o BENCH_interp.json
@@ -114,20 +73,6 @@ bench-interp-fused:
 benchsmoke:
 	$(GO) run ./cmd/benchdiff -quick
 
-# Cold-vs-warm byte-identity smoke for the result cache on the trimmed
-# experiment suite (memory, disk-restart, and coalescing legs); no
-# timing, so it is cheap enough for check.
-cachesmoke:
-	$(GO) run ./cmd/benchdiff -cache -quick
-
-# End-to-end daemon smoke: interweaved on an ephemeral port, one fig3
-# job submitted over HTTP and followed via the event stream, result
-# compared byte-for-byte (and by digest) against the registry run
-# directly in-process, then a clean drain; no timing, cheap enough for
-# check.
-servesmoke:
-	$(GO) run ./cmd/interweaved -smoke
-
 # Per-package coverage gate over the internal packages: fails if any
 # package tests below $(COVER_FLOOR)% of statements (or has no tests at
 # all). Uses -short so it stays cheap enough for check.
@@ -143,4 +88,4 @@ all:
 	$(GO) run ./cmd/interweave all
 
 # Standard local gate.
-check: build vet lint race race-mem race-machine race-passes race-interp race-cache race-serve cover benchsmoke cachesmoke servesmoke
+check: build vet lint race cover benchsmoke

@@ -31,38 +31,27 @@ type cacheBenchDriver struct {
 	gen   func(s *core.Stack) *core.Table
 }
 
-// cacheBenchSuite lists the cached experiment drivers. small trims the
-// sweep axes the way `interweave all` does, for the -quick smoke.
-func cacheBenchSuite(small bool) []cacheBenchDriver {
+// cacheBenchSuite lists the cached experiment drivers.
+func cacheBenchSuite() []cacheBenchDriver {
 	fig3 := core.DefaultFig3Config()
 	fig6 := core.DefaultFig6Config()
-	if small {
-		fig3.Items = 400_000
-		fig6.CPUCounts = []int{2, 8}
-		fig6.Steps = 2
-	}
-	drivers := []cacheBenchDriver{
+	return []cacheBenchDriver{
 		{"carat", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).CARAT},
 		{"memstats", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).MemStats},
 		{"virtine", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).Virtines},
 		{"fig6", func() *core.Stack { return core.KNLStack(1) }, func(s *core.Stack) *core.Table { return s.Fig6(fig6) }},
+		{"fig3", func() *core.Stack { return core.NewStack(16) }, func(s *core.Stack) *core.Table { return s.Fig3(fig3) }},
+		{"fig7", core.ServerStack, (*core.Stack).Fig7},
+		{"fig7-ablation", core.ServerStack, (*core.Stack).AblationSharingClasses},
 	}
-	if !small {
-		drivers = append(drivers,
-			cacheBenchDriver{"fig3", func() *core.Stack { return core.NewStack(16) }, func(s *core.Stack) *core.Table { return s.Fig3(fig3) }},
-			cacheBenchDriver{"fig7", core.ServerStack, (*core.Stack).Fig7},
-			cacheBenchDriver{"fig7-ablation", core.ServerStack, (*core.Stack).AblationSharingClasses},
-		)
-	}
-	return drivers
 }
 
 // runCacheSuite regenerates every driver's table against c (nil = no
 // cache) and returns the concatenated JSON plus the wall time.
-func runCacheSuite(c *cache.Cache, small bool) (string, time.Duration) {
+func runCacheSuite(c *cache.Cache) (string, time.Duration) {
 	var b strings.Builder
 	start := time.Now()
-	for _, d := range cacheBenchSuite(small) {
+	for _, d := range cacheBenchSuite() {
 		s := d.stack()
 		s.Cache = c
 		b.WriteString(d.gen(s).JSON())
@@ -147,18 +136,18 @@ func runCacheBench(out string) error {
 	defer os.RemoveAll(dir)
 
 	fmt.Printf("bench cache uncached...")
-	base, baseT := runCacheSuite(nil, false)
+	base, baseT := runCacheSuite(nil)
 	fmt.Printf(" %7.0f ms   cold...", float64(baseT.Microseconds())/1e3)
 
 	c1 := cache.New(cache.Config{Dir: dir})
-	cold, coldT := runCacheSuite(c1, false)
+	cold, coldT := runCacheSuite(c1)
 	coldSt := c1.Stats()
 	if cold != base {
 		return fmt.Errorf("cache bench: cold cached output differs from uncached")
 	}
 	fmt.Printf(" %7.0f ms   warm-mem...", float64(coldT.Microseconds())/1e3)
 
-	warm, warmT := runCacheSuite(c1, false)
+	warm, warmT := runCacheSuite(c1)
 	warmSt := c1.Stats()
 	if warm != base {
 		return fmt.Errorf("cache bench: warm (memory) output differs from uncached")
@@ -167,7 +156,7 @@ func runCacheBench(out string) error {
 
 	// Process restart: a fresh Cache over the same spill directory.
 	c2 := cache.New(cache.Config{Dir: dir})
-	disk, diskT := runCacheSuite(c2, false)
+	disk, diskT := runCacheSuite(c2)
 	diskSt := c2.Stats()
 	if disk != base {
 		return fmt.Errorf("cache bench: warm (disk restart) output differs from uncached")
@@ -197,8 +186,7 @@ func runCacheBench(out string) error {
 			"output on every cached leg, warm-vs-cold speedup >= 5x, and exactly one compute " +
 			"for the coalesced duplicate callers",
 	}
-	// Carry the host CPU tag forward from an existing file, as the other
-	// legs do for their pinned sections.
+	// Carry the host CPU tag forward from an existing file.
 	if prev, err := os.ReadFile(out); err == nil {
 		var old cacheReport
 		if json.Unmarshal(prev, &old) == nil {
@@ -220,49 +208,5 @@ func runCacheBench(out string) error {
 		return err
 	}
 	fmt.Println("wrote", out)
-	return nil
-}
-
-// quickCheckCache is the `-cache -quick` smoke for `make check`: on the
-// trimmed suite, cold and warm cached output must be byte-identical to
-// uncached output, the warm leg must compute nothing, a restart leg must
-// be served from the spill tier, and duplicate submissions must
-// coalesce to one compute.
-func quickCheckCache() error {
-	dir, err := os.MkdirTemp("", "benchdiff-cache-quick-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	base, _ := runCacheSuite(nil, true)
-	c1 := cache.New(cache.Config{Dir: dir})
-	if cold, _ := runCacheSuite(c1, true); cold != base {
-		return fmt.Errorf("cache quick: cold cached output differs from uncached")
-	}
-	coldSt := c1.Stats()
-	if coldSt.Computes == 0 {
-		return fmt.Errorf("cache quick: cold leg computed nothing through the cache")
-	}
-	if warm, _ := runCacheSuite(c1, true); warm != base {
-		return fmt.Errorf("cache quick: warm cached output differs from uncached")
-	}
-	warmSt := c1.Stats()
-	if warmSt.Computes != coldSt.Computes {
-		return fmt.Errorf("cache quick: warm leg recomputed %d cells", warmSt.Computes-coldSt.Computes)
-	}
-	c2 := cache.New(cache.Config{Dir: dir})
-	if disk, _ := runCacheSuite(c2, true); disk != base {
-		return fmt.Errorf("cache quick: restart output differs from uncached")
-	}
-	if st := c2.Stats(); st.SpillHits == 0 {
-		return fmt.Errorf("cache quick: restart leg never read the spill tier")
-	}
-	callers, computes, _, err := coalescedLeg()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ok  cache cold/warm/restart byte-identical (%d computes), %d duplicates -> %d compute\n",
-		coldSt.Computes, callers, computes)
 	return nil
 }

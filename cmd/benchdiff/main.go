@@ -12,12 +12,7 @@
 //	                                      # ReferenceBuddy, plus contended magazines vs mutex
 //	benchdiff -machine                    # sharded event-engine scaling curve at
 //	                                      # 64-1024 simulated CPUs -> BENCH_machine.json
-//	benchdiff -cache -o BENCH_cache.json  # result-cache cold/warm/restart/coalesced legs;
-//	benchdiff -cache -quick               # cold-vs-warm byte-identity smoke, write nothing
-//
-// The output file may contain a hand-pinned "seed" section (numbers
-// captured before the fast path existed); benchdiff preserves it when
-// rewriting the file and reports the geomean speedup against it.
+//	benchdiff -cache -o BENCH_cache.json  # result-cache cold/warm/restart/coalesced legs
 package main
 
 import (
@@ -43,15 +38,11 @@ type entry struct {
 }
 
 type report struct {
-	// Seed is the pinned pre-fast-path baseline; benchdiff never
-	// overwrites it, only carries it forward.
-	Seed                 map[string]entry `json:"seed,omitempty"`
 	Fast                 map[string]entry `json:"fast"`
 	Reference            map[string]entry `json:"reference"`
 	Opt                  map[string]entry `json:"opt"`
 	Fused                map[string]entry `json:"fused"`
 	OptFused             map[string]entry `json:"opt_fused"`
-	GeomeanSpeedupVsSeed float64          `json:"geomean_speedup_vs_seed,omitempty"`
 	GeomeanSpeedupVsRef  float64          `json:"geomean_speedup_vs_reference,omitempty"`
 	GeomeanSpeedupOpt    float64          `json:"geomean_speedup_opt_vs_fast,omitempty"`
 	GeomeanSpeedupFused  float64          `json:"geomean_speedup_fused_vs_fast,omitempty"`
@@ -112,9 +103,7 @@ func benchKernel(k workloads.IRKernel) (map[string]entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", k.Name, leg.name, err)
 		}
-		if !leg.fused {
-			ip.Fusion = interp.NoFusion()
-		}
+		ip.NoFusion = !leg.fused
 		ref := leg.reference
 		call := func() error {
 			// MaxSteps bounds cumulative steps across Calls, so the
@@ -201,9 +190,7 @@ func quickCheck() error {
 			if err != nil {
 				return 0, interp.Stats{}, nil, err
 			}
-			if !fused {
-				ip.Fusion = interp.NoFusion()
-			}
+			ip.NoFusion = !fused
 			var ret uint64
 			if reference {
 				ret, err = ip.ReferenceCall(k.Entry)
@@ -293,13 +280,6 @@ func main() {
 	flag.Parse()
 
 	if *quick {
-		if *cacheMode {
-			if err := quickCheckCache(); err != nil {
-				fmt.Fprintln(os.Stderr, "benchdiff:", err)
-				os.Exit(1)
-			}
-			return
-		}
 		if err := quickCheck(); err != nil {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(1)
@@ -357,11 +337,10 @@ func main() {
 		OptFused:  make(map[string]entry),
 		Note:      "ns_per_op are machine-dependent; the tracked claims are the geomeans and fast-path allocs_per_op",
 	}
-	// Carry the pinned seed baseline forward from an existing file.
+	// Carry the host CPU tag forward from an existing file.
 	if prev, err := os.ReadFile(*out); err == nil {
 		var old report
 		if json.Unmarshal(prev, &old) == nil {
-			rep.Seed = old.Seed
 			rep.CPU = old.CPU
 		}
 	}
@@ -392,13 +371,7 @@ func main() {
 	rep.GeomeanSpeedupOptFus = round2(geomean(rep.Fast, rep.OptFused))
 	fmt.Printf("geomean speedup opt vs fast: %.2fx, fused vs fast: %.2fx, opt+fused vs fast: %.2fx\n",
 		rep.GeomeanSpeedupOpt, rep.GeomeanSpeedupFused, rep.GeomeanSpeedupOptFus)
-	if len(rep.Seed) > 0 {
-		rep.GeomeanSpeedupVsSeed = round2(geomean(rep.Seed, rep.Fast))
-		fmt.Printf("geomean speedup vs seed: %.2fx, vs reference engine: %.2fx\n",
-			rep.GeomeanSpeedupVsSeed, rep.GeomeanSpeedupVsRef)
-	} else {
-		fmt.Printf("geomean speedup vs reference engine: %.2fx\n", rep.GeomeanSpeedupVsRef)
-	}
+	fmt.Printf("geomean speedup vs reference engine: %.2fx\n", rep.GeomeanSpeedupVsRef)
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

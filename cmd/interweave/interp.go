@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -12,70 +11,21 @@ import (
 
 // runInterp is the `interweave interp` subcommand: execute the CARAT
 // kernel suite on the compiled interpreter engine and report what the
-// superinstruction fuser did with it. The default report is one line
-// per kernel (checksum, steps, cycles, fused pair count); -profile
-// switches to the dynamic opcode-pair profile gathered by the
-// reference engine — the data that drives profile-guided fusion — as a
-// deterministic top-N table per kernel. -fusion-out derives a fusion
-// table from the suite-wide merged profile and writes it as JSON, in
-// the format interp.FusionTable unmarshals. Returns 2 on usage errors,
-// 1 on execution errors, 0 otherwise.
+// superinstruction fuser did with it, one line per kernel (checksum,
+// steps, cycles, fused pair count). Returns 1 on execution errors, 0
+// otherwise.
 func runInterp(argv []string) int {
 	fs := flag.NewFlagSet("interp", flag.ExitOnError)
-	profile := fs.Bool("profile", false,
-		"gather and print the dynamic opcode-pair profile instead of the engine summary")
-	top := fs.Int("top", 10, "rows per kernel in the -profile table")
-	nofuse := fs.Bool("nofuse", false, "disable superinstruction fusion in the engine summary")
-	fusionOut := fs.String("fusion-out", "",
-		"with -profile: write the fusion table derived from the merged suite profile to this file as JSON")
+	nofuse := fs.Bool("nofuse", false, "disable superinstruction fusion")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: interweave interp [-profile [-top N] [-fusion-out FILE]] [-nofuse]
+		fmt.Fprintln(os.Stderr, `usage: interweave interp [-nofuse]
 
-Runs the CARAT kernel suite on the compiled interpreter. By default
-prints one summary line per kernel: checksum, executed steps, cycles,
-and the number of superinstruction pairs the fusion stage formed
-(-nofuse pins fusion off). With -profile, runs the reference engine
-with pair profiling and prints each kernel's top-N executed opcode
-adjacencies with their fusibility — the input to profile-guided
-fusion. -fusion-out persists the suite-wide profile's fusible top
-pairs as a fusion-table JSON file that Interp.Fusion can load.`)
+Runs the CARAT kernel suite on the compiled interpreter and prints one
+summary line per kernel: checksum, executed steps, cycles, and the
+number of superinstruction pairs the fusion stage formed (-nofuse pins
+fusion off).`)
 	}
 	_ = fs.Parse(argv)
-
-	if *profile {
-		merged := &interp.PairProfile{}
-		for _, k := range workloads.CARATSuite() {
-			prof := &interp.PairProfile{}
-			m := k.Build()
-			ip, err := interp.New(m)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "interp: %s: %v\n", k.Name, err)
-				return 1
-			}
-			ip.PairProf = prof
-			if _, err := ip.Call(k.Entry); err != nil {
-				fmt.Fprintf(os.Stderr, "interp: %s: %v\n", k.Name, err)
-				return 1
-			}
-			fmt.Printf("=== %s (%d adjacencies)\n%s", k.Name, prof.Total(), prof.Render(*top))
-			merged.Merge(prof)
-		}
-		if *fusionOut != "" {
-			ft := merged.Table(*top)
-			buf, err := json.MarshalIndent(ft, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "interp:", err)
-				return 1
-			}
-			buf = append(buf, '\n')
-			if err := os.WriteFile(*fusionOut, buf, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "interp:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s (%d pairs)\n", *fusionOut, len(ft.Pairs()))
-		}
-		return 0
-	}
 
 	for _, k := range workloads.CARATSuite() {
 		m := k.Build()
@@ -84,9 +34,7 @@ pairs as a fusion-table JSON file that Interp.Fusion can load.`)
 			fmt.Fprintf(os.Stderr, "interp: %s: %v\n", k.Name, err)
 			return 1
 		}
-		if *nofuse {
-			ip.Fusion = interp.NoFusion()
-		}
+		ip.NoFusion = *nofuse
 		ret, err := ip.Call(k.Entry)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "interp: %s: %v\n", k.Name, err)

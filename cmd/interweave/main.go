@@ -372,7 +372,7 @@ experiments:
 tools:
   lint        static memory-safety linter over the IR modules
               (interweave lint -h for details)
-  interp      interpreter engine summary and opcode-pair profiling
+  interp      interpreter engine summary per kernel, fused or -nofuse
               (interweave interp -h for details)
   cache       inspect or purge the on-disk result cache
               (interweave cache -h for details)

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	interweaved [flags]
-//	interweaved -smoke
 //
 // The API (default address :8372):
 //
@@ -22,10 +21,6 @@
 // duplicate submissions — concurrent or later — coalesce onto one
 // compute at every tier. SIGINT/SIGTERM drain gracefully: intake stops,
 // queued and running jobs finish, then the process exits.
-//
-// -smoke runs a self-test instead of serving: an ephemeral-port daemon,
-// one fig3 job submitted over HTTP, and the result checked byte-for-byte
-// against the registry run directly in-process.
 package main
 
 import (
@@ -49,34 +44,20 @@ func main() {
 		"max concurrent experiment cells across all jobs (0 = GOMAXPROCS)")
 	workers := fs.Int("workers", 4, "max concurrently running jobs")
 	queue := fs.Int("queue", 64, "admission queue depth (full = HTTP 429)")
-	shards := fs.Int("shards", 0, "event-engine shards (see interweave -shards)")
 	cacheDir := fs.String("cache-dir", os.Getenv(cache.EnvDir),
 		"disk-spill directory for the result cache (default $INTERWEAVE_CACHE_DIR; empty = memory only)")
 	memBudget := fs.Int64("mem-budget", 0,
 		"result-cache in-memory byte budget (0 = 64 MiB)")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute,
 		"how long shutdown waits for in-flight jobs before cancelling them")
-	smoke := fs.Bool("smoke", false,
-		"self-test: serve on an ephemeral port, run one fig3 job end to end, verify the digest, exit")
 	_ = fs.Parse(os.Args[1:])
 
-	opts := serve.Options{
+	srv := serve.New(serve.Options{
 		Parallel:   *parallel,
-		Shards:     *shards,
 		Workers:    *workers,
 		QueueDepth: *queue,
 		Cache:      cache.New(cache.Config{Dir: *cacheDir, MemBudget: *memBudget}),
-	}
-
-	if *smoke {
-		if err := runSmoke(opts); err != nil {
-			fmt.Fprintf(os.Stderr, "servesmoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	srv := serve.New(opts)
+	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

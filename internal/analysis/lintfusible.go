@@ -18,12 +18,11 @@ const KindFusiblePair Kind = "fusible-pair"
 // opportunities that no IR pass removes — an optimized module still
 // has them, and the interpreter exploits them at Compile time.
 //
-// The walk is ir.EachFusiblePair with a nil opcode filter — exactly the
-// static default heuristic the fusion stage uses — so for any function
-// the diagnostic count equals the superinstruction count the compiled
-// engine forms (interp's Program.FusedPairs, with fusion-table
-// filtering off). A lockstep test in internal/interp pins that
-// equality.
+// The walk is ir.EachFusiblePair — exactly the static heuristic the
+// fusion stage uses — so for any function the diagnostic count equals
+// the superinstruction count the compiled engine forms (interp's
+// Program.FusedPairs with fusion on). A lockstep test in
+// internal/interp pins that equality.
 func LintFusible(m *ir.Module) []Diag {
 	var out []Diag
 	for _, f := range m.Functions() {
@@ -40,7 +39,7 @@ func LintFusibleFunc(f *ir.Function) []Diag {
 	var out []Diag
 	for _, b := range f.Blocks {
 		blk := b
-		ir.EachFusiblePair(blk, nil, func(i int, k ir.FuseKind) {
+		ir.EachFusiblePair(blk, func(i int, k ir.FuseKind) {
 			out = append(out, Diag{Fn: f.Name, Block: blk.Name, Instr: i,
 				Kind: KindFusiblePair,
 				Msg: fmt.Sprintf("%s then %s fuse into a %s superinstruction",

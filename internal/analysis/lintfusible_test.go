@@ -54,14 +54,14 @@ func TestLintFusibleFindsPatterns(t *testing.T) {
 
 // TestLintFusibleLockstepWithCompiler pins the lockstep rule: the
 // diagnostic walk shares the fuser's pattern predicates and selection
-// policy (ir.EachFusiblePair with a nil table), so on every kernel the
+// policy (ir.EachFusiblePair), so on every kernel the
 // diagnostic count equals the superinstruction count the compiler
 // actually forms under the default heuristic.
 func TestLintFusibleLockstepWithCompiler(t *testing.T) {
 	for _, k := range workloads.CARATSuite() {
 		m := k.Build()
 		n := len(LintFusible(m))
-		p := interp.Compile(m, interp.DefaultCosts(), nil)
+		p := interp.Compile(m, interp.DefaultCosts(), false)
 		if n != p.FusedPairs() {
 			t.Errorf("%s: %d fusible-pair diagnostics, compiler fused %d pairs",
 				k.Name, n, p.FusedPairs())

@@ -27,7 +27,7 @@ import (
 // run the batcher would dispatch more cheaply.
 //
 // A Program snapshots one (module generation, cost table, fusion
-// table) triple; Interp.ensureProg recompiles when any of them change.
+// setting) triple; Interp.ensureProg recompiles when any of them change.
 
 // opFellOff is a synthetic opcode placed in the reserved trap slot of a
 // block that lacks a terminator (see ir.Layout). Executing it reproduces
@@ -113,12 +113,12 @@ type cfunc struct {
 }
 
 // Program is a compiled module: every function flattened, valid for one
-// module generation, one cost table, and one fusion table.
+// module generation, one cost table, and one fusion setting.
 type Program struct {
-	gen   uint64
-	cost  CostTable
-	fsig  uint64
-	funcs map[string]*cfunc
+	gen      uint64
+	cost     CostTable
+	noFusion bool
+	funcs    map[string]*cfunc
 }
 
 // Gen returns the module generation the program was compiled at.
@@ -146,15 +146,14 @@ func (p *Program) FusedPairsIn(name string) int {
 }
 
 // Compile flattens every function of mod against the given cost table,
-// fusing the adjacent pairs fuse allows (nil = the static default
-// heuristic, every structural pattern; NoFusion() disables fusion). It
-// only reads the module, so concurrent compiles of a shared, quiescent
-// module are safe.
-func Compile(mod *ir.Module, cost CostTable, fuse *FusionTable) *Program {
-	p := &Program{gen: mod.Gen(), cost: cost, fsig: fuse.Sig(),
+// fusing the adjacent pairs ir.EachFusiblePair selects unless noFusion
+// is set. It only reads the module, so concurrent compiles of a shared,
+// quiescent module are safe.
+func Compile(mod *ir.Module, cost CostTable, noFusion bool) *Program {
+	p := &Program{gen: mod.Gen(), cost: cost, noFusion: noFusion,
 		funcs: make(map[string]*cfunc, len(mod.Funcs))}
 	for name, f := range mod.Funcs { // detvet:ok — map fill, order-independent
-		p.funcs[name] = compileFunc(f, cost, fuse)
+		p.funcs[name] = compileFunc(f, cost, noFusion)
 	}
 	// Resolve calls to in-module functions now so the executor does no
 	// map lookups; a nil calleeF means extern.
@@ -289,7 +288,7 @@ func fusePair(cf *cfunc, pc int, k ir.FuseKind) {
 	cf.fused++
 }
 
-func compileFunc(f *ir.Function, cost CostTable, fuse *FusionTable) *cfunc {
+func compileFunc(f *ir.Function, cost CostTable, noFusion bool) *cfunc {
 	l := f.Layout()
 	cf := &cfunc{
 		name:      f.Name,
@@ -345,15 +344,13 @@ func compileFunc(f *ir.Function, cost CostTable, fuse *FusionTable) *cfunc {
 	// pairs). Must run before run annotation: fused slots are not
 	// run-eligible, and the policy keeps pure-ALU fusion out of longer
 	// runs, so annotation over the fused code stays optimal.
-	var allow func(a, b ir.Op) bool
-	if fuse != nil {
-		allow = fuse.Allows
-	}
-	for bi, b := range l.Blocks {
-		start := l.Start[bi]
-		ir.EachFusiblePair(b, allow, func(i int, k ir.FuseKind) {
-			fusePair(cf, start+i, k)
-		})
+	if !noFusion {
+		for bi, b := range l.Blocks {
+			start := l.Start[bi]
+			ir.EachFusiblePair(b, func(i int, k ir.FuseKind) {
+				fusePair(cf, start+i, k)
+			})
+		}
 	}
 	// Annotate straight-line ALU runs with suffix lengths and costs.
 	// Runs never cross a block boundary: every block span ends in a

@@ -36,7 +36,7 @@ func TestFuseEncoding(t *testing.T) {
 	b.Ret(x)
 
 	cost := DefaultCosts()
-	cf := Compile(m, cost, nil).Func("main")
+	cf := Compile(m, cost, false).Func("main")
 	if cf.fused != 2 {
 		t.Fatalf("fused %d pairs, want 2 (alu+store, load+load)", cf.fused)
 	}
@@ -96,7 +96,7 @@ func TestFuseEncodingCmpBr(t *testing.T) {
 	b.Ret(c2)
 
 	cost := DefaultCosts()
-	cf := Compile(m, cost, nil).Func("main")
+	cf := Compile(m, cost, false).Func("main")
 	pc := findFused(cf, opFusedICmpBr)
 	if pc < 0 {
 		t.Fatal("no opFusedICmpBr slot")
@@ -129,7 +129,7 @@ func TestFuseGreedyNonOverlap(t *testing.T) {
 	_ = b.Load(buf, 16)
 	b.Ret(a)
 
-	cf := Compile(m, DefaultCosts(), nil).Func("main")
+	cf := Compile(m, DefaultCosts(), false).Func("main")
 	if cf.fused != 1 {
 		t.Fatalf("fused %d pairs from three loads, want 1 (greedy non-overlap)", cf.fused)
 	}
@@ -169,7 +169,7 @@ func TestFuseRespectsRunBatcher(t *testing.T) {
 	b.Store(buf, 8, s)
 	b.Ret(s)
 
-	p := Compile(m, DefaultCosts(), nil)
+	p := Compile(m, DefaultCosts(), false)
 	if n := p.FusedPairsIn("chain"); n != 0 {
 		t.Errorf("ALU chain fused %d pairs; the run batcher owns it", n)
 	}

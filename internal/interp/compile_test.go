@@ -8,7 +8,7 @@ import (
 
 func TestCompilePCResolution(t *testing.T) {
 	m := sumModule()
-	p := Compile(m, DefaultCosts(), nil)
+	p := Compile(m, DefaultCosts(), false)
 	cf := p.funcs["sum"]
 	if cf == nil {
 		t.Fatal("sum not compiled")
@@ -57,7 +57,7 @@ func TestCompileRunAnnotation(t *testing.T) {
 	cost := DefaultCosts()
 	// NoFusion: this test pins the run annotation itself (the default
 	// heuristic would fuse the add+store pair and shorten the run).
-	p := Compile(m, cost, NoFusion())
+	p := Compile(m, cost, true)
 	cf := p.funcs["runs"]
 	wantLen := []int32{3, 2, 1, 0, 0}
 	for i, w := range wantLen {

@@ -127,7 +127,7 @@ func TestFusionPatternCoverage(t *testing.T) {
 	got := map[string]int{}
 	for _, f := range m.Functions() {
 		for _, blk := range f.Blocks {
-			ir.EachFusiblePair(blk, nil, func(i int, k ir.FuseKind) {
+			ir.EachFusiblePair(blk, func(i int, k ir.FuseKind) {
 				got[k.String()]++
 			})
 		}
@@ -141,7 +141,7 @@ func TestFusionPatternCoverage(t *testing.T) {
 			t.Errorf("pattern %s not present in the coverage module (have %v)", k, got)
 		}
 	}
-	p := interp.Compile(m, interp.DefaultCosts(), nil)
+	p := interp.Compile(m, interp.DefaultCosts(), false)
 	total := 0
 	for _, n := range got {
 		total += n
@@ -212,7 +212,7 @@ func TestFusedStepBudgetParity(t *testing.T) {
 // alu+jmp pairs).
 func TestKernelStepBudgetAcrossFusedPairs(t *testing.T) {
 	k := workloads.CARATSuite()[0]
-	if p := interp.Compile(k.Build(), interp.DefaultCosts(), nil); p.FusedPairs() == 0 {
+	if p := interp.Compile(k.Build(), interp.DefaultCosts(), false); p.FusedPairs() == 0 {
 		t.Fatal("stream-triad compiles with no fused pairs")
 	}
 	for limit := int64(1); limit <= 200; limit++ {
@@ -239,7 +239,7 @@ func TestNoFusionEquivalence(t *testing.T) {
 	for _, k := range workloads.CARATSuite() {
 		m := k.Build()
 		fast, _ := interp.New(m)
-		fast.Fusion = interp.NoFusion()
+		fast.NoFusion = true
 		ref, _ := interp.New(m)
 		fr, ferr := fast.Call(k.Entry)
 		rr, rerr := ref.ReferenceCall(k.Entry)
@@ -254,7 +254,7 @@ func TestNoFusionEquivalence(t *testing.T) {
 	m := fusedPatternsModule()
 	fused, _ := interp.New(m)
 	unfused, _ := interp.New(m)
-	unfused.Fusion = interp.NoFusion()
+	unfused.NoFusion = true
 	ref, _ := interp.New(m)
 	a, aerr := fused.Call("main")
 	b, berr := unfused.Call("main")
@@ -271,40 +271,38 @@ func TestNoFusionEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusionTableSelection pins profile-guided filtering: a fusion
-// table restricted to cmp+br admits only those pairs, results stay
-// bit-identical, and swapping the table on a live interpreter
-// recompiles (the program cache keys on the table signature).
+// TestFusionTableSelection pins how the fusion selection reaches the
+// compiled program: Compile with noFusion forms no pairs, and flipping
+// NoFusion on a live interpreter recompiles (the program cache keys on
+// the setting) back to the default heuristic's pair count.
 func TestFusionTableSelection(t *testing.T) {
 	m := fusedPatternsModule()
-	full := interp.Compile(m, interp.DefaultCosts(), nil)
-	only := interp.NewFusionTable([][2]ir.Op{{ir.OpICmp, ir.OpBr}, {ir.OpFCmp, ir.OpBr}})
-	restricted := interp.Compile(m, interp.DefaultCosts(), only)
-	if restricted.FusedPairs() >= full.FusedPairs() {
-		t.Fatalf("restricted table fused %d pairs, full heuristic %d",
-			restricted.FusedPairs(), full.FusedPairs())
+	full := interp.Compile(m, interp.DefaultCosts(), false)
+	none := interp.Compile(m, interp.DefaultCosts(), true)
+	if full.FusedPairs() == 0 {
+		t.Fatal("default heuristic fused nothing in the all-patterns module")
 	}
-	if restricted.FusedPairs() != 2 {
-		t.Fatalf("cmp+br-only table fused %d pairs, want 2 (icmp+br, fcmp+br)", restricted.FusedPairs())
+	if none.FusedPairs() != 0 {
+		t.Fatalf("noFusion compile fused %d pairs, want 0", none.FusedPairs())
 	}
 
 	ip, _ := interp.New(m)
-	ip.Fusion = only
+	ip.NoFusion = true
 	ref, _ := interp.New(m)
 	fr, ferr := ip.Call("main")
 	rr, rerr := ref.ReferenceCall("main")
 	if ferr != nil || rerr != nil || fr != rr || ip.Stats != ref.Stats {
-		t.Fatalf("restricted table diverges: fast=(%d,%v) ref=(%d,%v)", fr, ferr, rr, rerr)
+		t.Fatalf("unfused program diverges: fast=(%d,%v) ref=(%d,%v)", fr, ferr, rr, rerr)
 	}
 
 	p1 := ip.Program()
-	ip.Fusion = nil // back to the default heuristic
+	ip.NoFusion = false // back to the default heuristic
 	if _, err := ip.Call("main"); err != nil {
 		t.Fatal(err)
 	}
 	p2 := ip.Program()
 	if p1 == p2 {
-		t.Fatal("fusion-table change did not recompile the program")
+		t.Fatal("NoFusion change did not recompile the program")
 	}
 	if p2.FusedPairs() != full.FusedPairs() {
 		t.Fatalf("recompiled program fused %d pairs, want %d", p2.FusedPairs(), full.FusedPairs())
@@ -322,10 +320,10 @@ func TestLintFusibleLockstep(t *testing.T) {
 		visits := 0
 		for _, f := range m.Functions() {
 			for _, blk := range f.Blocks {
-				ir.EachFusiblePair(blk, nil, func(int, ir.FuseKind) { visits++ })
+				ir.EachFusiblePair(blk, func(int, ir.FuseKind) { visits++ })
 			}
 		}
-		p := interp.Compile(m, interp.DefaultCosts(), nil)
+		p := interp.Compile(m, interp.DefaultCosts(), false)
 		if p.FusedPairs() != visits {
 			t.Errorf("%s: compiler fused %d pairs, shared walk visits %d", k.Name, p.FusedPairs(), visits)
 		}

@@ -19,12 +19,11 @@
 //   - The reference path (reference.go) is the original tree-walking
 //     loop. It is the semantic oracle for differential tests, and it is
 //     also the engine used whenever Hooks.Abort is set (abort polling is
-//     specified per instruction) or PairProf is set (pair profiling
-//     observes every executed adjacency).
+//     specified per instruction).
 //
 // Call picks the engine; compiled programs are cached per Interp and
 // invalidated by the module generation counter (ir.Module.Gen), by
-// CostTable changes, and by FusionTable changes.
+// CostTable changes, and by toggling NoFusion.
 package interp
 
 import (
@@ -155,19 +154,11 @@ type Interp struct {
 	Hooks Hooks
 	Stats Stats
 
-	// Fusion selects which adjacent opcode pairs the compiled fast path
-	// fuses into superinstructions. nil is the static default heuristic
-	// (every structural pattern); NoFusion() disables fusion;
-	// profile-derived tables (PairProfile.Table) fuse only hot pairs.
-	// Changing it invalidates the compiled-program cache like a cost
-	// table change.
-	Fusion *FusionTable
-
-	// PairProf, when non-nil, gathers dynamic adjacent-opcode-pair
-	// frequencies during execution — the profile that drives fusion-table
-	// selection. Profiling routes Call through the reference engine
-	// (like Hooks.Abort), so the fast path never carries the counters.
-	PairProf *PairProfile
+	// NoFusion turns off superinstruction fusion in the compiled fast
+	// path. The zero value fuses every pair the static heuristic
+	// (ir.EachFusiblePair) selects. Changing it invalidates the
+	// compiled-program cache like a cost table change.
+	NoFusion bool
 
 	// MaxSteps bounds total executed instructions, cumulatively across
 	// every Call on this Interp (Stats.Steps never resets on its own).
@@ -215,10 +206,9 @@ func New(mod *ir.Module) (*Interp, error) {
 // result. Cycle and event counts accumulate in Stats across calls.
 func (ip *Interp) Call(name string, args ...uint64) (uint64, error) {
 	ip.setLimits()
-	if ip.Hooks.Abort != nil || ip.PairProf != nil {
-		// Abort is polled between consecutive instructions, and pair
-		// profiling observes every executed adjacency; the reference
-		// engine implements both contracts literally.
+	if ip.Hooks.Abort != nil {
+		// Abort is polled between consecutive instructions; the
+		// reference engine implements that contract literally.
 		return ip.refCall(name, args, 0)
 	}
 	ip.ensureProg()
@@ -259,20 +249,19 @@ func (ip *Interp) stepLimitErr() error {
 }
 
 // Program returns the compiled program for the current module, cost
-// table, and fusion table, compiling if the cache is stale — the same
-// program a Call would execute (fusion reporting, tooling).
+// table, and fusion setting, compiling if the cache is stale — the
+// same program a Call would execute (fusion reporting, tooling).
 func (ip *Interp) Program() *Program {
 	ip.ensureProg()
 	return ip.prog
 }
 
 // ensureProg (re)compiles the module if the cached program is missing
-// or stale (module mutated, cost table changed, or fusion table
-// changed).
+// or stale (module mutated, cost table changed, or NoFusion toggled).
 func (ip *Interp) ensureProg() {
 	if ip.prog == nil || ip.prog.gen != ip.Mod.Gen() || ip.prog.cost != ip.Cost ||
-		ip.prog.fsig != ip.Fusion.Sig() {
-		ip.prog = Compile(ip.Mod, ip.Cost, ip.Fusion)
+		ip.prog.noFusion != ip.NoFusion {
+		ip.prog = Compile(ip.Mod, ip.Cost, ip.NoFusion)
 	}
 }
 

@@ -41,20 +41,11 @@ func (ip *Interp) refCall(name string, args []uint64, depth int) (uint64, error)
 
 	blk := f.Entry()
 	idx := 0
-	// Pair profiling (PairProfile): prevOp is the opcode executed just
-	// before the current one within the same basic block; block
-	// transfers reset it, matching the fusion stage's intra-block scope.
-	prof := ip.PairProf
-	prevOp := ir.Op(-1)
 	for {
 		if idx >= len(blk.Instrs) {
 			return 0, fmt.Errorf("interp: fell off block %s.%s", f.Name, blk.Name)
 		}
 		in := blk.Instrs[idx]
-		if prof != nil && prevOp >= 0 {
-			prof.Note(prevOp, in.Op)
-		}
-		prevOp = in.Op
 		ip.Stats.Steps++
 		if ip.Stats.Steps > ip.curMaxSteps {
 			return 0, ip.stepLimitErr()
@@ -233,12 +224,10 @@ func (ip *Interp) refCall(name string, args []uint64, depth int) (uint64, error)
 			} else {
 				blk, idx = in.Else, 0
 			}
-			prevOp = ir.Op(-1)
 			continue
 		case ir.OpJmp:
 			ip.Stats.Cycles += ip.Cost.Jump
 			blk, idx = in.Target, 0
-			prevOp = ir.Op(-1)
 			continue
 		case ir.OpRet:
 			ip.Stats.Cycles += ip.Cost.Ret

@@ -22,7 +22,7 @@ type FuseKind int
 // consume the first's result (or, for guards, to repeat its effective
 // address) — a genuine dependent sequence. The remaining patterns
 // (FuseLoadLoad, FuseStoreALU, FuseALUJmp) are dispatch packing for the
-// hottest independent adjacencies the pair profile surfaces: back-to-back
+// hottest independent adjacencies of the kernel suite: back-to-back
 // streaming loads and the `store; bump; jump` loop backedge.
 const (
 	// FuseCmpBr: icmp/fcmp immediately consumed by the block's
@@ -111,8 +111,8 @@ func readsReg(in *Instr, r Reg) bool {
 
 // FusiblePair reports whether the adjacent instructions (first, second)
 // match a fusion pattern, and which one. It is purely structural; the
-// profitability policy (run interaction, fusion-table selection) lives
-// in EachFusiblePair and its callers.
+// profitability policy (run interaction) lives
+// in EachFusiblePair.
 func FusiblePair(first, second *Instr) (FuseKind, bool) {
 	switch {
 	case (first.Op == OpICmp || first.Op == OpFCmp) && second.Op == OpBr &&
@@ -146,26 +146,6 @@ func FusiblePair(first, second *Instr) (FuseKind, bool) {
 	return 0, false
 }
 
-// FusibleOps reports whether the opcode pair (a, b) can match any
-// fusion pattern for some operand assignment. The profile-to-table
-// derivation uses it to keep unfusible pairs (call+ret, jmp+anything)
-// out of fusion tables.
-func FusibleOps(a, b Op) bool {
-	switch {
-	case (a == OpICmp || a == OpFCmp) && b == OpBr:
-		return true
-	case a == OpGuard && (b == OpLoad || b == OpStore):
-		return true
-	case a == OpLoad && (b == OpLoad || PureALU(b)):
-		return true
-	case a == OpStore && PureALU(b) && b != OpConst && b != OpFConst:
-		return true
-	case PureALU(a) && (b == OpLoad || b == OpStore || b == OpJmp || PureALU(b)):
-		return true
-	}
-	return false
-}
-
 // aluInline is the pure-ALU subset whose fused ALU+ALU pairs measure
 // as a win over two single-op dispatches (the engine evaluates them
 // inline, in interp's aluHot). The selection policy only picks a
@@ -183,9 +163,8 @@ func aluInline(op Op) bool {
 // EachFusiblePair visits the pairs of blk that the fusion stage
 // collapses, greedily left to right without overlap (an instruction
 // consumed as the second constituent of one pair cannot start another).
-// allow filters by opcode pair (nil allows everything — the static
-// default heuristic); visit receives the index of the pair's first
-// instruction within blk.Instrs and the matched pattern.
+// visit receives the index of the pair's first instruction within
+// blk.Instrs and the matched pattern.
 //
 // Policy: fusion must never compete with the engine's batched run
 // dispatch, which already executes any consecutive pure-ALU sequence
@@ -211,15 +190,12 @@ func aluInline(op Op) bool {
 //     sequence is exactly what the run batcher dispatches best) and
 //     both ops are in the engine's inline-evaluated set, so the fused
 //     arm is never slower than the run it replaces.
-func EachFusiblePair(blk *Block, allow func(first, second Op) bool, visit func(i int, k FuseKind)) {
+func EachFusiblePair(blk *Block, visit func(i int, k FuseKind)) {
 	ins := blk.Instrs
 	prevLive := false // previous instruction is pure ALU and not consumed by a fusion
 	for i := 0; i+1 < len(ins); {
 		first, second := ins[i], ins[i+1]
 		k, ok := FusiblePair(first, second)
-		if ok && allow != nil && !allow(first.Op, second.Op) {
-			ok = false
-		}
 		nextALU := i+2 < len(ins) && PureALU(ins[i+2].Op)
 		// The one-ALU-then-jmp remainder that FuseALUJmp will absorb.
 		jmpRescue := nextALU && i+3 < len(ins) && ins[i+3].Op == OpJmp
@@ -242,21 +218,4 @@ func EachFusiblePair(blk *Block, allow func(first, second Op) bool, visit func(i
 		prevLive = PureALU(first.Op)
 		i++
 	}
-}
-
-// opByName resolves opcode mnemonics (the inverse of Op.String), built
-// once from the name table.
-var opByName = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, name := range opNames {
-		m[name] = op
-	}
-	return m
-}()
-
-// ParseOp resolves an opcode mnemonic as printed by Op.String
-// (fusion-table JSON uses mnemonics so the files are inspectable).
-func ParseOp(name string) (Op, bool) {
-	op, ok := opByName[name]
-	return op, ok
 }

@@ -20,8 +20,6 @@ type Options struct {
 	// shared exp.Pool every job's cells go through (0 = exp default).
 	// This is the daemon's admission control at the cell tier.
 	Parallel int
-	// Shards selects the event engine (see core.Stack.Shards).
-	Shards int
 	// Workers is the number of jobs run concurrently (0 = 4). Cells are
 	// still bounded by Parallel: workers contend for the shared pool.
 	Workers int
@@ -72,7 +70,6 @@ func New(o Options) *Server {
 	s := &Server{
 		runner: &core.Runner{
 			Parallel: o.Parallel,
-			Shards:   o.Shards,
 			Cache:    o.Cache,
 			Pool:     pool,
 		},
