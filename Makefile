@@ -3,7 +3,7 @@ GO ?= go
 # Minimum per-package statement coverage (percent) for the cover gate.
 COVER_FLOOR ?= 60
 
-.PHONY: build vet detvet lint test short race bench bench-mem bench-machine bench-cache bench-interp-fused benchsmoke cover all check
+.PHONY: build vet detvet lint test short race digests bench bench-mem bench-machine bench-cache bench-interp-fused benchsmoke cover all check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ short:
 # included.
 race:
 	$(GO) test -race -timeout 600s ./...
+
+# Regenerate every table of `interweave all` at seed 42 and at one
+# chaos seed, and compare the digests with internal/core/testdata/
+# digests.json (rewrite it with `go test -run TestDigestManifest
+# ./internal/core -args -update` when results are meant to change).
+# The race leg skips this test, so it runs here on its own.
+digests:
+	$(GO) test -run TestDigestManifest ./internal/core
 
 # Full benchmark sweep, then regenerate BENCH_interp.json (interpreter
 # fast path vs reference engine).
@@ -88,4 +96,4 @@ all:
 	$(GO) run ./cmd/interweave all
 
 # Standard local gate.
-check: build vet lint race cover benchsmoke
+check: build vet lint race digests cover benchsmoke

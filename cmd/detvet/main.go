@@ -7,7 +7,8 @@
 //
 // With no arguments it vets the deterministic core of this repository:
 // internal/sim, internal/machine, internal/heartbeat, internal/exp,
-// internal/interp.
+// internal/interp, internal/cache, internal/serve, internal/coherence,
+// internal/farmem.
 package main
 
 import (
@@ -37,6 +38,10 @@ var defaultDirs = []string{
 	// only for event timestamps and carry detvet:ok suppressions; any
 	// new one must justify itself the same way.
 	"internal/serve",
+	// The memory-system simulators behind fig7 and farmem: eviction and
+	// invalidation order feed order-sensitive cycle and energy sums.
+	"internal/coherence",
+	"internal/farmem",
 }
 
 func main() {

@@ -37,18 +37,26 @@ func (s LineState) String() string {
 	}
 }
 
+// cacheLine is one way of a set, packed into 16 bytes so a 16-way L3
+// set spans four host cache lines instead of six: lookups are bound by
+// host memory latency. meta holds the way's LRU tick above its MESI
+// state; ticks are unique per cache, so comparing meta between valid
+// ways compares ticks.
 type cacheLine struct {
-	tag   uint64
-	state LineState
-	lru   uint64
+	tag  uint64
+	meta uint64 // lru tick << 2 | LineState
 }
 
-// Cache is one set-associative cache level with LRU replacement.
+func (l *cacheLine) state() LineState { return LineState(l.meta & 3) }
+
+// Cache is one set-associative cache level with LRU replacement. Its
+// ways live in one flat slice, set by set: set i is
+// lines[i*ways : (i+1)*ways].
 type Cache struct {
-	sets      int
+	sets      uint64
 	ways      int
 	lineShift uint
-	lines     [][]cacheLine
+	lines     []cacheLine
 	tick      uint64
 
 	Hits, Misses uint64
@@ -68,31 +76,43 @@ func NewCache(sizeBytes, ways, lineSize int) *Cache {
 	if sets == 0 {
 		sets = 1
 	}
-	c := &Cache{sets: sets, ways: ways, lineShift: lineShift}
-	c.lines = make([][]cacheLine, sets)
-	for i := range c.lines {
-		c.lines[i] = make([]cacheLine, ways)
+	return &Cache{
+		sets:      uint64(sets),
+		ways:      ways,
+		lineShift: lineShift,
+		lines:     make([]cacheLine, sets*ways),
 	}
-	return c
 }
 
 // LineAddr returns the line-aligned address for a.
 func (c *Cache) LineAddr(a mem.Addr) uint64 { return uint64(a) >> c.lineShift }
 
+// set returns the ways of line's set. The set index costs a division
+// (set counts need not be powers of two: an L3 slice has 2560), so
+// each operation calls this once.
 func (c *Cache) set(line uint64) []cacheLine {
-	return c.lines[line%uint64(c.sets)]
+	i := int(line%c.sets) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
+}
+
+// find returns the valid way of set holding line, or nil.
+func find(set []cacheLine, line uint64) *cacheLine {
+	for i := range set {
+		if l := &set[i]; l.tag == line && l.state() != Invalid {
+			return l
+		}
+	}
+	return nil
 }
 
 // Lookup returns the line's state (Invalid if absent), touching LRU.
 func (c *Cache) Lookup(line uint64) LineState {
 	c.tick++
-	for i := range c.set(line) {
-		l := &c.set(line)[i]
-		if l.state != Invalid && l.tag == line {
-			l.lru = c.tick
-			c.Hits++
-			return l.state
-		}
+	if l := find(c.set(line), line); l != nil {
+		st := l.state()
+		l.meta = c.tick<<2 | uint64(st)
+		c.Hits++
+		return st
 	}
 	c.Misses++
 	return Invalid
@@ -100,23 +120,16 @@ func (c *Cache) Lookup(line uint64) LineState {
 
 // Peek returns the state without touching LRU or counters.
 func (c *Cache) Peek(line uint64) LineState {
-	for i := range c.set(line) {
-		l := &c.set(line)[i]
-		if l.state != Invalid && l.tag == line {
-			return l.state
-		}
+	if l := find(c.set(line), line); l != nil {
+		return l.state()
 	}
 	return Invalid
 }
 
 // SetState updates or removes a present line's state (no fill).
 func (c *Cache) SetState(line uint64, s LineState) {
-	for i := range c.set(line) {
-		l := &c.set(line)[i]
-		if l.state != Invalid && l.tag == line {
-			l.state = s
-			return
-		}
+	if l := find(c.set(line), line); l != nil {
+		l.meta = l.meta&^3 | uint64(s)
 	}
 }
 
@@ -126,25 +139,22 @@ func (c *Cache) Fill(line uint64, s LineState) (evicted uint64, evictedState Lin
 	c.tick++
 	set := c.set(line)
 	// Already present: update.
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == line {
-			set[i].state = s
-			set[i].lru = c.tick
-			return 0, Invalid
-		}
+	if l := find(set, line); l != nil {
+		l.meta = c.tick<<2 | uint64(s)
+		return 0, Invalid
 	}
 	victim := 0
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].state() == Invalid {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if set[i].meta < set[victim].meta {
 			victim = i
 		}
 	}
-	ev, evs := set[victim].tag, set[victim].state
-	set[victim] = cacheLine{tag: line, state: s, lru: c.tick}
+	ev, evs := set[victim].tag, set[victim].state()
+	set[victim] = cacheLine{tag: line, meta: c.tick<<2 | uint64(s)}
 	if evs == Invalid {
 		return 0, Invalid
 	}
@@ -153,13 +163,10 @@ func (c *Cache) Fill(line uint64, s LineState) (evicted uint64, evictedState Lin
 
 // Invalidate removes a line, returning its prior state.
 func (c *Cache) Invalidate(line uint64) LineState {
-	for i := range c.set(line) {
-		l := &c.set(line)[i]
-		if l.state != Invalid && l.tag == line {
-			s := l.state
-			l.state = Invalid
-			return s
-		}
+	if l := find(c.set(line), line); l != nil {
+		s := l.state()
+		l.meta &^= 3
+		return s
 	}
 	return Invalid
 }

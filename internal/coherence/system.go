@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/mem"
@@ -53,11 +54,75 @@ type Region struct {
 	Producer int
 }
 
-// dirState is the directory's view of one line.
+// dirState is the directory's view of one line. The sharer set is a
+// bitset of one bit per core, carved from the System's slab, with its
+// population kept in n.
 type dirState struct {
-	sharers map[int]bool
+	sharers []uint64
+	n       int
 	owner   int // core with M copy; -1 if none
 }
+
+// has reports whether core is a sharer.
+func (d *dirState) has(core int) bool {
+	return d.sharers[core>>6]&(1<<(core&63)) != 0
+}
+
+// add makes core a sharer.
+func (d *dirState) add(core int) {
+	w, b := &d.sharers[core>>6], uint64(1)<<(core&63)
+	if *w&b == 0 {
+		*w |= b
+		d.n++
+	}
+}
+
+// remove drops core from the sharers.
+func (d *dirState) remove(core int) {
+	w, b := &d.sharers[core>>6], uint64(1)<<(core&63)
+	if *w&b != 0 {
+		*w &^= b
+		d.n--
+	}
+}
+
+// only makes core the sole sharer.
+func (d *dirState) only(core int) {
+	clear(d.sharers)
+	d.sharers[core>>6] = 1 << (core & 63)
+	d.n = 1
+}
+
+// invalidees calls fn, in ascending core order, for every core that
+// must drop the line when keeper takes it exclusively: each sharer
+// other than keeper, and the owner when it is not a sharer (merged into
+// the ascending walk). Energy sums are order-sensitive floats, so the
+// order is part of the output.
+func (d *dirState) invalidees(keeper int, fn func(core int)) {
+	owner := -1
+	if d.owner >= 0 && d.owner != keeper && !d.has(d.owner) {
+		owner = d.owner
+	}
+	for wi, w := range d.sharers {
+		for w != 0 {
+			sh := wi<<6 | bits.TrailingZeros64(w)
+			w &= w - 1
+			if owner >= 0 && owner < sh {
+				fn(owner)
+				owner = -1
+			}
+			if sh != keeper {
+				fn(sh)
+			}
+		}
+	}
+	if owner >= 0 {
+		fn(owner)
+	}
+}
+
+// dirChunk is how many directory entries one slab allocation carves.
+const dirChunk = 256
 
 // Stats aggregates the measurable outcomes: Fig. 7 plots speedup (from
 // cycles) and reports interconnect energy reduction.
@@ -154,6 +219,12 @@ type System struct {
 	l3     []*Cache // one slice per core (NUCA); home by line hash
 	dir    map[uint64]*dirState
 
+	// Directory entries and their sharer words are carved from these
+	// slabs, dirChunk entries at a time; entries are never freed.
+	dirSlab  []dirState
+	wordSlab []uint64
+	words    int // sharer bitset words per entry
+
 	regions []Region // sorted by base
 
 	Stats Stats
@@ -162,7 +233,7 @@ type System struct {
 // New builds a system from cfg.
 func New(cfg Config) *System {
 	cores := cfg.Sockets * cfg.CoresPerSocket
-	s := &System{Cfg: cfg, cores: cores, dir: make(map[uint64]*dirState)}
+	s := &System{Cfg: cfg, cores: cores, dir: make(map[uint64]*dirState), words: (cores + 63) / 64}
 	for i := 0; i < cores; i++ {
 		s.l1 = append(s.l1, NewCache(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
 		s.l2 = append(s.l2, NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize))
@@ -170,6 +241,20 @@ func New(cfg Config) *System {
 	}
 	s.Stats.Cycles = make([]int64, cores)
 	return s
+}
+
+// newDir allocates an empty directory entry with the given owner.
+func (s *System) newDir(owner int) *dirState {
+	if len(s.dirSlab) == 0 {
+		s.dirSlab = make([]dirState, dirChunk)
+		s.wordSlab = make([]uint64, dirChunk*s.words)
+	}
+	d := &s.dirSlab[0]
+	s.dirSlab = s.dirSlab[1:]
+	d.sharers = s.wordSlab[:s.words:s.words]
+	s.wordSlab = s.wordSlab[s.words:]
+	d.owner = owner
+	return d
 }
 
 // Cores returns the core count.
@@ -329,7 +414,7 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 
 	d := s.dir[line]
 	if d == nil {
-		d = &dirState{sharers: make(map[int]bool), owner: -1}
+		d = s.newDir(-1)
 		s.dir[line] = d
 	}
 
@@ -337,7 +422,7 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 		// Invalidate every other copy; fetch data.
 		lat += s.invalidateAll(core, line, d)
 		lat += s.fetchData(core, home, line)
-		d.sharers = map[int]bool{core: true}
+		d.only(core)
 		d.owner = core
 		s.fillPrivate(core, line, Modified)
 		return lat
@@ -362,9 +447,9 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 				s.l3[home].Fill(line, Modified)
 				s.Stats.WritebacksDir++
 			}
-			d.sharers[d.owner] = true // downgraded owner stays a sharer
+			d.add(d.owner) // downgraded owner stays a sharer
 			d.owner = -1
-			d.sharers[core] = true
+			d.add(core)
 			s.fillPrivate(core, line, Shared)
 			return lat
 		}
@@ -372,9 +457,9 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 		d.owner = -1
 	}
 	lat += s.fetchData(core, home, line)
-	d.sharers[core] = true
+	d.add(core)
 	state := Shared
-	if len(d.sharers) == 1 {
+	if d.n == 1 {
 		state = Exclusive
 		d.owner = core
 	}
@@ -537,7 +622,7 @@ func (s *System) fillPrivate(core int, line uint64, st LineState) {
 // eviction.
 func (s *System) dropDir(core int, line uint64) {
 	if d := s.dir[line]; d != nil {
-		delete(d.sharers, core)
+		d.remove(core)
 		if d.owner == core {
 			d.owner = -1
 		}
@@ -551,7 +636,7 @@ func (s *System) writeback(core int, line uint64) {
 	s.l3[home].Fill(line, Modified)
 	s.Stats.WritebacksDir++
 	if d := s.dir[line]; d != nil {
-		delete(d.sharers, core)
+		d.remove(core)
 		if d.owner == core {
 			d.owner = -1
 		}
@@ -569,37 +654,27 @@ func (s *System) dirInvalidateOthers(core int, line uint64) int64 {
 	s.Stats.InterconnectPJ += s.Cfg.Costs.EnergyPerDirPJ
 	d := s.dir[line]
 	if d == nil {
-		d = &dirState{sharers: map[int]bool{core: true}, owner: -1}
+		d = s.newDir(-1)
+		d.only(core)
 		s.dir[line] = d
 	}
 	lat += s.invalidateAll(core, line, d)
-	d.sharers = map[int]bool{core: true}
+	d.only(core)
 	d.owner = core
 	return lat
 }
 
-// invalidateAll sends invalidations to every sharer except keeper.
+// invalidateAll sends invalidations to every core d.invalidees names.
 func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
 	home := s.home(line)
 	var lat int64
-	// Deterministic order.
-	var targets []int
-	for sh := range d.sharers {
-		if sh != keeper {
-			targets = append(targets, sh)
-		}
-	}
-	if d.owner >= 0 && d.owner != keeper && !d.sharers[d.owner] {
-		targets = append(targets, d.owner)
-	}
-	sort.Ints(targets)
-	for _, sh := range targets {
+	d.invalidees(keeper, func(sh int) {
 		h, cross := s.hops(home, sh)
 		lat += s.chargeHops(keeper, h, cross, false)
 		s.l1[sh].Invalidate(line)
 		s.l2[sh].Invalidate(line)
 		s.Stats.Invalidations++
-	}
+	})
 	return lat
 }
 
@@ -607,7 +682,8 @@ func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
 func (s *System) setDirOwner(line uint64, core int) {
 	d := s.dir[line]
 	if d == nil {
-		d = &dirState{sharers: map[int]bool{core: true}, owner: core}
+		d = s.newDir(core)
+		d.only(core)
 		s.dir[line] = d
 		return
 	}

@@ -88,14 +88,23 @@ type page struct {
 	num   uint64
 	local bool
 	dirty bool
-	lru   int64
+	// lru is the tick of the last touch. Eviction follows the resident
+	// list, which is kept in descending lru order; tests check the
+	// list's victims against a minimum-lru scan.
+	lru int64
+	// prev/next link the page into the resident list while local.
+	prev, next *page
 }
 
 // PageSwapper is the page-granularity transparent-swapping baseline.
 type PageSwapper struct {
 	cfg   Config
 	pages map[uint64]*page
-	// localPages tracks residency for LRU eviction.
+	// resident is the sentinel of the list of local pages, most recently
+	// used first: resident.next is the MRU page, resident.prev the LRU
+	// one. Ticks are unique, so the list is exactly the resident pages
+	// in descending lru order.
+	resident   page
 	localBytes uint64
 	tick       int64
 	st         Stats
@@ -103,7 +112,22 @@ type PageSwapper struct {
 
 // NewPageSwapper creates the baseline manager.
 func NewPageSwapper(cfg Config) *PageSwapper {
-	return &PageSwapper{cfg: cfg, pages: make(map[uint64]*page)}
+	p := &PageSwapper{cfg: cfg, pages: make(map[uint64]*page)}
+	p.resident.prev, p.resident.next = &p.resident, &p.resident
+	return p
+}
+
+// pushFront links pg in as the most recently used resident page.
+func (p *PageSwapper) pushFront(pg *page) {
+	pg.prev, pg.next = &p.resident, p.resident.next
+	pg.next.prev = pg
+	p.resident.next = pg
+}
+
+// unlink removes pg from the resident list.
+func (p *PageSwapper) unlink(pg *page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 }
 
 // Register is a no-op for pages: the first touch faults the page in
@@ -125,6 +149,8 @@ func (p *PageSwapper) Access(addr mem.Addr) int64 {
 	}
 	if pg.local {
 		pg.lru = p.tick
+		p.unlink(pg)
+		p.pushFront(pg)
 		pg.dirty = true // conservative: treat touches as potential writes
 		p.st.LocalHits++
 		p.st.AccessCycles += p.cfg.LocalAccess
@@ -139,6 +165,7 @@ func (p *PageSwapper) Access(addr mem.Addr) int64 {
 	}
 	pg.local = true
 	pg.lru = p.tick
+	p.pushFront(pg)
 	p.localBytes += p.cfg.PageSize
 	p.st.StallCycles += cost
 	total := cost + p.cfg.LocalAccess
@@ -146,19 +173,14 @@ func (p *PageSwapper) Access(addr mem.Addr) int64 {
 	return total
 }
 
+// evictLRU pushes the least recently used resident page to the far
+// tier, returning the writeback cost.
 func (p *PageSwapper) evictLRU() int64 {
-	var victim *page
-	for _, pg := range p.pages {
-		if !pg.local {
-			continue
-		}
-		if victim == nil || pg.lru < victim.lru {
-			victim = pg
-		}
-	}
-	if victim == nil {
+	victim := p.resident.prev
+	if victim == &p.resident {
 		return 0
 	}
+	p.unlink(victim)
 	victim.local = false
 	p.localBytes -= p.cfg.PageSize
 	p.st.Evictions++

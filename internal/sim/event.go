@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Time is a point in simulated time, measured in CPU cycles of the
 // simulated machine's reference clock. All subsystems share this unit; a
 // machine's frequency converts cycles to nanoseconds where needed.
@@ -44,8 +42,8 @@ type Event struct {
 	// so comparisons through it never change.
 	exec int64
 
-	index int        // heap index; -1 when not queued
 	owner *eventHeap // queue currently holding the event, nil otherwise
+	index int32      // heap index; -1 when not queued; int32 keeps Event at 64 bytes
 	dead  bool
 }
 
@@ -58,7 +56,7 @@ func (e *Event) Cancel() {
 	e.dead = true
 	e.Fn = nil
 	if e.owner != nil && e.index >= 0 {
-		heap.Remove(e.owner, e.index)
+		e.owner.remove(int(e.index))
 		e.owner = nil
 	}
 }
@@ -100,28 +98,108 @@ func (e *Event) resolve() {
 	}
 }
 
+// eventHeap is a binary min-heap of events under the canonical order,
+// typed so the hot path calls (*Event).before directly instead of going
+// through container/heap's interface dispatch. Every queued event
+// records its position in index, which is what lets Cancel remove it
+// eagerly. Sifts move a hole and write each displaced event once,
+// rather than swapping pairs. Keys are unique, so the pop order is a
+// function of the keys alone, never of the heap's shape.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// push queues ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, nil)
+	h.up(ev, len(*h)-1)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// pop removes and returns the earliest event. The heap must be
+// non-empty. The root's hole first walks down the earlier-child path to
+// a leaf, then the displaced last event sifts up from there (Floyd's
+// bottom-up pop): the last event nearly always belongs near the leaves,
+// so this takes about half the comparisons of sifting it down from the
+// root.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		ce := q[c]
+		q[i], ce.index = ce, int32(i)
+		i = c
+	}
+	q.up(last, i)
+	return top
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// remove deletes the event at position i.
+func (h *eventHeap) remove(i int) {
+	q := *h
+	n := len(q) - 1
+	ev, last := q[i], q[n]
+	q[n] = nil
+	*h = q[:n]
+	ev.index = -1
+	if i == n {
+		return
+	}
+	if !h.down(last, i) {
+		h.up(last, i)
+	}
+}
+
+// up fills the hole at i with ev, first moving ev's later ancestors
+// down into the hole.
+func (h eventHeap) up(ev *Event, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		pe := h[p]
+		if !ev.before(pe) {
+			break
+		}
+		h[i], pe.index = pe, int32(i)
+		i = p
+	}
+	h[i], ev.index = ev, int32(i)
+}
+
+// down fills the hole at i0 with ev, first moving ev's earlier
+// descendants up into the hole. It reports whether ev moved below i0.
+func (h eventHeap) down(ev *Event, i0 int) bool {
+	n := len(h)
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		ce := h[c]
+		if !ce.before(ev) {
+			break
+		}
+		h[i], ce.index = ce, int32(i)
+		i = c
+	}
+	h[i], ev.index = ev, int32(i)
+	return i > i0
 }
 
 // Queue is the scheduling interface of one event shard. On the
@@ -230,7 +308,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		e.rootn++
 	}
 	ev.owner = &e.queue
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -255,7 +333,7 @@ func (e *Engine) Halt() { e.halted = true }
 // returns false if the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		ev.owner = nil
 		if ev.dead {
 			continue

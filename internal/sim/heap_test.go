@@ -1,0 +1,437 @@
+package sim
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+	"unsafe"
+)
+
+// This file checks the typed event heap against a sorted-slice oracle:
+// an engine that keeps its pending events in one slice sorted by the
+// canonical (At, slot, minor) key and fires the head. Both engines run
+// the same seeded scheduling programs; their fire orders must agree.
+
+// refEvent is one event of the oracle engine.
+type refEvent struct {
+	at          Time
+	slot, minor int64
+	exec        int64
+	fn          func()
+	eng         *refEngine
+	queued      bool
+}
+
+func (a *refEvent) less(b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.slot != b.slot {
+		return a.slot < b.slot
+	}
+	return a.minor < b.minor
+}
+
+// Cancel removes a queued event; on a fired or cancelled one it is a
+// no-op, as on Engine.
+func (a *refEvent) Cancel() {
+	if !a.queued {
+		return
+	}
+	q := a.eng.q
+	for i, ev := range q {
+		if ev == a {
+			a.eng.q = append(q[:i], q[i+1:]...)
+			break
+		}
+	}
+	a.queued = false
+}
+
+// refEngine is the sorted-slice oracle. It assigns keys by the rules
+// Event documents: a root gets slot 2*F and the next root index, a child
+// gets slot 2*exec(parent)+1 and its parent's next child index.
+type refEngine struct {
+	now    Time
+	q      []*refEvent
+	fired  int64
+	rootn  int64
+	cur    *refEvent
+	childn int64
+	halted bool
+}
+
+func (r *refEngine) at(t Time, fn func()) *refEvent {
+	if t < r.now {
+		panic("oracle: scheduling in the past")
+	}
+	ev := &refEvent{at: t, fn: fn, eng: r, queued: true}
+	if r.cur != nil {
+		ev.slot, ev.minor = 2*r.cur.exec+1, r.childn
+		r.childn++
+	} else {
+		ev.slot, ev.minor = 2*r.fired, r.rootn
+		r.rootn++
+	}
+	i := sort.Search(len(r.q), func(i int) bool { return ev.less(r.q[i]) })
+	r.q = append(r.q, nil)
+	copy(r.q[i+1:], r.q[i:])
+	r.q[i] = ev
+	return ev
+}
+
+func (r *refEngine) step() bool {
+	if len(r.q) == 0 {
+		return false
+	}
+	ev := r.q[0]
+	r.q = r.q[1:]
+	ev.queued = false
+	r.now = ev.at
+	ev.exec = r.fired
+	r.fired++
+	r.cur, r.childn = ev, 0
+	ev.fn()
+	r.cur = nil
+	return true
+}
+
+func (r *refEngine) run() {
+	r.halted = false
+	for !r.halted && r.step() {
+	}
+}
+
+func (r *refEngine) runUntil(d Time) {
+	r.halted = false
+	for !r.halted && len(r.q) > 0 && r.q[0].at <= d {
+		r.step()
+	}
+	if r.now < d {
+		r.now = d
+	}
+}
+
+// diffEngine is what a scheduling program drives: an engine under test
+// or the oracle. Logical CPUs map onto the engine's shards.
+type diffEngine interface {
+	now() Time
+	// root schedules fn at absolute time t on cpu's shard; only
+	// between runs.
+	root(cpu int, t Time, fn func()) canceler
+	// child schedules fn d cycles after the firing event, from cpu's
+	// shard onto dst's. Cross-CPU sends use d >= diffLookahead.
+	child(cpu, dst int, d Time, fn func()) canceler
+	run()
+	runUntil(Time)
+	halt()
+	fired() uint64
+	pending() int
+	execOf(canceler) int64
+}
+
+type canceler interface{ Cancel() }
+
+const diffLookahead = Time(10)
+
+// simDiff adapts Engine and ShardedEngine.
+type simDiff struct {
+	s    Sim
+	ncpu int
+}
+
+func (d simDiff) q(cpu int) Queue { return d.s.Queue(cpu * d.s.Shards() / d.ncpu) }
+func (d simDiff) now() Time       { return d.s.Now() }
+func (d simDiff) root(cpu int, t Time, fn func()) canceler {
+	return d.q(cpu).At(t, fn)
+}
+func (d simDiff) child(cpu, dst int, dt Time, fn func()) canceler {
+	if cpu == dst {
+		return d.q(cpu).After(dt, fn)
+	}
+	return d.q(cpu).CrossAfter(d.q(dst), dt, fn)
+}
+func (d simDiff) run()                    { d.s.Run() }
+func (d simDiff) runUntil(t Time)         { d.s.RunUntil(t) }
+func (d simDiff) halt()                   { d.s.Halt() }
+func (d simDiff) fired() uint64           { return d.s.Fired() }
+func (d simDiff) pending() int            { return d.s.Pending() }
+func (d simDiff) execOf(c canceler) int64 { return c.(*Event).exec }
+
+// refDiff adapts the oracle; it has one queue, so every send is local.
+type refDiff struct{ r *refEngine }
+
+func (d refDiff) now() Time { return d.r.now }
+func (d refDiff) root(cpu int, t Time, fn func()) canceler {
+	return d.r.at(t, fn)
+}
+func (d refDiff) child(cpu, dst int, dt Time, fn func()) canceler {
+	return d.r.at(d.r.cur.at+dt, fn)
+}
+func (d refDiff) run()                    { d.r.run() }
+func (d refDiff) runUntil(t Time)         { d.r.runUntil(t) }
+func (d refDiff) halt()                   { d.r.halted = true }
+func (d refDiff) fired() uint64           { return uint64(d.r.fired) }
+func (d refDiff) pending() int            { return len(d.r.q) }
+func (d refDiff) execOf(c canceler) int64 { return c.(*refEvent).exec }
+
+// mix64 is the splitmix64 finalizer: event IDs and per-event decision
+// streams derive from it, so every engine makes the same decisions.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// diffProgram is one seeded scheduling program over ncpu logical CPUs.
+// A handler touches only its own CPU's state, and cancels only events
+// its CPU scheduled onto itself, so it is shard-safe on ShardedEngine.
+type diffProgram struct {
+	eng   diffEngine
+	seed  uint64
+	halts bool
+	logs  [][]firing   // per CPU, in that CPU's fire order
+	local [][]canceler // per CPU, handles the CPU scheduled onto itself
+	roots []canceler   // handles of root events, owned by run
+	trace []string     // engine state after each phase of run
+}
+
+type firing struct {
+	id uint64
+	h  canceler
+}
+
+func newDiffProgram(eng diffEngine, ncpu int, seed uint64, halts bool) *diffProgram {
+	return &diffProgram{eng: eng, seed: seed, halts: halts,
+		logs: make([][]firing, ncpu), local: make([][]canceler, ncpu)}
+}
+
+// fire is the handler of event id on cpu, generation gen. Its decisions
+// are a pure function of (seed, id) and of its CPU's own history.
+func (p *diffProgram) fire(cpu int, id uint64, gen int, self *canceler) {
+	p.logs[cpu] = append(p.logs[cpu], firing{id, *self})
+	r := mix64(p.seed ^ id)
+	next := func(n uint64) uint64 {
+		r = mix64(r)
+		return r % n
+	}
+	if gen < 6 {
+		ncpu := uint64(len(p.logs))
+		for k, n := uint64(0), next(4); k < n; k++ {
+			dst, d := cpu, Time(next(40))
+			if next(10) < 3 {
+				dst = int(next(ncpu))
+				d = diffLookahead + Time(next(40))
+			}
+			cid := mix64(id*31 + k + 1)
+			var h canceler
+			h = p.eng.child(cpu, dst, d, func() { p.fire(dst, cid, gen+1, &h) })
+			if dst == cpu {
+				p.local[cpu] = append(p.local[cpu], h)
+			}
+		}
+	}
+	// Cancel one of this CPU's own handles: pending (cancel in a
+	// handler), already fired (a no-op), or the firing event itself.
+	if l := p.local[cpu]; len(l) > 0 && next(10) < 3 {
+		l[next(uint64(len(l)))].Cancel()
+	}
+	if p.halts && next(40) == 0 {
+		p.eng.halt()
+	}
+}
+
+// run executes the program: phases of root scheduling, root
+// cancellation, and RunUntil/Run, then a final drain.
+func (p *diffProgram) run() {
+	r := p.seed
+	next := func(n uint64) uint64 {
+		r = mix64(r)
+		return r % n
+	}
+	var rootID uint64
+	for phase := 0; phase < 10; phase++ {
+		for k, n := uint64(0), 1+next(5); k < n; k++ {
+			cpu := int(next(uint64(len(p.logs))))
+			id := mix64(p.seed<<20 | rootID)
+			rootID++
+			var h canceler
+			h = p.eng.root(cpu, p.eng.now()+Time(next(100)), func() { p.fire(cpu, id, 0, &h) })
+			p.roots = append(p.roots, h)
+		}
+		if len(p.roots) > 0 && next(3) == 0 {
+			p.roots[next(uint64(len(p.roots)))].Cancel()
+		}
+		if next(4) == 0 {
+			p.eng.run()
+		} else {
+			p.eng.runUntil(p.eng.now() + Time(next(150)))
+		}
+		p.trace = append(p.trace, fmt.Sprintf("phase %d: now=%d fired=%d pending=%d",
+			phase, p.eng.now(), p.eng.fired(), p.eng.pending()))
+	}
+	for i := 0; p.eng.pending() > 0; i++ {
+		if i > 1000 {
+			panic("diff program did not drain")
+		}
+		p.eng.run()
+	}
+	p.trace = append(p.trace, fmt.Sprintf("drained: now=%d fired=%d", p.eng.now(), p.eng.fired()))
+}
+
+// order returns the global fire order of event IDs, reassembled from
+// the per-CPU logs by execution rank.
+func (p *diffProgram) order(t *testing.T) []uint64 {
+	type ranked struct {
+		exec int64
+		id   uint64
+	}
+	var all []ranked
+	for _, l := range p.logs {
+		for _, f := range l {
+			all = append(all, ranked{p.eng.execOf(f.h), f.id})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].exec < all[j].exec })
+	ids := make([]uint64, len(all))
+	for i, a := range all {
+		if a.exec != int64(i) {
+			t.Fatalf("execution ranks not dense: position %d has rank %d", i, a.exec)
+		}
+		ids[i] = a.id
+	}
+	return ids
+}
+
+func diffRun(t *testing.T, eng diffEngine, seed uint64, halts bool) (*diffProgram, []uint64) {
+	p := newDiffProgram(eng, 8, seed, halts)
+	p.run()
+	return p, p.order(t)
+}
+
+func sameOrder(t *testing.T, name string, seed uint64, got, want *diffProgram, gotIDs, wantIDs []uint64) {
+	t.Helper()
+	if fmt.Sprint(got.trace) != fmt.Sprint(want.trace) {
+		t.Fatalf("seed %d %s: phase states differ\n got  %v\n want %v", seed, name, got.trace, want.trace)
+	}
+	if len(gotIDs) != len(wantIDs) {
+		t.Fatalf("seed %d %s: fired %d events, oracle %d", seed, name, len(gotIDs), len(wantIDs))
+	}
+	for i := range gotIDs {
+		if gotIDs[i] != wantIDs[i] {
+			t.Fatalf("seed %d %s: fire order diverges at event %d", seed, name, i)
+		}
+	}
+}
+
+// TestHeapMatchesSortedOracle drives seeded programs of root and child
+// scheduling, Cancel (in handlers, after fire, of the firing event, of
+// roots between runs), RunUntil and Halt through Engine and through the
+// oracle: fire order, clock, fired and pending counts must agree.
+// Without Halt, the same programs also run on ShardedEngine at 1, 3 and
+// 8 shards. (Halt there takes effect at the window barrier, not after
+// the current event, so its stopping point is not the oracle's.)
+func TestHeapMatchesSortedOracle(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 15
+	}
+	total := 0
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		for _, halts := range []bool{true, false} {
+			ref, refIDs := diffRun(t, refDiff{&refEngine{}}, seed, halts)
+			got, gotIDs := diffRun(t, simDiff{NewEngine(), 8}, seed, halts)
+			sameOrder(t, fmt.Sprintf("engine halts=%v", halts), seed, got, ref, gotIDs, refIDs)
+			total += len(refIDs)
+			if halts {
+				continue
+			}
+			for _, shards := range []int{1, 3, 8} {
+				got, gotIDs := diffRun(t, simDiff{NewSharded(shards, diffLookahead), 8}, seed, false)
+				sameOrder(t, fmt.Sprintf("%d shards", shards), seed, got, ref, gotIDs, refIDs)
+			}
+		}
+	}
+	if total < 1000 {
+		t.Fatalf("programs fired only %d events in all; too small to test the heap", total)
+	}
+}
+
+// TestHeapRemoveKeepsOrder cancels events at every heap position,
+// including the last slot and the root, and checks the survivors still
+// pop in canonical order with consistent indices.
+func TestHeapRemoveKeepsOrder(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for cut := 0; cut < n; cut++ {
+			e := NewEngine()
+			evs := make([]*Event, n)
+			for i := range evs {
+				evs[i] = e.At(Time(mix64(uint64(n*100+i))%17), func() {})
+			}
+			victim := e.queue[cut]
+			victim.Cancel()
+			if victim.index != -1 || victim.owner != nil {
+				t.Fatalf("n=%d cut=%d: cancelled event still indexed", n, cut)
+			}
+			for i, ev := range e.queue {
+				if int(ev.index) != i {
+					t.Fatalf("n=%d cut=%d: event at %d records index %d", n, cut, i, ev.index)
+				}
+			}
+			var prev *Event
+			for e.Pending() > 0 {
+				ev := e.queue.pop()
+				if ev == victim {
+					t.Fatalf("n=%d cut=%d: cancelled event popped", n, cut)
+				}
+				if prev != nil && ev.before(prev) {
+					t.Fatalf("n=%d cut=%d: pop order not canonical", n, cut)
+				}
+				prev = ev
+			}
+		}
+	}
+}
+
+// BenchmarkEngineStep measures one fire-and-reschedule at a steady heap
+// depth: each handler schedules one successor at a pseudo-random delay,
+// so the depth stays constant. The only allocation per op is the Event
+// itself.
+func BenchmarkEngineStep(b *testing.B) {
+	for _, depth := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			x := uint64(depth)
+			var fn func()
+			fn = func() {
+				x = mix64(x)
+				e.After(Time(x%4096), fn)
+			}
+			for i := 0; i < depth; i++ {
+				x = mix64(x)
+				e.At(Time(x%4096), fn)
+			}
+			for i := 0; i < depth; i++ { // reach steady state
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.StopTimer()
+			if e.Pending() != depth {
+				b.Fatalf("depth drifted to %d", e.Pending())
+			}
+		})
+	}
+}
+
+// TestEventSize pins Event to one 64-byte allocation class: every
+// scheduled event allocates one, so the size is on the hot path.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 64 {
+		t.Fatalf("Event is %d bytes, want <= 64", n)
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sync"
@@ -50,6 +49,7 @@ type ShardedEngine struct {
 	// use under an oversubscribed scheduler cannot burn cores.
 	nworkers int
 	winH     Time
+	cursors  []int // barrier merge positions, one per shard, reused
 	epoch    atomic.Int64
 	arrived  atomic.Int64
 	quit     atomic.Bool
@@ -92,7 +92,7 @@ func NewSharded(n int, lookahead Time) *ShardedEngine {
 	if lookahead <= 0 {
 		panic("sim: sharded engine needs a positive lookahead")
 	}
-	se := &ShardedEngine{lookahead: lookahead}
+	se := &ShardedEngine{lookahead: lookahead, cursors: make([]int, n)}
 	se.relCond = sync.NewCond(&se.relMu)
 	se.arrCond = sync.NewCond(&se.arrMu)
 	for i := 0; i < n; i++ {
@@ -177,7 +177,7 @@ func (s *Shard) At(t Time, fn func()) *Event {
 	ev := &Event{At: t, Fn: fn}
 	s.stamp(ev)
 	ev.owner = &s.queue
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -212,7 +212,7 @@ func (s *Shard) CrossAfter(dst Queue, d Time, fn func()) *Event {
 	if !s.eng.running {
 		// Setup time is single-threaded: deliver directly.
 		ev.owner = &dq.queue
-		heap.Push(&dq.queue, ev)
+		dq.queue.push(ev)
 		return ev
 	}
 	s.outbox = append(s.outbox, crossEv{dst: dq, ev: ev})
@@ -242,7 +242,7 @@ func (s *Shard) stamp(ev *Event) {
 // order, stamping each with a shard-local execution rank.
 func (s *Shard) runWindow(h Time) {
 	for len(s.queue) > 0 && s.queue[0].At < h {
-		ev := heap.Pop(&s.queue).(*Event)
+		ev := s.queue.pop()
 		ev.owner = nil
 		if ev.dead {
 			continue
@@ -420,7 +420,8 @@ func (se *ShardedEngine) barrier() {
 	// resolvable: an unresolved head's parent executed earlier on the
 	// same shard (children cannot precede their parents), so its global
 	// rank is already assigned.
-	cursors := make([]int, len(se.shards))
+	cursors := se.cursors
+	clear(cursors)
 	for {
 		var best *Shard
 		var bestEv *Event
@@ -468,7 +469,7 @@ func (se *ShardedEngine) barrier() {
 		for i, c := range s.outbox {
 			if !c.ev.dead {
 				c.ev.owner = &c.dst.queue
-				heap.Push(&c.dst.queue, c.ev)
+				c.dst.queue.push(c.ev)
 			}
 			s.outbox[i] = crossEv{}
 		}
