@@ -10,6 +10,7 @@ package main
 // claims are that identity and the warm-vs-cold speedup.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -20,53 +21,52 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/exp"
 )
 
-// cacheBenchDriver is one experiment generator, on the stack the
-// interweave CLI builds for it.
-type cacheBenchDriver struct {
-	name  string
-	stack func() *core.Stack
-	gen   func(s *core.Stack) *core.Table
-}
-
-// cacheBenchSuite lists the cached experiment drivers.
-func cacheBenchSuite() []cacheBenchDriver {
-	fig3 := core.DefaultFig3Config()
-	fig6 := core.DefaultFig6Config()
-	return []cacheBenchDriver{
-		{"carat", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).CARAT},
-		{"memstats", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).MemStats},
-		{"virtine", func() *core.Stack { return core.NewStack(1) }, (*core.Stack).Virtines},
-		{"fig6", func() *core.Stack { return core.KNLStack(1) }, func(s *core.Stack) *core.Table { return s.Fig6(fig6) }},
-		{"fig3", func() *core.Stack { return core.NewStack(16) }, func(s *core.Stack) *core.Table { return s.Fig3(fig3) }},
-		{"fig7", core.ServerStack, (*core.Stack).Fig7},
-		{"fig7-ablation", core.ServerStack, (*core.Stack).AblationSharingClasses},
+// cacheBenchSuite lists the cached experiment configs: the CLI's
+// default invocations, with memstats and the fig7 ablation riding on
+// their parent experiments.
+func cacheBenchSuite() []core.RunConfig {
+	carat := core.DefaultRunConfig("carat")
+	carat.MemStats = true
+	fig7 := core.DefaultRunConfig("fig7")
+	fig7.Ablate = true
+	return []core.RunConfig{
+		carat,
+		core.DefaultRunConfig("virtine"),
+		core.DefaultRunConfig("fig6"),
+		core.DefaultRunConfig("fig3"),
+		fig7,
 	}
 }
 
-// runCacheSuite regenerates every driver's table against c (nil = no
-// cache) and returns the concatenated JSON plus the wall time.
-func runCacheSuite(c *cache.Cache) (string, time.Duration) {
+// runCacheSuite runs every config through a Runner on c (nil = no
+// cache) and returns the concatenated table JSON plus the wall time.
+func runCacheSuite(c *cache.Cache) (string, time.Duration, error) {
 	var b strings.Builder
+	r := &core.Runner{Cache: c}
 	start := time.Now()
-	for _, d := range cacheBenchSuite() {
-		s := d.stack()
-		s.Cache = c
-		b.WriteString(d.gen(s).JSON())
+	for _, cfg := range cacheBenchSuite() {
+		tables, _, err := r.Run(context.Background(), cfg, nil)
+		if err != nil {
+			return "", 0, err
+		}
+		for _, t := range tables {
+			b.WriteString(t.JSON())
+		}
 	}
-	return b.String(), time.Since(start)
+	return b.String(), time.Since(start), nil
 }
 
-// coalescedLeg submits K duplicate computations of one key through a
-// width-4 pool and reports the compute count (the exactly-once claim)
-// and the wall time for all K callers.
+// coalescedLeg submits K duplicate computations of one RunConfig key
+// and reports the compute count (the exactly-once claim) and the wall
+// time for all K callers.
 func coalescedLeg() (callers int, computes uint64, wall time.Duration, err error) {
 	const K = 32
 	c := cache.New(cache.Config{})
-	p := exp.New(4)
-	key := core.NewStack(1).KeyEnc("benchdiff-coalesce").Sum()
+	cfg := core.DefaultRunConfig("carat")
+	cfg.MemStats = true
+	key := cfg.Key()
 	errs := make([]error, K)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -74,7 +74,7 @@ func coalescedLeg() (callers int, computes uint64, wall time.Duration, err error
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.GetOrCompute(key, p, false, func() ([]byte, error) {
+			_, _, errs[i] = c.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
 				// A real compute: one full MemStats regeneration, uncached.
 				return []byte(core.NewStack(1).MemStats().JSON()), nil
 			})
@@ -136,18 +136,27 @@ func runCacheBench(out string) error {
 	defer os.RemoveAll(dir)
 
 	fmt.Printf("bench cache uncached...")
-	base, baseT := runCacheSuite(nil)
+	base, baseT, err := runCacheSuite(nil)
+	if err != nil {
+		return err
+	}
 	fmt.Printf(" %7.0f ms   cold...", float64(baseT.Microseconds())/1e3)
 
 	c1 := cache.New(cache.Config{Dir: dir})
-	cold, coldT := runCacheSuite(c1)
+	cold, coldT, err := runCacheSuite(c1)
+	if err != nil {
+		return err
+	}
 	coldSt := c1.Stats()
 	if cold != base {
 		return fmt.Errorf("cache bench: cold cached output differs from uncached")
 	}
 	fmt.Printf(" %7.0f ms   warm-mem...", float64(coldT.Microseconds())/1e3)
 
-	warm, warmT := runCacheSuite(c1)
+	warm, warmT, err := runCacheSuite(c1)
+	if err != nil {
+		return err
+	}
 	warmSt := c1.Stats()
 	if warm != base {
 		return fmt.Errorf("cache bench: warm (memory) output differs from uncached")
@@ -156,7 +165,10 @@ func runCacheBench(out string) error {
 
 	// Process restart: a fresh Cache over the same spill directory.
 	c2 := cache.New(cache.Config{Dir: dir})
-	disk, diskT := runCacheSuite(c2)
+	disk, diskT, err := runCacheSuite(c2)
+	if err != nil {
+		return err
+	}
 	diskSt := c2.Stats()
 	if disk != base {
 		return fmt.Errorf("cache bench: warm (disk restart) output differs from uncached")
@@ -182,7 +194,8 @@ func runCacheBench(out string) error {
 		CoalescedComputes: computes,
 		CoalescedWallMs:   round2(float64(coWall.Microseconds()) / 1e3),
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Note: "wall-clock ms are machine-dependent; the tracked claims are byte-identical " +
+		Note: "wall-clock ms are machine-dependent; hit, miss and compute counts are per " +
+			"table set (one cache entry per RunConfig); the tracked claims are byte-identical " +
 			"output on every cached leg, warm-vs-cold speedup >= 5x, and exactly one compute " +
 			"for the coalesced duplicate callers",
 	}

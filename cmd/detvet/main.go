@@ -5,10 +5,9 @@
 //
 //	detvet DIR...
 //
-// With no arguments it vets the deterministic core of this repository:
-// internal/sim, internal/machine, internal/heartbeat, internal/exp,
-// internal/interp, internal/cache, internal/serve, internal/coherence,
-// internal/farmem.
+// With no arguments it vets every package of this repository that
+// computes experiment tables, plus the execution, cache and service
+// layers those tables pass through (see defaultDirs).
 package main
 
 import (
@@ -42,6 +41,21 @@ var defaultDirs = []string{
 	// invalidation order feed order-sensitive cycle and energy sums.
 	"internal/coherence",
 	"internal/farmem",
+	// The drivers that assemble every table, and the runtimes, kernels,
+	// platform models and workloads they compute with.
+	"internal/core",
+	"internal/nautilus",
+	"internal/omp",
+	"internal/linux",
+	"internal/virtine",
+	"internal/pipeline",
+	"internal/pik",
+	"internal/stats",
+	"internal/model",
+	"internal/workloads",
+	"internal/mem",
+	"internal/chaos",
+	"internal/carat",
 }
 
 func main() {

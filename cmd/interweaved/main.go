@@ -18,9 +18,13 @@
 //	GET    /v1/stats             queue / pool / cache / job counters
 //
 // A job's ID is a prefix of its config's content-address cache key, so
-// duplicate submissions — concurrent or later — coalesce onto one
-// compute at every tier. SIGINT/SIGTERM drain gracefully: intake stops,
-// queued and running jobs finish, then the process exits.
+// duplicate submissions coalesce onto one compute: a live or finished
+// job with that ID absorbs them at the job tier, and the result cache
+// serves or coalesces the whole table set below it. A client that does
+// not finish its request headers within readHeaderTimeout, or idles on
+// a keep-alive connection past idleTimeout, is disconnected.
+// SIGINT/SIGTERM drain gracefully: intake stops, queued and running
+// jobs finish, then the process exits.
 package main
 
 import (
@@ -36,6 +40,23 @@ import (
 	"repro/internal/cache"
 	"repro/internal/serve"
 )
+
+// Slow-client bounds. There is deliberately no write timeout:
+// /v1/jobs/{id}/events streams for a job's whole lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	fs := flag.NewFlagSet("interweaved", flag.ExitOnError)
@@ -58,7 +79,7 @@ func main() {
 		QueueDepth: *queue,
 		Cache:      cache.New(cache.Config{Dir: *cacheDir, MemBudget: *memBudget}),
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

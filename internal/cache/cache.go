@@ -8,8 +8,8 @@ import (
 )
 
 // Source classifies where GetOrComputeCtx found a value: the experiment
-// service's per-cell progress events report it, so a client can watch
-// cache effectiveness cell by cell.
+// service reports it for every finished job (terminal event and
+// X-Result-Source header), so a client can see which tier served it.
 type Source uint8
 
 const (
@@ -52,20 +52,6 @@ type Config struct {
 	Dir string
 }
 
-// Slots is the worker-slot protocol of an admission-controlled pool
-// (implemented by *exp.Pool). GetOrCompute uses it two ways: a leader
-// that does not already hold a slot acquires one for the duration of
-// the compute (admission control — cache traffic cannot oversubscribe
-// the pool), and a coalesced waiter that does hold one blocks through
-// Block so the slot is returned to the pool while it sleeps (a waiter
-// must never occupy a slot another cell could be using to produce the
-// very result it is waiting for).
-type Slots interface {
-	Acquire()
-	Release()
-	Block(wait func())
-}
-
 // Stats is a point-in-time snapshot of cache activity.
 type Stats struct {
 	Hits       uint64 // in-memory LRU hits
@@ -76,7 +62,7 @@ type Stats struct {
 	SpillErr   uint64 // best-effort disk writes that failed
 	Puts       uint64 // new entries admitted to memory
 	Evictions  uint64 // entries evicted for byte budget
-	Computes   uint64 // leader computes run via GetOrCompute
+	Computes   uint64 // leader computes run via GetOrComputeCtx
 	Coalesced  uint64 // waiters served by another caller's compute
 	BytesInMem int64  // resident value bytes
 	Entries    int    // resident entries
@@ -155,39 +141,24 @@ func (c *Cache) Put(k Key, v []byte) {
 	}
 }
 
-// GetOrCompute returns the cached bytes for k, computing and storing
-// them on a miss. Duplicate in-flight keys coalesce: one caller (the
-// leader) runs compute, the rest wait for its result.
+// GetOrComputeCtx returns the cached bytes for k and the tier that
+// served them, computing and storing them on a miss. Duplicate
+// in-flight keys coalesce: one caller (the leader) runs compute, the
+// rest wait for its result.
 //
-// slots, when non-nil, is the worker pool governing the callers, and
-// held says whether this caller already occupies one of its slots (true
-// inside a pool cell, false on a submission path). A leader without a
-// slot acquires one around the compute; a waiter with a slot releases
-// it while blocked (Block). This ordering — join the flight first,
-// take a slot only to compute — is what makes N duplicate submissions
-// at pool width 1 deadlock-free: the waiters wait slotless, so the
-// leader can always acquire the one slot.
+// ctx governs this caller's waiting only, never a running compute: a
+// leader whose compute has started runs it to completion and stores
+// the result, so cancellation can never leave a partial entry in the
+// cache (complete results are cached, abandoned ones simply are not).
+// A leader that observes cancellation *before* computing retires the
+// flight with ErrLeaderCancelled; waiters whose own context is still
+// live then retry the key instead of inheriting the cancellation.
 //
 // A compute error or panic is never cached; the flight entry is retired
 // so the next caller retries. A leader's panic propagates on the
 // leader's goroutine only; its waiters receive an error wrapping
 // ErrLeaderPanic.
-func (c *Cache) GetOrCompute(k Key, slots Slots, held bool, compute func() ([]byte, error)) ([]byte, error) {
-	v, _, err := c.GetOrComputeCtx(context.Background(), k, slots, held, compute)
-	return v, err
-}
-
-// GetOrComputeCtx is GetOrCompute with caller-side cancellation and the
-// serving tier reported alongside the bytes. ctx governs this caller's
-// waiting only — admission and coalesced parking — never a running
-// compute: a leader whose compute has started runs it to completion and
-// stores the result, so cancellation can never leave a partial entry in
-// the cache (complete results are cached, abandoned ones simply are
-// not). A leader that observes cancellation *before* computing retires
-// the flight with ErrLeaderCancelled; waiters whose own context is
-// still live then retry the key instead of inheriting the
-// cancellation.
-func (c *Cache) GetOrComputeCtx(ctx context.Context, k Key, slots Slots, held bool, compute func() ([]byte, error)) ([]byte, Source, error) {
+func (c *Cache) GetOrComputeCtx(ctx context.Context, k Key, compute func() ([]byte, error)) ([]byte, Source, error) {
 	for {
 		if v, src, ok := c.getSrc(k); ok {
 			return v, src, nil
@@ -195,31 +166,31 @@ func (c *Cache) GetOrComputeCtx(ctx context.Context, k Key, slots Slots, held bo
 		fc, leader := c.flight.join(k)
 		if !leader {
 			c.coalesced.Add(1)
-			var v []byte
-			var err error
-			if slots != nil && held {
-				slots.Block(func() { v, err = fc.waitCtx(ctx) })
-			} else {
-				v, err = fc.waitCtx(ctx)
-			}
+			v, err := fc.waitCtx(ctx)
 			if errors.Is(err, ErrLeaderCancelled) && ctx.Err() == nil {
 				continue // the key is untried, not failed; run our own flight
 			}
 			return v, SourceCoalesced, err
 		}
-		return c.lead(ctx, k, fc, slots, held, compute)
+		return c.lead(ctx, k, fc, compute)
 	}
 }
 
-// lead runs the leader side of one flight: admission, the compute, the
-// store, and the flight's retirement (on success, failure, panic, or
-// pre-compute cancellation).
-func (c *Cache) lead(ctx context.Context, k Key, fc *flightCall, slots Slots, held bool, compute func() ([]byte, error)) ([]byte, Source, error) {
+// lead runs the leader side of one flight: the compute, the store, and
+// the flight's retirement (on success, failure, panic, or pre-compute
+// cancellation).
+func (c *Cache) lead(ctx context.Context, k Key, fc *flightCall, compute func() ([]byte, error)) ([]byte, Source, error) {
 	// Between the caller's miss and its join, another leader may have
 	// finished and populated the cache; re-check before computing.
 	if v, src, ok := c.getSrc(k); ok {
 		c.flight.finish(k, fc, v, nil)
 		return v, src, nil
+	}
+	// Cancelled before the compute started: retire the flight without
+	// touching the cache.
+	if err := ctx.Err(); err != nil {
+		c.flight.finish(k, fc, nil, fmt.Errorf("%w: %w", ErrLeaderCancelled, err))
+		return nil, SourceComputed, err
 	}
 	finished := false
 	defer func() {
@@ -227,17 +198,6 @@ func (c *Cache) lead(ctx context.Context, k Key, fc *flightCall, slots Slots, he
 			c.flight.finish(k, fc, nil, ErrLeaderPanic)
 		}
 	}()
-	if slots != nil && !held {
-		slots.Acquire()
-		defer slots.Release()
-	}
-	// Cancelled before the compute started (possibly while blocked in
-	// admission above): retire the flight without touching the cache.
-	if err := ctx.Err(); err != nil {
-		finished = true
-		c.flight.finish(k, fc, nil, fmt.Errorf("%w: %w", ErrLeaderCancelled, err))
-		return nil, SourceComputed, err
-	}
 	c.computes.Add(1)
 	v, err := compute()
 	finished = true

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/exp"
 )
 
 func TestCacheGetPut(t *testing.T) {
@@ -85,9 +84,9 @@ func TestGetOrComputeBasics(t *testing.T) {
 	calls := 0
 	compute := func() ([]byte, error) { calls++; return []byte("r"), nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.GetOrCompute(k, nil, false, compute)
+		v, err := getOrCompute(c, k, compute)
 		if err != nil || string(v) != "r" {
-			t.Fatalf("GetOrCompute = %q, %v", v, err)
+			t.Fatalf("getOrCompute = %q, %v", v, err)
 		}
 	}
 	if calls != 1 {
@@ -102,10 +101,10 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	c := New(Config{})
 	k := tkey("err")
 	boom := errors.New("boom")
-	if _, err := c.GetOrCompute(k, nil, false, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := getOrCompute(c, k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, err := c.GetOrCompute(k, nil, false, func() ([]byte, error) { return []byte("ok"), nil })
+	v, err := getOrCompute(c, k, func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(v) != "ok" {
 		t.Fatalf("retry = %q, %v", v, err)
 	}
@@ -131,7 +130,7 @@ func TestCoalescingExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.GetOrCompute(k, nil, false, func() ([]byte, error) {
+			results[i], errs[i] = getOrCompute(c, k, func() ([]byte, error) {
 				computes.Add(1)
 				once.Do(func() { close(inFlight) })
 				<-release // hold the flight open until all K have joined
@@ -153,107 +152,6 @@ func TestCoalescingExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCoalescedWaitersDontHoldSlots is the slot-accounting regression
-// test from the issue: at pool width 1, N duplicate submissions must
-// not deadlock. The leader's compute refuses to finish until all N-1
-// waiters have coalesced — which they can only do if joining the flight
-// never requires a slot. With slot-first ordering this test times out.
-func TestCoalescedWaitersDontHoldSlots(t *testing.T) {
-	t.Parallel()
-	c := New(Config{})
-	p := exp.New(1)
-	k := tkey("slotless")
-	const N = 8
-	var computes atomic.Int32
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for i := 0; i < N; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Submission path: no slot held yet; the leader must
-				// acquire the pool's only slot to compute.
-				v, err := c.GetOrCompute(k, p, false, func() ([]byte, error) {
-					computes.Add(1)
-					waitFor(t, func() bool { return c.Stats().Coalesced == N-1 },
-						"waiters to coalesce while leader holds the only slot")
-					return []byte("v"), nil
-				})
-				if err != nil || string(v) != "v" {
-					t.Errorf("GetOrCompute = %q, %v", v, err)
-				}
-			}()
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: duplicate submissions at pool width 1 never completed")
-	}
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times", n)
-	}
-}
-
-// TestWaiterInsideCellReleasesSlot pins the held=true path: a pool cell
-// waiting on a coalesced result must free its slot (via Block) so the
-// leader — queued behind it on a width-1 pool — can run.
-func TestWaiterInsideCellReleasesSlot(t *testing.T) {
-	t.Parallel()
-	c := New(Config{})
-	p := exp.New(1)
-	k := tkey("incell")
-	leaderMayRun := make(chan struct{})
-	var computes atomic.Int32
-
-	// Pre-lead the flight from outside the pool so the cell below joins
-	// as a waiter; the flight finishes only when leaderMayRun closes.
-	fc, leader := c.flight.join(k)
-	if !leader {
-		t.Fatal("setup: expected to lead the flight")
-	}
-	go func() {
-		<-leaderMayRun
-		c.flight.finish(k, fc, []byte("led"), nil)
-	}()
-	done := make(chan error, 1)
-	go func() {
-		// The pool's only cell waits on the flight; Block must free the
-		// slot so the second Run below can close leaderMayRun.
-		done <- p.Run(1, func(int) error {
-			v, err := c.GetOrCompute(k, p, true, func() ([]byte, error) {
-				computes.Add(1)
-				return nil, errors.New("must not compute")
-			})
-			if err != nil || string(v) != "led" {
-				return fmt.Errorf("waiter got %q, %v", v, err)
-			}
-			return nil
-		})
-	}()
-	// Only admit the second Run once the cell has coalesced onto the
-	// flight (and is therefore parked in Block with the slot released).
-	waitFor(t, func() bool { return c.Stats().Coalesced == 1 }, "cell to coalesce")
-	if err := p.Run(1, func(int) error { close(leaderMayRun); return nil }); err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: in-cell waiter held its slot")
-	}
-	if computes.Load() != 0 {
-		t.Fatal("waiter recomputed a led flight")
-	}
-}
-
 // TestLeaderPanicReleasesWaiters pins panic safety: the leader's panic
 // propagates on the leader's goroutine, waiters get ErrLeaderPanic
 // (never a hang), and the key stays retryable.
@@ -267,7 +165,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	waitErr := make(chan error, 1)
 	go func() {
 		<-armed
-		_, err := c.GetOrCompute(k, nil, false, func() ([]byte, error) {
+		_, err := getOrCompute(c, k, func() ([]byte, error) {
 			return []byte("waiter must not compute"), nil
 		})
 		waitErr <- err
@@ -276,7 +174,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		c.GetOrCompute(k, nil, false, func() ([]byte, error) {
+		getOrCompute(c, k, func() ([]byte, error) {
 			close(armed)
 			<-release
 			panic("cell exploded")
@@ -297,7 +195,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter hung after leader panic")
 	}
 	// The key is retryable: the failed flight was retired.
-	v, err := c.GetOrCompute(k, nil, false, func() ([]byte, error) { return []byte("retried"), nil })
+	v, err := getOrCompute(c, k, func() ([]byte, error) { return []byte("retried"), nil })
 	if err != nil || string(v) != "retried" {
 		t.Fatalf("retry after panic = %q, %v", v, err)
 	}
@@ -309,7 +207,6 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 func TestGetOrComputeConcurrentMixedKeys(t *testing.T) {
 	t.Parallel()
 	c := New(Config{Shards: 4, MemBudget: 1 << 10, Dir: t.TempDir()})
-	p := exp.New(4)
 	const G, rounds, keys = 8, 50, 7
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -320,7 +217,7 @@ func TestGetOrComputeConcurrentMixedKeys(t *testing.T) {
 				i := (g + r) % keys
 				k := tkey(fmt.Sprintf("mixed%d", i))
 				want := fmt.Sprintf("val%d", i)
-				v, err := c.GetOrCompute(k, p, false, func() ([]byte, error) {
+				v, err := getOrCompute(c, k, func() ([]byte, error) {
 					return []byte(want), nil
 				})
 				if err != nil || string(v) != want {
@@ -347,6 +244,13 @@ func TestStatsString(t *testing.T) {
 			t.Fatalf("stats string missing %q: %s", want, s)
 		}
 	}
+}
+
+// getOrCompute is GetOrComputeCtx with no deadline and the serving
+// tier dropped.
+func getOrCompute(c *Cache, k Key, compute func() ([]byte, error)) ([]byte, error) {
+	v, _, err := c.GetOrComputeCtx(context.Background(), k, compute)
+	return v, err
 }
 
 // waitFor polls cond (a cheap, race-free predicate) until it holds or

@@ -8,18 +8,6 @@ import (
 	"time"
 )
 
-// chanSlots is a minimal Slots implementation over a buffered channel,
-// mirroring exp.Pool's semaphore without importing it (no cycle).
-type chanSlots chan struct{}
-
-func (s chanSlots) Acquire() { s <- struct{}{} }
-func (s chanSlots) Release() { <-s }
-func (s chanSlots) Block(wait func()) {
-	s.Release()
-	defer s.Acquire()
-	wait()
-}
-
 // TestGetOrComputeCtxSources walks one key through every serving tier
 // and checks the reported Source at each step.
 func TestGetOrComputeCtxSources(t *testing.T) {
@@ -30,19 +18,19 @@ func TestGetOrComputeCtxSources(t *testing.T) {
 	compute := func() ([]byte, error) { return []byte("v"), nil }
 
 	c := New(Config{Dir: dir})
-	if _, src, err := c.GetOrComputeCtx(ctx, k, nil, false, compute); err != nil || src != SourceComputed {
+	if _, src, err := c.GetOrComputeCtx(ctx, k, compute); err != nil || src != SourceComputed {
 		t.Fatalf("cold: src %v err %v, want computed", src, err)
 	}
-	if _, src, err := c.GetOrComputeCtx(ctx, k, nil, false, compute); err != nil || src != SourceMem {
+	if _, src, err := c.GetOrComputeCtx(ctx, k, compute); err != nil || src != SourceMem {
 		t.Fatalf("warm: src %v err %v, want mem", src, err)
 	}
 	// A fresh cache over the same directory simulates a restart: the
 	// value must come back from disk and be promoted.
 	c2 := New(Config{Dir: dir})
-	if _, src, err := c2.GetOrComputeCtx(ctx, k, nil, false, compute); err != nil || src != SourceDisk {
+	if _, src, err := c2.GetOrComputeCtx(ctx, k, compute); err != nil || src != SourceDisk {
 		t.Fatalf("restart: src %v err %v, want disk", src, err)
 	}
-	if _, src, err := c2.GetOrComputeCtx(ctx, k, nil, false, compute); err != nil || src != SourceMem {
+	if _, src, err := c2.GetOrComputeCtx(ctx, k, compute); err != nil || src != SourceMem {
 		t.Fatalf("promoted: src %v err %v, want mem", src, err)
 	}
 }
@@ -62,7 +50,7 @@ func TestWaiterCancelledWhileLeaderComputes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, src, err := c.GetOrComputeCtx(context.Background(), k, nil, false, func() ([]byte, error) {
+		_, src, err := c.GetOrComputeCtx(context.Background(), k, func() ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("slow"), nil
@@ -76,7 +64,7 @@ func TestWaiterCancelledWhileLeaderComputes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrComputeCtx(ctx, k, nil, false, func() ([]byte, error) {
+		_, _, err := c.GetOrComputeCtx(ctx, k, func() ([]byte, error) {
 			return nil, errors.New("waiter must not compute")
 		})
 		waiterErr <- err
@@ -95,7 +83,7 @@ func TestWaiterCancelledWhileLeaderComputes(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	if v, src, err := c.GetOrComputeCtx(context.Background(), k, nil, false, nil); err != nil || src != SourceMem || string(v) != "slow" {
+	if v, src, err := c.GetOrComputeCtx(context.Background(), k, nil); err != nil || src != SourceMem || string(v) != "slow" {
 		t.Fatalf("after leader finished: %q src %v err %v, want cached \"slow\"", v, src, err)
 	}
 	if st := c.Stats(); st.Computes != 1 {
@@ -103,31 +91,45 @@ func TestWaiterCancelledWhileLeaderComputes(t *testing.T) {
 	}
 }
 
+// parkedCtx is an already-cancelled context whose Err parks until gate
+// closes. A leader holding it stops between joining its flight and
+// noticing the cancellation, so a waiter can coalesce behind it.
+type parkedCtx struct {
+	context.Context
+	entered chan struct{}
+	gate    chan struct{}
+	once    *sync.Once
+}
+
+func (p parkedCtx) Err() error {
+	p.once.Do(func() { close(p.entered) })
+	<-p.gate
+	return p.Context.Err()
+}
+
 // TestLeaderCancelledWaiterRetries: a leader cancelled before its
-// compute starts (parked in slot admission) retires the flight with
-// ErrLeaderCancelled; a live waiter coalesced behind it must not
-// inherit the cancellation — it retries, becomes leader, and computes.
+// compute starts retires the flight with ErrLeaderCancelled; a live
+// waiter coalesced behind it must not inherit the cancellation — it
+// retries, becomes leader, and computes.
 func TestLeaderCancelledWaiterRetries(t *testing.T) {
 	t.Parallel()
 	c := New(Config{})
 	k := NewEnc().Str("k", "leader-cancel").Sum()
-	slots := make(chanSlots, 1)
-	slots.Acquire() // occupy the only slot so the leader parks in admission
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	lctx := parkedCtx{dead, make(chan struct{}), make(chan struct{}), new(sync.Once)}
 
-	lctx, lcancel := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrComputeCtx(lctx, k, slots, false, func() ([]byte, error) {
+		_, _, err := c.GetOrComputeCtx(lctx, k, func() ([]byte, error) {
 			return nil, errors.New("cancelled leader must not compute")
 		})
 		leaderErr <- err
 	}()
-	// Let the leader join the flight and block in Acquire, then attach
-	// a live waiter behind it.
-	time.Sleep(10 * time.Millisecond)
+	<-lctx.entered // the leader owns the flight and is parked before its ctx check
 	waiterVal := make(chan string, 1)
 	go func() {
-		v, _, err := c.GetOrComputeCtx(context.Background(), k, nil, false, func() ([]byte, error) {
+		v, _, err := c.GetOrComputeCtx(context.Background(), k, func() ([]byte, error) {
 			return []byte("retried"), nil
 		})
 		if err != nil {
@@ -135,10 +137,9 @@ func TestLeaderCancelledWaiterRetries(t *testing.T) {
 		}
 		waiterVal <- string(v)
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, func() bool { return c.Stats().Coalesced == 1 }, "waiter to coalesce")
 
-	lcancel()
-	slots.Release() // unblock admission; leader sees its dead ctx
+	close(lctx.gate)
 	select {
 	case err := <-leaderErr:
 		if !errors.Is(err, context.Canceled) {
@@ -157,11 +158,5 @@ func TestLeaderCancelledWaiterRetries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Computes != 1 {
 		t.Fatalf("computes = %d, want 1 (the waiter's retry)", st.Computes)
-	}
-	// The slot protocol stayed balanced: the slot is free again.
-	select {
-	case slots <- struct{}{}:
-	default:
-		t.Fatal("slot leaked: cancelled leader did not release admission")
 	}
 }

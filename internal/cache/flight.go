@@ -9,10 +9,9 @@ import (
 
 // ErrLeaderPanic is wrapped into the error coalesced waiters receive
 // when the leader computing their key panicked. The panic itself
-// propagates on the leader's goroutine (where exp.Pool converts it to a
-// *CellError with the real stack); waiters get this marker instead of a
-// second panic so one faulty cell fails exactly the cells that depend
-// on it, each on its own goroutine.
+// propagates on the leader's goroutine, with the real stack; waiters
+// get this marker instead of a second panic so one faulty compute fails
+// exactly the callers that depend on it, each on its own goroutine.
 var ErrLeaderPanic = errors.New("cache: coalesced leader panicked")
 
 // ErrLeaderCancelled is the error a flight finishes with when its
@@ -69,25 +68,19 @@ func (g *flightGroup) finish(k Key, c *flightCall, val []byte, err error) {
 	close(c.done)
 }
 
-// wait blocks until the leader finishes and returns its outcome. A
+// waitCtx blocks until the leader finishes and returns its outcome, or
+// until the caller's own context ends (returning its ctx error). A
 // leader failure is wrapped so the waiter's error names the coalescing
 // (and %w keeps fault classification — e.g. chaos.AsFault — intact).
-func (c *flightCall) wait() ([]byte, error) {
-	<-c.done
-	if c.err != nil {
-		return nil, fmt.Errorf("cache: coalesced compute failed: %w", c.err)
-	}
-	return c.val, nil
-}
-
-// waitCtx is wait with caller-side cancellation: a waiter whose own
-// context ends stops waiting and returns its ctx error. The flight
-// itself is unaffected — the leader keeps computing and other waiters
-// keep waiting; abandoning a flight never contaminates the cache.
+// Abandoning a flight never disturbs it: the leader keeps computing and
+// other waiters keep waiting, so the cache is never contaminated.
 func (c *flightCall) waitCtx(ctx context.Context) ([]byte, error) {
 	select {
 	case <-c.done:
-		return c.wait()
+		if c.err != nil {
+			return nil, fmt.Errorf("cache: coalesced compute failed: %w", c.err)
+		}
+		return c.val, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

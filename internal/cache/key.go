@@ -1,5 +1,5 @@
 // Package cache is the content-addressed result cache for experiment
-// cells: every cell in this reproduction is a pure function of
+// table sets: every result in this reproduction is a pure function of
 // (seed, config) — the determinism guarantee PR 1 established and every
 // oracle since has re-verified — so a canonical serialization of the
 // config is a complete address for the result. The package provides
@@ -12,9 +12,7 @@
 //     checksummed entries under $INTERWEAVE_CACHE_DIR; a corrupt or
 //     truncated entry is a miss, never an error);
 //   - request coalescing: a panic-safe singleflight so duplicate
-//     in-flight keys compute once and fan the bytes out, composed with
-//     an admission-controlled worker pool (exp.Pool) so coalesced
-//     waiters never hold pool slots.
+//     in-flight keys compute once and fan the bytes out.
 //
 // Determinism discipline: nothing here reads the wall clock, uses global
 // randomness, or ranges over a map in a key or value path; cached bytes
@@ -136,21 +134,11 @@ func (e *Enc) Bool(label string, v bool) *Enc {
 	return e
 }
 
-// Key writes a labelled sub-key (composing keys, e.g. a per-cell key
-// derived from a driver key).
+// Key writes a labelled sub-key (composing keys, e.g. a kernel module's
+// structural key inside the version salt).
 func (e *Enc) Key(label string, k Key) *Enc {
 	e.label(label, tagKey)
 	e.sum = append(e.sum, k[:]...)
-	return e
-}
-
-// F64s writes a labelled float slice (length-prefixed).
-func (e *Enc) F64s(label string, vs []float64) *Enc {
-	e.label(label, tagList)
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.u64(math.Float64bits(v))
-	}
 	return e
 }
 

@@ -13,7 +13,6 @@ func TestEncDeterministic(t *testing.T) {
 			I64("offset", -7).
 			F64("period", 1000.5).
 			Bool("chaos", false).
-			F64s("periods", []float64{10, 100, 1000}).
 			Ints("cpus", []int{1, 2, 256}).
 			Strs("kernels", []string{"cg", "mg"}).
 			Sum()

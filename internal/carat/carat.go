@@ -162,7 +162,7 @@ func (t *Table) TrackFree(base mem.Addr) int64 {
 	}
 	r := t.regions[i]
 	t.regions = append(t.regions[:i], t.regions[i+1:]...)
-	for loc := range t.escapes {
+	for loc := range t.escapes { // detvet:ok — deletes only; the surviving set is order-free
 		if r.Contains(loc) {
 			delete(t.escapes, loc)
 		}
@@ -245,9 +245,17 @@ func (t *Table) Relocate(m Memory, oldBase, newBase mem.Addr) (int64, error) {
 	t.WordsMoved += words
 
 	// Patch escaped pointers into the moved region, relocating escape
-	// locations that themselves moved.
+	// locations that themselves moved. Escapes are visited in address
+	// order: a location that moves onto an escape outside the region
+	// makes two visits patch the same word, and their order decides its
+	// value.
+	locs := make([]mem.Addr, 0, len(t.escapes))
+	for loc := range t.escapes { // detvet:ok — collected, then sorted
+		locs = append(locs, loc)
+	}
+	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 	newEscapes := make(map[mem.Addr]bool, len(t.escapes))
-	for loc := range t.escapes {
+	for _, loc := range locs {
 		newLoc := loc
 		if r.Contains(loc) {
 			newLoc = mem.Addr(int64(loc) + delta)

@@ -202,7 +202,7 @@ func (p *Plan) Faults() int {
 func (p *Plan) Trace() []Fault {
 	p.mu.Lock()
 	var out []Fault
-	for _, s := range p.sites {
+	for _, s := range p.sites { // detvet:ok — out is sorted by (site, sequence) below
 		out = append(out, s.trace...)
 	}
 	p.mu.Unlock()

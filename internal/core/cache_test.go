@@ -1,81 +1,136 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/chaos"
 )
 
-// cacheDrivers is the driver set the cache tests exercise: every
-// runCells/MapRNG call site, at the same reduced axes the determinism
-// test uses.
-var cacheDrivers = []struct {
-	name  string
-	stack func() *Stack
-	gen   func(s *Stack) *Table
-}{
-	{"fig3", func() *Stack { return NewStack(16) }, func(s *Stack) *Table {
-		cfg := DefaultFig3Config()
-		cfg.Items = 400_000
-		return s.Fig3(cfg)
-	}},
-	{"carat", func() *Stack { return NewStack(16) }, (*Stack).CARAT},
-	{"fig7-ablation", ServerStack, (*Stack).AblationSharingClasses},
-	{"virtine", func() *Stack { return NewStack(16) }, (*Stack).Virtines},
-	{"memstats", func() *Stack { return NewStack(16) }, (*Stack).MemStats},
-	{"fig6", func() *Stack { return KNLStack(1) }, func(s *Stack) *Table {
-		return s.Fig6(Fig6Config{CPUCounts: []int{2, 8}, Kernels: DefaultFig6Config().Kernels, Steps: 2})
-	}},
+// cfgWith returns experiment id's default config with set applied.
+func cfgWith(id string, set func(*RunConfig)) RunConfig {
+	cfg := DefaultRunConfig(id)
+	set(&cfg)
+	return cfg
 }
 
-// TestCachedRunsByteIdentical is the acceptance-criteria test for the
-// cell tier: for every cached driver, output is byte-identical between
-// the uncached run, a cold cached run, a warm cached run at a different
-// pool width, and a warm run through a fresh Cache over the same spill
-// directory (a simulated process restart).
+// cachedConfigs is the config set the cache tests run through
+// Runner.Run: one per driver family with cell-structured work, named
+// after the driver each one adds. slow marks the full-size heartbeat
+// and coherence workloads (seconds each, tens under -race); -short and
+// the race build skip them, since the cheaper configs drive the same
+// cache paths.
+var cachedConfigs = []struct {
+	name string
+	cfg  RunConfig
+	slow bool
+}{
+	{"fig3", DefaultRunConfig("fig3"), true},
+	{"carat", DefaultRunConfig("carat"), false},
+	{"fig7-ablation", cfgWith("fig7", func(c *RunConfig) { c.Ablate = true }), true},
+	{"virtine", DefaultRunConfig("virtine"), false},
+	{"memstats", cfgWith("carat", func(c *RunConfig) { c.MemStats = true }), false},
+	{"fig6", DefaultRunConfig("fig6"), false},
+}
+
+// runRendered runs cfg on r and returns the CLI's bytes for it plus the
+// tier that served the table set.
+func runRendered(t *testing.T, r *Runner, cfg RunConfig) (string, cache.Source) {
+	t.Helper()
+	tables, src, err := r.Run(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Experiment, err)
+	}
+	var b strings.Builder
+	for _, tb := range tables {
+		b.WriteString(tb.String())
+		b.WriteByte('\n')
+	}
+	return b.String(), src
+}
+
+// cachedTables is CachedTablesCtx with no deadline, failing t on error.
+func cachedTables(t *testing.T, c *cache.Cache, key cache.Key, gen func() []*Table) []*Table {
+	t.Helper()
+	ts, _, err := CachedTablesCtx(context.Background(), c, key, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// TestCachedRunsByteIdentical is the result cache's acceptance test:
+// for every config, Runner.Run output is byte-identical between the
+// uncached run, a cold run at pool width 2, a warm run at width 8, and
+// a run through a fresh Cache over the same spill directory (a
+// simulated process restart). All configs share one Cache, as the
+// daemon's jobs do, and each leg must be served by the tier it names.
 func TestCachedRunsByteIdentical(t *testing.T) {
 	t.Parallel()
-	for _, d := range cacheDrivers {
-		d := d
-		t.Run(d.name, func(t *testing.T) {
+	dir := t.TempDir()
+	shared := cache.New(cache.Config{Dir: dir})
+	restarted := cache.New(cache.Config{Dir: dir})
+	for _, tc := range cachedConfigs {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			run := func(par int, c *cache.Cache) string {
-				s := d.stack()
-				s.Parallel = par
-				s.Cache = c
-				return d.gen(s).JSON()
+			if tc.slow && (raceEnabled || testing.Short()) {
+				t.Skip("full-size workload; skipped under -short and -race")
 			}
-			want := run(1, nil)
-			c1 := cache.New(cache.Config{Dir: dir})
-			if got := run(2, c1); got != want {
-				t.Fatalf("cold cached run differs from uncached:\n%s\n---\n%s", got, want)
-			}
-			st := c1.Stats()
-			if st.Computes == 0 {
-				t.Fatal("cold run computed nothing through the cache")
-			}
-			if got := run(8, c1); got != want {
-				t.Fatal("warm cached run differs (pool width 8)")
-			}
-			if warm := c1.Stats(); warm.Hits <= st.Hits {
-				t.Fatalf("warm run hit nothing: %+v -> %+v", st, warm)
-			}
-			// Process restart: fresh memory, same disk.
-			c2 := cache.New(cache.Config{Dir: dir})
-			if got := run(1, c2); got != want {
-				t.Fatal("spill-restart run differs")
-			}
-			if st := c2.Stats(); st.SpillHits == 0 {
-				t.Fatalf("restart run never read the spill tier: %+v", st)
+			want, _ := runRendered(t, &Runner{Parallel: 1}, tc.cfg)
+			for _, leg := range []struct {
+				name string
+				r    *Runner
+				src  cache.Source
+			}{
+				{"cold", &Runner{Parallel: 2, Cache: shared}, cache.SourceComputed},
+				{"warm", &Runner{Parallel: 8, Cache: shared}, cache.SourceMem},
+				{"spill-restart", &Runner{Parallel: 1, Cache: restarted}, cache.SourceDisk},
+			} {
+				got, src := runRendered(t, leg.r, tc.cfg)
+				if got != want {
+					t.Fatalf("%s run differs from uncached:\n%s\n---\n%s", leg.name, got, want)
+				}
+				if src != leg.src {
+					t.Fatalf("%s run served by %v, want %v", leg.name, src, leg.src)
+				}
 			}
 		})
 	}
 }
 
-// TestCachedTablesRoundTrip exercises the driver-level tier the CLI
-// uses: whole table sets round-trip byte-identically through memory and
-// disk, with the Table digest verified on the way back in.
+// TestOverlappingConfigsByteIdentical runs a config whose tables extend
+// an already-cached config's (carat then carat+mobility, fig6 then
+// fig6+EPCC) through one cached Runner. The second config has its own
+// key, so it computes in full, and its bytes equal its uncached run.
+func TestOverlappingConfigsByteIdentical(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name          string
+		first, second RunConfig
+	}{
+		{"carat-mobility", DefaultRunConfig("carat"), cfgWith("carat", func(c *RunConfig) { c.Mobility = true })},
+		{"fig6-epcc", DefaultRunConfig("fig6"), cfgWith("fig6", func(c *RunConfig) { c.EPCC = true })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			r := &Runner{Parallel: 2, Cache: cache.New(cache.Config{})}
+			runRendered(t, r, tc.first)
+			got, src := runRendered(t, r, tc.second)
+			if src != cache.SourceComputed {
+				t.Fatalf("second config served by %v, want computed", src)
+			}
+			if want, _ := runRendered(t, &Runner{Parallel: 1}, tc.second); got != want {
+				t.Fatalf("second config differs from its uncached run:\n%s\n---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestCachedTablesRoundTrip exercises CachedTablesCtx directly: whole
+// table sets round-trip byte-identically through memory and disk, with
+// the Table digest verified on the way back in.
 func TestCachedTablesRoundTrip(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -93,59 +148,65 @@ func TestCachedTablesRoundTrip(t *testing.T) {
 		}
 		return out
 	}
-	key := NewStack(16).KeyEnc("tables-roundtrip-test").Sum()
+	key := cache.NewEnc().Str("test", "tables-roundtrip").Sum()
 	want := render(gen())
 	c1 := cache.New(cache.Config{Dir: dir})
-	if got := render(CachedTables(c1, key, gen)); got != want {
-		t.Fatal("cold CachedTables differs from direct generation")
+	if got := render(cachedTables(t, c1, key, gen)); got != want {
+		t.Fatal("cold CachedTablesCtx differs from direct generation")
 	}
 	ran := false
-	got := render(CachedTables(c1, key, func() []*Table { ran = true; return gen() }))
+	got := render(cachedTables(t, c1, key, func() []*Table { ran = true; return gen() }))
 	if ran {
-		t.Fatal("warm CachedTables re-ran the generator")
+		t.Fatal("warm CachedTablesCtx re-ran the generator")
 	}
 	if got != want {
-		t.Fatal("warm CachedTables differs")
+		t.Fatal("warm CachedTablesCtx differs")
 	}
 	c2 := cache.New(cache.Config{Dir: dir})
-	if got := render(CachedTables(c2, key, func() []*Table { t.Fatal("restart re-ran"); return nil })); got != want {
-		t.Fatal("spill-restart CachedTables differs")
+	if got := render(cachedTables(t, c2, key, func() []*Table { t.Fatal("restart re-ran"); return nil })); got != want {
+		t.Fatal("spill-restart CachedTablesCtx differs")
 	}
 	// A nil cache or zero key is transparent.
-	if got := render(CachedTables(nil, key, gen)); got != want {
-		t.Fatal("nil-cache CachedTables differs")
+	if got := render(cachedTables(t, nil, key, gen)); got != want {
+		t.Fatal("nil-cache CachedTablesCtx differs")
 	}
-	if got := render(CachedTables(c1, cache.Key{}, gen)); got != want {
-		t.Fatal("zero-key CachedTables differs")
+	if got := render(cachedTables(t, c1, cache.Key{}, gen)); got != want {
+		t.Fatal("zero-key CachedTablesCtx differs")
 	}
 }
 
 // TestChaosKeysNeverAlias pins the fault-injection isolation rule:
-// chaos-seeded stacks derive different keys than clean ones (and than
-// each other), at both the driver and cell tier, so a fault-injected
-// result can never be served to a clean run.
+// chaos-seeded configs derive different keys than clean ones (and than
+// each other, and than the same seed at other rates), so a
+// fault-injected result can never be served to a clean run.
 func TestChaosKeysNeverAlias(t *testing.T) {
 	t.Parallel()
 	mk := func(chaosSeed uint64) cache.Key {
-		s := NewStack(16)
-		s.ChaosSeed = chaosSeed
-		e := s.KeyEnc("fig3")
-		DefaultFig3Config().enc(e)
-		return e.Sum()
+		return cfgWith("fig3", func(c *RunConfig) { c.ChaosSeed = chaosSeed }).Key()
 	}
 	clean, chaos7, chaos8 := mk(0), mk(7), mk(8)
 	if clean == chaos7 || clean == chaos8 || chaos7 == chaos8 {
 		t.Fatalf("chaos plans alias: clean=%s chaos7=%s chaos8=%s", clean, chaos7, chaos8)
 	}
+	rates := chaos.DefaultConfig()
+	if cfgWith("fig3", func(c *RunConfig) { c.ChaosSeed, c.Chaos = 7, &rates }).Key() != chaos7 {
+		t.Fatal("explicit default rates keyed apart from the defaults they equal")
+	}
+	rates.IPIDropProb /= 2
+	if cfgWith("fig3", func(c *RunConfig) { c.ChaosSeed, c.Chaos = 7, &rates }).Key() == chaos7 {
+		t.Fatal("chaos rates not in the key")
+	}
 
 	// Run-level check: a clean run warms the cache; an armed run over
 	// the same shared cache must not hit any of its entries.
 	c := cache.New(cache.Config{})
+	r := &Runner{Cache: c}
 	run := func(chaosSeed uint64) {
-		s := NewStack(16)
-		s.ChaosSeed = chaosSeed
-		s.Cache = c
-		s.MemStats() // memstats cells don't build machines: chaos-armed runs complete
+		// carat runs on the interpreter, not a simulated machine, so
+		// chaos-armed runs complete.
+		if _, _, err := r.Run(context.Background(), cfgWith("carat", func(c *RunConfig) { c.ChaosSeed = chaosSeed }), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	run(0)
 	st := c.Stats()
@@ -163,21 +224,23 @@ func TestChaosKeysNeverAlias(t *testing.T) {
 // widths and cache states, sensitivity to every content field.
 func TestTableDigest(t *testing.T) {
 	t.Parallel()
-	gen := func(par int, c *cache.Cache) *Table {
+	gen := func(par int) []*Table {
 		s := NewStack(16)
 		s.Parallel = par
-		s.Cache = c
 		cfg := DefaultFig3Config()
 		cfg.Items = 400_000
-		return s.Fig3Overheads(cfg)
+		return []*Table{s.Fig3Overheads(cfg)}
 	}
-	ref := gen(1, nil).Digest()
-	if gen(8, nil).Digest() != ref {
+	ref := gen(1)[0].Digest()
+	if gen(8)[0].Digest() != ref {
 		t.Fatal("digest varies with pool width")
 	}
 	c := cache.New(cache.Config{})
-	if gen(2, c).Digest() != ref || gen(2, c).Digest() != ref {
-		t.Fatal("digest varies with cache state")
+	key := cache.NewEnc().Str("test", "table-digest").Sum()
+	for _, state := range []string{"cold", "warm"} {
+		if cachedTables(t, c, key, func() []*Table { return gen(2) })[0].Digest() != ref {
+			t.Fatalf("digest varies with cache state (%s)", state)
+		}
 	}
 
 	base := &Table{ID: "x", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}, Notes: []string{"n"}}
@@ -201,34 +264,28 @@ func TestTableDigest(t *testing.T) {
 }
 
 // TestVersionSaltStable pins that the salt is memoized and stable
-// within a build — two calls agree, and KeyEnc embeds it.
+// within a build, and that RunConfig.Key is a function of the result
+// coordinates alone. Pool width and engine sharding live on Runner, so
+// they cannot reach the key.
 func TestVersionSaltStable(t *testing.T) {
 	t.Parallel()
 	if VersionSalt() != VersionSalt() {
 		t.Fatal("salt unstable across calls")
 	}
-	a := NewStack(16).KeyEnc("x").Sum()
-	b := NewStack(16).KeyEnc("x").Sum()
-	if a != b {
-		t.Fatal("KeyEnc unstable for identical stacks")
+	a := DefaultRunConfig("fig3").Key()
+	if DefaultRunConfig("fig3").Key() != a {
+		t.Fatal("Key unstable for identical configs")
 	}
-	if NewStack(16).KeyEnc("y").Sum() == a {
+	if DefaultRunConfig("fig4").Key() == a {
 		t.Fatal("experiment id not in the key")
 	}
-	s := NewStack(32)
-	if s.KeyEnc("x").Sum() == a {
-		t.Fatal("topology not in the key")
+	if cfgWith("fig3", func(c *RunConfig) { c.CPUs = 32 }).Key() == a {
+		t.Fatal("cpus not in the key")
 	}
-	s = NewStack(16)
-	s.Seed = 43
-	if s.KeyEnc("x").Sum() == a {
+	if cfgWith("fig3", func(c *RunConfig) { c.Seed = 43 }).Key() == a {
 		t.Fatal("seed not in the key")
 	}
-	// Parallel and Shards are execution knobs, not result coordinates.
-	s = NewStack(16)
-	s.Parallel = 8
-	s.Shards = 4
-	if s.KeyEnc("x").Sum() != a {
-		t.Fatal("pool width / engine sharding leaked into the key")
+	if cfgWith("fig3", func(c *RunConfig) { c.Domains = 4 }).Key() == a {
+		t.Fatal("domains not in the key")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/exp"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/model"
@@ -96,162 +95,72 @@ func moduleKey(m *ir.Module) cache.Key {
 	return e.Sum()
 }
 
-// KeyEnc starts the canonical key for one experiment driver on this
-// stack: version salt, experiment id, platform model, topology, seed,
-// and — when armed — the chaos plan (seed and rate config), so
-// fault-injected results never alias clean ones. Drivers append their
-// config fields and Sum().
-//
-// Parallel and Shards are deliberately excluded: output is
-// byte-identical at every pool width and on either engine (the
-// package's standing guarantee, pinned by TestParallelDeterminism), so
-// they are execution knobs, not result coordinates.
-func (s *Stack) KeyEnc(experiment string) *cache.Enc {
-	e := cache.NewEnc()
-	e.U64("salt", VersionSalt())
-	e.Str("experiment", experiment)
-	e.Str("model", fmt.Sprintf("%+v", s.Model))
-	e.Int("sockets", s.Topo.Sockets)
-	e.Int("cores", s.Topo.CoresPerSocket)
-	e.U64("seed", s.Seed)
-	e.U64("chaos-seed", s.ChaosSeed)
-	if s.ChaosSeed != 0 {
-		e.Str("chaos-config", fmt.Sprintf("%+v", s.chaosConfig()))
-	}
-	return e
-}
-
-// cellKey derives the address of cell i of n under a driver key.
-func cellKey(driver cache.Key, i, n int) cache.Key {
-	e := cache.NewEnc()
-	e.Key("driver", driver)
-	e.Int("cell", i)
-	e.Int("of", n)
-	return e.Sum()
-}
-
-// encodeCell serializes one cell result for the cache. Cell result
-// types are gob-encodable by construction (exported fields, no
-// functions) — a type that is not is a programming error, panicking
-// like any other driver fault.
-func encodeCell[T any](v T) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Errorf("core: cache-encode %T: %w", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decodeCell deserializes a cached cell result. A decode failure (an
-// entry written under an encoding the salt could not distinguish) is a
-// miss, never an error: the caller recomputes and overwrites.
-func decodeCell[T any](b []byte) (T, bool) {
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		var zero T
-		return zero, false
-	}
-	return v, true
-}
-
-// cachedCell runs one cell through the stack's cache: hit returns the
-// decoded bytes, miss computes (coalescing duplicate in-flight keys)
-// and stores. p is the pool whose slot the calling cell holds — a
-// coalesced waiter releases it while parked (see cache.Slots). driver
-// names the driver for the stack's Observe events; key is the driver's
-// canonical cache key.
-func cachedCell[T any](s *Stack, p *exp.Pool, driver string, key cache.Key, i, n int, fn func() T) T {
-	observe := func(src cache.Source) {
-		if s.Observe != nil {
-			s.Observe(CellEvent{Driver: driver, Cell: i, Of: n, Source: src})
-		}
-	}
-	if s.Cache == nil || key.IsZero() {
-		v := fn()
-		observe(cache.SourceComputed)
-		return v
-	}
-	ck := cellKey(key, i, n)
-	buf, src, err := s.Cache.GetOrComputeCtx(s.ctx(), ck, p, true, func() ([]byte, error) {
-		return encodeCell(fn()), nil
-	})
-	if err != nil {
-		// Coalesced-leader failure or cancellation: surface it as this
-		// cell's failure (runCells panics, exp converts to a *CellError).
-		panic(err)
-	}
-	if v, ok := decodeCell[T](buf); ok {
-		observe(src)
-		return v
-	}
-	v := fn()
-	s.Cache.Put(ck, encodeCell(v))
-	observe(cache.SourceComputed)
-	return v
-}
-
-// tablesPayload is the driver-level cache value: a whole rendered table
-// set plus per-table digests checked on the way back in.
+// tablesPayload is the cache value: a whole rendered table set plus
+// per-table digests checked on the way back in.
 type tablesPayload struct {
 	Tables  []*Table
 	Digests []uint64
 }
 
-// CachedTables memoizes an entire driver invocation — the whole []*Table
-// a figure or sweep produces — under key. This is the tier the CLI and
-// benchdiff use: it covers every driver, including those whose work is
-// not cell-structured. Each table's Digest is stored alongside and
-// re-verified on a hit; a mismatch (however a stored entry decayed into
-// validity) is treated as a miss and recomputed. A nil cache or zero
-// key just runs gen.
-func CachedTables(c *cache.Cache, key cache.Key, gen func() []*Table) []*Table {
-	ts, _, err := CachedTablesCtx(context.Background(), c, key, gen)
-	if err != nil {
-		panic(err)
+// encodeTables serializes a table set with its digests. Tables are
+// plain strings, so gob cannot fail on them; an error is a programming
+// error, panicking like any other driver fault.
+func encodeTables(ts []*Table) []byte {
+	p := tablesPayload{Tables: ts, Digests: make([]uint64, len(ts))}
+	for i, t := range ts {
+		p.Digests[i] = t.Digest()
 	}
-	return ts
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
+		panic(fmt.Errorf("core: cache-encode tables: %w", err))
+	}
+	return buf.Bytes()
 }
 
-// CachedTablesCtx is CachedTables with caller-side cancellation and the
-// serving tier reported: the registry's Runner uses it so duplicate
-// concurrent jobs coalesce at the whole-driver tier too, and so a
-// queued duplicate can be cancelled without disturbing the leader. The
-// error is a cancellation or a coalesced-leader failure; gen itself
-// still panics on driver faults (the package's discipline), which the
+// decodeTables deserializes a cached table set and re-verifies every
+// digest. Any failure (an entry written under an encoding the salt
+// could not distinguish, or a digest mismatch) is a miss, never an
+// error: the caller recomputes and overwrites.
+func decodeTables(b []byte) ([]*Table, bool) {
+	var p tablesPayload
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil || len(p.Tables) != len(p.Digests) {
+		return nil, false
+	}
+	for i, t := range p.Tables {
+		if t.Digest() != p.Digests[i] {
+			return nil, false
+		}
+	}
+	return p.Tables, true
+}
+
+// CachedTablesCtx memoizes an entire driver invocation — the whole
+// []*Table a RunConfig produces — under key. It is the result cache's
+// only tier: Runner.Run goes through it, so duplicate concurrent jobs
+// coalesce onto one compute and a queued duplicate can be cancelled
+// without disturbing the leader. Each table's Digest is stored
+// alongside and re-verified on a hit; a mismatch (however a stored
+// entry decayed into validity) is treated as a miss and recomputed. A
+// nil cache or zero key just runs gen.
+//
+// The returned source is the tier that served the table set. The error
+// is a cancellation or a coalesced-leader failure; gen itself still
+// panics on driver faults (the package's discipline), which the
 // caller's recover sees on the leader's goroutine.
 func CachedTablesCtx(ctx context.Context, c *cache.Cache, key cache.Key, gen func() []*Table) ([]*Table, cache.Source, error) {
 	if c == nil || key.IsZero() {
 		return gen(), cache.SourceComputed, nil
 	}
-	encode := func() ([]byte, error) {
-		ts := gen()
-		p := tablesPayload{Tables: ts, Digests: make([]uint64, len(ts))}
-		for i, t := range ts {
-			p.Digests[i] = t.Digest()
-		}
-		return encodeCell(p), nil
-	}
-	buf, src, err := c.GetOrComputeCtx(ctx, key, nil, false, encode)
+	buf, src, err := c.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
+		return encodeTables(gen()), nil
+	})
 	if err != nil {
 		return nil, src, err
 	}
-	if p, ok := decodeCell[tablesPayload](buf); ok && len(p.Tables) == len(p.Digests) {
-		intact := true
-		for i, t := range p.Tables {
-			if t.Digest() != p.Digests[i] {
-				intact = false
-				break
-			}
-		}
-		if intact {
-			return p.Tables, src, nil
-		}
+	if ts, ok := decodeTables(buf); ok {
+		return ts, src, nil
 	}
 	ts := gen()
-	p := tablesPayload{Tables: ts, Digests: make([]uint64, len(ts))}
-	for i, t := range ts {
-		p.Digests[i] = t.Digest()
-	}
-	c.Put(key, encodeCell(p))
+	c.Put(key, encodeTables(ts))
 	return ts, cache.SourceComputed, nil
 }

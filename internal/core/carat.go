@@ -12,8 +12,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// caratResult is one kernel's measurement. Fields are exported: cell
-// results cross the cache (gob).
+// caratResult is one kernel's measurement.
 type caratResult struct {
 	Name              string
 	BaseCycles        int64
@@ -48,16 +47,10 @@ func (s *Stack) CARAT() *Table {
 	}
 	suite := workloads.CARATSuite()
 	var naiveOvh, hoistOvh, elimOvh, optOvh []float64
-	e := s.KeyEnc("carat")
-	for _, k := range suite {
-		// Module structure is already in the version salt; the names pin
-		// the suite's composition and order.
-		e.Str("kernel", k.Name)
-	}
 	// One cell per kernel: each cell runs the kernel's base, naive,
 	// hoisted, eliminated, and optimized configurations on its own
 	// interpreter instances.
-	for _, r := range runCells(s, "carat", e.Sum(), len(suite), func(i int) caratResult {
+	for _, r := range runCells(s, "carat", len(suite), func(i int) caratResult {
 		return s.caratKernel(suite[i])
 	}) {
 		naiveOvh = append(naiveOvh, 1+r.NaiveOverhead)

@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/exp"
 	"repro/internal/machine"
@@ -169,45 +168,33 @@ type Stack struct {
 	// — output stays byte-identical across -parallel settings, and
 	// byte-identical between two runs with the same -chaos-seed.
 	ChaosSeed uint64
-	// Cache, when non-nil, memoizes experiment cells content-addressed
-	// by (version salt, model, topology, seed, chaos plan, driver
-	// config, cell index) — see internal/cache and KeyEnc. Every cell
-	// is a pure function of those coordinates, so cached and uncached
-	// runs are byte-identical; the cache only changes wall-clock.
-	// Stacks derived with WithCPUs inherit it.
-	Cache *cache.Cache
 	// ChaosConfig overrides the fault rates a nonzero ChaosSeed arms
 	// (nil means chaos.DefaultConfig()). It is a result coordinate:
-	// KeyEnc folds the effective config into every armed key.
+	// RunConfig.Key folds the effective config into every armed key.
 	ChaosConfig *chaos.Config
 	// Pool, when non-nil, is the worker pool every driver admits its
 	// cells through, instead of a fresh exp.New(Parallel) per driver
 	// call. A long-running service sets one shared pool on every stack
 	// it builds, so total cell concurrency across all concurrent jobs
-	// stays bounded and coalesced cache waiters hand their slots to the
-	// leaders computing their results on the same semaphore.
+	// stays bounded.
 	Pool *exp.Pool
 	// Ctx, when non-nil, cancels the stack's drivers between cells:
 	// cells that have not started when Ctx ends are skipped and the
-	// driver fails with Ctx's error. Cells already running — including
-	// cache-flight leaders — always run to completion, so cancellation
-	// never leaves a partial result in the cache. Nil means never
-	// cancelled.
+	// driver fails with Ctx's error. Cells already running always run
+	// to completion. Nil means never cancelled.
 	Ctx context.Context
 	// Observe, when non-nil, receives a CellEvent as each experiment
-	// cell completes, with the cache tier that served it. At Parallel 1
-	// the sequence is deterministic (cells complete in index order);
-	// wider pools report completion order.
+	// cell completes. At Parallel 1 the sequence is deterministic (cells
+	// complete in index order); wider pools report completion order.
 	Observe func(CellEvent)
 }
 
 // CellEvent reports the completion of one experiment cell — the
 // progress granule the experiment service streams to clients.
 type CellEvent struct {
-	Driver string       // driver id, e.g. "fig3-sweep"
-	Cell   int          // cell index within the driver invocation
-	Of     int          // total cells in the driver invocation
-	Source cache.Source // tier that served the result
+	Driver string // driver id, e.g. "fig3-sweep"
+	Cell   int    // cell index within the driver invocation
+	Of     int    // total cells in the driver invocation
 }
 
 // ctx returns the stack's context, never nil.
@@ -238,20 +225,21 @@ func (s *Stack) pool() *exp.Pool {
 // runCells evaluates n independent experiment cells on s's pool and
 // returns the results in index order, panicking on any cell failure
 // (the drivers' error discipline throughout this package). driver is
-// the driver id (the same string its KeyEnc was started with) and key
-// its canonical cache key; when the stack carries a cache, each cell is
-// looked up / stored under (key, i, n), with duplicate in-flight cells
-// coalesced across concurrent drivers. When the stack's Ctx ends,
-// cells that have not started are skipped and the cancellation
-// surfaces through the driver's panic as a *exp.CellError chain.
-func runCells[T any](s *Stack, driver string, key cache.Key, n int, fn func(i int) T) []T {
-	p := s.pool()
-	out, err := exp.Map(p, n, func(i int) (T, error) {
+// the driver id reported in each cell's Observe event. When the
+// stack's Ctx ends, cells that have not started are skipped and the
+// cancellation surfaces through the driver's panic as a *exp.CellError
+// chain.
+func runCells[T any](s *Stack, driver string, n int, fn func(i int) T) []T {
+	out, err := exp.Map(s.pool(), n, func(i int) (T, error) {
 		if err := s.ctx().Err(); err != nil {
 			var zero T
 			return zero, err
 		}
-		return cachedCell(s, p, driver, key, i, n, func() T { return fn(i) }), nil
+		v := fn(i)
+		if s.Observe != nil {
+			s.Observe(CellEvent{Driver: driver, Cell: i, Of: n})
+		}
+		return v, nil
 	})
 	if err != nil {
 		panic(err)

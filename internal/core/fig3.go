@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/heartbeat"
 	"repro/internal/stats"
 )
@@ -23,18 +22,6 @@ type Fig3Config struct {
 	// engine with one shard per domain. 0 keeps the legacy global-
 	// stealing runtime on the sequential engine.
 	Domains int
-}
-
-// enc appends the config's canonical key fields. Domains is included:
-// steal-domain mode changes which worker steals from whom, so it is a
-// semantic coordinate, not an execution knob.
-func (cfg Fig3Config) enc(e *cache.Enc) {
-	e.Int("cpus", cfg.CPUs)
-	e.F64s("periods-us", cfg.PeriodsUS)
-	e.I64("items", cfg.Items)
-	e.I64("cycles-per-item", cfg.CyclesPerItem)
-	e.I64("grain", cfg.Grain)
-	e.Int("domains", cfg.Domains)
 }
 
 // DefaultFig3Config matches the paper: 16 CPUs, ♥ ∈ {20 µs, 100 µs}.
@@ -67,9 +54,7 @@ func (s *Stack) Fig3(cfg Fig3Config) *Table {
 			cs = append(cs, cell{us, sub})
 		}
 	}
-	e := s.KeyEnc("fig3")
-	cfg.enc(e)
-	for _, row := range runCells(s, "fig3", e.Sum(), len(cs), func(i int) []string {
+	for _, row := range runCells(s, "fig3", len(cs), func(i int) []string {
 		c := cs[i]
 		period := s.Model.MicrosToCycles(c.us)
 		target := 1e6 / float64(period)
@@ -99,9 +84,7 @@ func (s *Stack) Fig3Overheads(cfg Fig3Config) *Table {
 		heartbeat.SubstrateNautilusIPI,
 		heartbeat.SubstrateLinuxPolling,
 	}
-	e := s.KeyEnc("fig3-overheads")
-	cfg.enc(e)
-	for _, row := range runCells(s, "fig3-overheads", e.Sum(), len(subs), func(i int) []string {
+	for _, row := range runCells(s, "fig3-overheads", len(subs), func(i int) []string {
 		rt := s.heartbeatRun(cfg, subs[i], period)
 		var promos int64
 		for w := 0; w < rt.NumWorkers(); w++ {
@@ -177,12 +160,9 @@ func (s *Stack) Fig3SweepCounts(periodUS float64, cpuCounts []int) *Table {
 		Header: []string{"CPUs", "nautilus achieved/target", "linux achieved/target"},
 	}
 	subs := []heartbeat.Substrate{heartbeat.SubstrateNautilusIPI, heartbeat.SubstrateLinuxSignals}
-	e := s.KeyEnc("fig3-sweep")
-	e.F64("period-us", periodUS)
-	e.Ints("cpu-counts", cpuCounts)
 	// One cell per (CPU count, substrate) point; rows are assembled from
 	// the index-ordered results, so output is identical at any pool width.
-	ratios := runCells(s, "fig3-sweep", e.Sum(), len(cpuCounts)*len(subs), func(i int) string {
+	ratios := runCells(s, "fig3-sweep", len(cpuCounts)*len(subs), func(i int) string {
 		cfg := DefaultFig3Config()
 		cfg.CPUs = cpuCounts[i/len(subs)]
 		cfg.Items = Fig3SweepItems(cfg.CPUs)

@@ -49,22 +49,14 @@ func (s *Stack) Fig6(cfg Fig6Config) *Table {
 			cs = append(cs, cell{k, cpus})
 		}
 	}
-	// Cell results cross the cache (gob), so fields are exported.
 	type res struct {
 		Base             int64
 		RRTK, RPIK, RCCK float64
 	}
 	var rtkRatios, pikRatios []float64
-	e := s.KeyEnc("fig6")
-	for _, c := range cs {
-		// NASKernel is a plain numeric struct (no functions), so %+v is
-		// a total canonical rendering of the post-override workload.
-		e.Str("kernel", fmt.Sprintf("%+v", c.k))
-		e.Int("cpus", c.cpus)
-	}
 	// One cell per (kernel, CPU count): the four runtime modes run on
 	// the cell's own machines.
-	results := runCells(s, "fig6", e.Sum(), len(cs), func(i int) res {
+	results := runCells(s, "fig6", len(cs), func(i int) res {
 		c := cs[i]
 		base := s.ompRun(omp.ModeLinux, c.cpus, c.k)
 		rtk := s.ompRun(omp.ModeRTK, c.cpus, c.k)

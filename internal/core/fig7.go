@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -20,14 +19,11 @@ func (s *Stack) Fig7() *Table {
 		Header: []string{"benchmark", "speedup", "energy reduction", "deactivated accesses"},
 	}
 	benches := workloads.PBBS()
-	// Cell results cross the cache (gob), so fields are exported.
 	type res struct {
 		Sp, Es, Frac float64
 	}
 	var speedups, energySavings []float64
-	e := s.KeyEnc("fig7")
-	encPBBS(e, benches)
-	results := runCells(s, "fig7", e.Sum(), len(benches), func(i int) res {
+	results := runCells(s, "fig7", len(benches), func(i int) res {
 		base := s.coherenceRun(benches[i], false, 0)
 		fast := s.coherenceRun(benches[i], true, 0)
 		return res{
@@ -71,17 +67,11 @@ func (s *Stack) Fig7SweepCores(coreCounts []int) *Table {
 	type point struct {
 		Sp, En float64
 	}
-	e := s.KeyEnc("fig7-sweep")
-	e.Ints("core-counts", coreCounts)
-	for _, l := range latencies {
-		e.I64("latency-x", l)
-	}
-	encPBBS(e, benches)
 	// One cell per (cores, latency, benchmark) triple — the sweep's full
 	// cross product runs concurrently and is averaged in canonical order.
 	nPer := len(benches)
 	nCfg := len(coreCounts) * len(latencies)
-	pts := runCells(s, "fig7-sweep", e.Sum(), nCfg*nPer, func(i int) point {
+	pts := runCells(s, "fig7-sweep", nCfg*nPer, func(i int) point {
 		cfgIdx, b := i/nPer, benches[i%nPer]
 		cores := coreCounts[cfgIdx/len(latencies)]
 		latX := latencies[cfgIdx%len(latencies)]
@@ -118,21 +108,16 @@ func (s *Stack) AblationSharingClasses() *Table {
 	classes := []coherence.SharingClass{
 		coherence.ClassPrivate, coherence.ClassReadOnly, coherence.ClassProducerConsumer,
 	}
-	// Cell results cross the cache, so cells return the two metrics the
-	// rows need (gob-encodable) rather than the whole *coherence.System.
+	// Cells return the two metrics the rows need rather than the whole
+	// *coherence.System, so finished systems are not kept alive.
 	type ablationMetrics struct {
 		Cycles         int64
 		InterconnectPJ float64
 	}
-	e := s.KeyEnc("fig7-ablation")
-	encPBBS(e, []workloads.PBBSBench{b})
-	for _, c := range classes {
-		e.Str("class", c.String())
-	}
 	// Cells: baseline, full deactivation, then one per kept class. The
 	// per-class ablation reuses the same trace but reclassifies regions,
 	// handled by filtering inside each run.
-	systems := runCells(s, "fig7-ablation", e.Sum(), 2+len(classes), func(i int) ablationMetrics {
+	systems := runCells(s, "fig7-ablation", 2+len(classes), func(i int) ablationMetrics {
 		var sys *coherence.System
 		switch i {
 		case 0:
@@ -156,16 +141,6 @@ func (s *Stack) AblationSharingClasses() *Table {
 			pct(1-sys.InterconnectPJ/base.InterconnectPJ))
 	}
 	return t
-}
-
-// encPBBS appends the identifying fields of PBBS benchmarks to a key.
-// The Run function is code, covered by the schema version, never
-// rendered (a func value has no canonical form).
-func encPBBS(e *cache.Enc, benches []workloads.PBBSBench) {
-	for _, b := range benches {
-		e.Str("bench", b.Name)
-		e.Int("scale", b.Scale)
-	}
 }
 
 // newCoherenceSystem builds the Fig. 7 memory system. cores == 0 keeps

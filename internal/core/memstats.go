@@ -9,8 +9,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// memStatsResult is one kernel's heap-allocator accounting. Fields are
-// exported: cell results cross the cache (gob).
+// memStatsResult is one kernel's heap-allocator accounting.
 type memStatsResult struct {
 	Name string
 	St   mem.BuddyStats
@@ -29,11 +28,7 @@ func (s *Stack) MemStats() *Table {
 		Header: []string{"kernel", "allocs", "frees", "splits", "coalesces", "peak used (KiB)", "failed", "live"},
 	}
 	suite := workloads.CARATSuite()
-	e := s.KeyEnc("memstats")
-	for _, k := range suite {
-		e.Str("kernel", k.Name)
-	}
-	for _, r := range runCells(s, "memstats", e.Sum(), len(suite), func(i int) memStatsResult {
+	for _, r := range runCells(s, "memstats", len(suite), func(i int) memStatsResult {
 		return memStatsKernel(suite[i])
 	}) {
 		t.AddRow(r.Name, i64(int64(r.St.Allocs)), i64(int64(r.St.Frees)),

@@ -215,9 +215,8 @@ type Runner struct {
 	Parallel int
 	// Shards selects the event engine (see Stack.Shards).
 	Shards int
-	// Cache, when non-nil, memoizes at both tiers: whole-driver table
-	// sets under RunConfig.Key, and individual cells under KeyEnc cell
-	// keys.
+	// Cache, when non-nil, memoizes whole table sets under
+	// RunConfig.Key (see CachedTablesCtx).
 	Cache *cache.Cache
 	// Pool, when non-nil, is the shared admission-control pool every
 	// run's cells go through (see Stack.Pool). Nil builds a fresh pool
@@ -264,8 +263,8 @@ func (r *Runner) Run(ctx context.Context, cfg RunConfig, observe func(CellEvent)
 }
 
 // generate dispatches to the experiment's drivers — the registry
-// proper. Every stack a case builds goes through apply, so seed,
-// chaos, cache, pool, context, and observer reach every driver.
+// proper. Every stack a case builds goes through stack, so seed,
+// chaos, pool, context, and observer reach every driver.
 func (cfg RunConfig) generate(r *Runner, ctx context.Context, observe func(CellEvent)) []*Table {
 	stack := func(s *Stack) *Stack {
 		s.Seed = cfg.Seed
@@ -273,7 +272,6 @@ func (cfg RunConfig) generate(r *Runner, ctx context.Context, observe func(CellE
 		s.ChaosSeed = cfg.ChaosSeed
 		s.ChaosConfig = cfg.Chaos
 		s.Shards = r.Shards
-		s.Cache = r.Cache
 		s.Pool = r.Pool
 		s.Ctx = ctx
 		s.Observe = observe

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/exp"
 	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/virtine"
@@ -79,29 +78,16 @@ func (s *Stack) Virtines() *Table {
 	fork := svc
 	fork.StartupCycles = w.ProcessBaselineCycles()
 	cfgs := []virtine.ServiceConfig{pooled, fork}
-	e := s.KeyEnc("virtine-svc")
-	for _, c := range cfgs {
-		e.F64("arrival-mean", c.ArrivalMeanCycles)
-		e.Int("requests", c.Requests)
-		e.I64("exec", c.ExecCycles)
-		e.I64("startup", c.StartupCycles)
+	root := sim.NewRNG(s.Seed)
+	rngs := make([]*sim.RNG, len(cfgs))
+	for i := range rngs {
+		rngs[i] = root.Split()
 	}
-	key := e.Sum()
-	// The RNGs are pre-split in index order whether or not a cell hits
-	// the cache, so the root generator advances identically on warm and
-	// cold runs — anything seeded after this stays byte-identical.
-	p := s.pool()
-	svcRes, err := exp.MapRNG(p, sim.NewRNG(s.Seed), len(cfgs),
-		func(i int, rng *sim.RNG) (virtine.ServiceResult, error) {
-			return cachedCell(s, p, "virtine-svc", key, i, len(cfgs), func() virtine.ServiceResult {
-				c := cfgs[i]
-				c.RNG = rng
-				return virtine.SimulateService(c)
-			}), nil
-		})
-	if err != nil {
-		panic(err)
-	}
+	svcRes := runCells(s, "virtine-svc", len(cfgs), func(i int) virtine.ServiceResult {
+		c := cfgs[i]
+		c.RNG = rngs[i]
+		return virtine.SimulateService(c)
+	})
 	rp, rf := svcRes[0], svcRes[1]
 	t.AddRow("service p99 (pooled virtines)", s.us(int64(rp.Latency.P99)), "", "",
 		fmt.Sprintf("util %.0f%%", rp.Utilization*100))

@@ -69,17 +69,14 @@ func EngineWorkers(poolWorkers, shards int) int {
 
 // Pool is a bounded worker pool for independent experiment cells,
 // built on a token semaphore: a cell runs only while it holds one of
-// Workers() slots. The slots are exposed (Acquire/Release/Block) so
-// cooperating layers — the result cache's request coalescing in
-// particular — can participate in admission control: a caller waiting
-// on another cell's in-flight result returns its slot to the pool while
-// it sleeps instead of occupying capacity it cannot use.
+// Workers() slots. Pools may be shared: concurrent Runs on one pool are
+// bounded together, which is how a long-running service caps total
+// cell concurrency across jobs.
 //
 // The zero Pool is not valid; use New.
 type Pool struct {
 	workers int
 	sem     chan struct{}
-	blocked atomic.Int64  // callers currently parked in Block
 	cells   atomic.Uint64 // cells started over the pool's lifetime
 }
 
@@ -89,7 +86,6 @@ type Pool struct {
 type PoolStats struct {
 	Workers int    // concurrency bound
 	Active  int    // worker slots currently held
-	Blocked int    // callers parked in Block (slot returned to the pool)
 	Cells   uint64 // cells started since the pool was created
 }
 
@@ -98,7 +94,6 @@ func (p *Pool) Stats() PoolStats {
 	return PoolStats{
 		Workers: p.workers,
 		Active:  len(p.sem),
-		Blocked: int(p.blocked.Load()),
 		Cells:   p.cells.Load(),
 	}
 }
@@ -122,20 +117,6 @@ func (p *Pool) Acquire() { p.sem <- struct{}{} }
 
 // Release returns a worker slot taken by Acquire.
 func (p *Pool) Release() { <-p.sem }
-
-// Block runs wait with the caller's worker slot released, reacquiring
-// it before returning. The caller must hold a slot (be inside a pool
-// cell or a balanced Acquire). This is the backpressure escape hatch
-// for coalesced cache waiters: at pool width 1, a waiter parked inside
-// Block frees the only slot, so the leader computing its result can
-// always be admitted — N duplicate submissions can never deadlock.
-func (p *Pool) Block(wait func()) {
-	p.blocked.Add(1)
-	defer p.blocked.Add(-1)
-	p.Release()
-	defer p.Acquire()
-	wait()
-}
 
 // CellError reports the failure of one cell: a returned error, or a
 // recovered panic (Stack non-nil in that case).
@@ -168,9 +149,8 @@ func (p *Pool) Run(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if p.workers == 1 {
 		// Cells run inline on the caller's goroutine, but still under
-		// the semaphore: a cell that Blocks (coalesced cache waiter)
-		// frees the slot for whoever computes its result, and a
-		// concurrent Run on the same pool stays bounded at one cell.
+		// the semaphore, so a concurrent Run on the same pool stays
+		// bounded at one cell.
 		for i := 0; i < n; i++ {
 			p.Acquire()
 			p.cells.Add(1)

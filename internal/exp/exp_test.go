@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,34 +190,23 @@ func TestDefaultWorkersEnv(t *testing.T) {
 	}
 }
 
-// TestBlockReleasesSlot pins the slot-accounting contract behind cache
-// coalescing: a cell parked in Block must free its worker slot so other
-// cells can run, and must get a slot back before resuming. At width 1
-// this is exactly the no-deadlock property — without the release, the
-// second Run below could never be admitted and the first could never be
-// woken.
-func TestBlockReleasesSlot(t *testing.T) {
-	p := New(1)
-	woken := make(chan struct{})
-	first := make(chan error, 1)
-	go func() {
-		first <- p.Run(1, func(int) error {
-			p.Block(func() { <-woken })
-			return nil
-		})
-	}()
-	// This Run needs the pool's only slot; it is available only while
-	// the first cell is parked in Block.
-	if err := p.Run(1, func(int) error { close(woken); return nil }); err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	select {
-	case err := <-first:
-		if err != nil {
-			t.Fatalf("first Run: %v", err)
+// TestStatsCells: the lifetime cell counter counts cells across both
+// the inline (width 1) and goroutine Run paths.
+func TestStatsCells(t *testing.T) {
+	t.Parallel()
+	for _, w := range []int{1, 4} {
+		p := New(w)
+		if err := p.Run(9, func(int) error { return nil }); err != nil {
+			t.Fatalf("width %d: %v", w, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("deadlock: blocked cell never resumed")
+		if got := p.Stats(); got.Cells != 9 || got.Workers != w {
+			t.Fatalf("width %d: stats = %+v, want Cells 9", w, got)
+		}
+	}
+	// Counter survives goroutine churn.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > 50 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // The service adds nothing to the result path: jobs run through the
 // same core.Runner (shared exp.Pool, shared cache.Cache) the CLI uses,
-// so concurrent duplicate submissions coalesce onto one compute at
-// every tier (job, driver, cell), and a daemon-served result is
-// byte-identical to the CLI's.
+// so concurrent duplicate submissions coalesce onto one compute at the
+// job and table-set tiers, and a daemon-served result is byte-identical
+// to the CLI's.
 package serve
 
 import (

@@ -32,9 +32,10 @@ func (s State) terminal() bool {
 //
 //	queued     the job was admitted
 //	running    a worker picked it up
-//	cell       one experiment cell completed (driver, cell i of n,
-//	           and the tier that served it: computed/mem/disk/coalesced)
-//	done       terminal success (table count, result digest, source)
+//	cell       one experiment cell completed (driver, cell i of n;
+//	           source is always "computed")
+//	done       terminal success (table count, result digest, and the
+//	           tier that served the table set: computed/mem/disk/coalesced)
 //	failed     terminal failure (error code + message)
 //	cancelled  terminal cancellation
 //
@@ -61,9 +62,9 @@ type Job struct {
 	ID     string
 	Config core.RunConfig
 
-	// ctx governs the job's waiting (queue time, cache admission,
-	// coalesced parking) — cancelling it never aborts a running
-	// compute, so the cache stays uncontaminated (see internal/cache).
+	// ctx governs the job's waiting (queue time, unstarted cells,
+	// coalesced parking) — cancelling it never aborts a running cell,
+	// and a partial table set is never cached (see internal/cache).
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -123,12 +124,14 @@ func (j *Job) setRunning(now time.Time) {
 	j.appendLocked(Event{Type: "running", Job: j.ID, Time: stamp(now)})
 }
 
-// cellEvent records one completed experiment cell.
+// cellEvent records one completed experiment cell. Cells always
+// compute: the table-set tier is the only cache, and the tier that
+// served the set is reported on the terminal event.
 func (j *Job) cellEvent(ev core.CellEvent, now time.Time) {
 	cell := ev.Cell
 	j.append(Event{
 		Type: "cell", Job: j.ID, Time: stamp(now),
-		Driver: ev.Driver, Cell: &cell, Of: ev.Of, Source: ev.Source.String(),
+		Driver: ev.Driver, Cell: &cell, Of: ev.Of, Source: cache.SourceComputed.String(),
 	})
 }
 

@@ -18,7 +18,7 @@ import (
 type Options struct {
 	// Parallel bounds concurrent experiment cells across ALL jobs — the
 	// shared exp.Pool every job's cells go through (0 = exp default).
-	// This is the daemon's admission control at the cell tier.
+	// This is the daemon's admission control for cells.
 	Parallel int
 	// Workers is the number of jobs run concurrently (0 = 4). Cells are
 	// still bounded by Parallel: workers contend for the shared pool.
@@ -27,8 +27,9 @@ type Options struct {
 	// arriving with the queue full is rejected with 429 + Retry-After,
 	// never blocked — backpressure must not tie up HTTP handlers.
 	QueueDepth int
-	// Cache, when non-nil, memoizes results at the driver and cell
-	// tiers and coalesces duplicate in-flight computes across jobs.
+	// Cache, when non-nil, memoizes whole table sets under their
+	// RunConfig key and coalesces duplicate in-flight computes across
+	// jobs.
 	Cache *cache.Cache
 }
 
@@ -133,9 +134,9 @@ func (s *Server) Job(id string) (*Job, bool) { return s.store.get(id) }
 
 // Cancel cancels the job with the given ID. Cancellation is a request:
 // a queued job dies before running; a running job stops at its next
-// cancellation point (cells not yet started, cache admission, coalesced
-// waits) — a compute already in flight completes and is cached, so the
-// cache is never contaminated by a cancelled job.
+// cancellation point (cells not yet started, coalesced waits). Cells
+// already running complete, and a table set with skipped cells is never
+// stored, so the cache is never contaminated by a cancelled job.
 func (s *Server) Cancel(id string) (*Job, bool) {
 	j, ok := s.store.get(id)
 	if !ok {

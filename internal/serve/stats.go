@@ -24,7 +24,6 @@ type QueueStats struct {
 type PoolStatsWire struct {
 	Workers int    `json:"workers"`
 	Active  int    `json:"active"`
-	Blocked int    `json:"blocked"`
 	Cells   uint64 `json:"cells"`
 }
 
@@ -51,8 +50,7 @@ func (s *Server) Stats() StatsSnapshot {
 		Jobs:  s.store.counts(),
 		Queue: QueueStats{Depth: len(s.queue), Capacity: s.qcap},
 		Pool: PoolStatsWire{
-			Workers: ps.Workers, Active: ps.Active,
-			Blocked: ps.Blocked, Cells: ps.Cells,
+			Workers: ps.Workers, Active: ps.Active, Cells: ps.Cells,
 		},
 		Draining: s.draining.Load(),
 	}
