@@ -321,3 +321,33 @@ func TestPopBottomReleasesSlot(t *testing.T) {
 		t.Fatalf("PopBottom retained pointer in vacated slot: %+v", got)
 	}
 }
+
+// TestRunAllocationsPerEvent is the allocation guard above the event
+// engine. The engine recycles its event slots, and the callbacks that
+// fire on most events are bound once per object: worker.step (idle
+// re-polls, about 96% of a linux-signals run's events, since worker 0
+// hosts the pacer and no beat promotes its work) and CPU.finishRun plus
+// worker.sliceDone (slice completions, most of a nautilus-ipi
+// run's, where beats spread the work). A run must allocate less than
+// half an object per fired event; a per-call method value on either
+// path costs about one more per event of its kind and fails this.
+func TestRunAllocationsPerEvent(t *testing.T) {
+	for _, sub := range []Substrate{SubstrateLinuxSignals, SubstrateNautilusIPI} {
+		var rt *Runtime
+		allocs := testing.AllocsPerRun(1, func() {
+			cfg := DefaultConfig()
+			cfg.Substrate = sub
+			rt = newRuntime(8, cfg)
+			rt.Run(400_000, 40, 64)
+		})
+		fired := rt.M.Eng.Fired()
+		if fired < 10_000 {
+			t.Fatalf("%s: run fired only %d events; too small to measure", sub, fired)
+		}
+		perEvent := allocs / float64(fired)
+		t.Logf("%s: %.0f allocations over %d events (%.3f per event)", sub, allocs, fired, perEvent)
+		if perEvent >= 0.5 {
+			t.Errorf("%s: %.2f allocations per event, want < 0.5", sub, perEvent)
+		}
+	}
+}

@@ -120,10 +120,17 @@ type worker struct {
 	rng   *sim.RNG
 
 	// sliceEnd is the first iteration index NOT covered by the slice in
-	// flight; promotion may only split above it.
-	sliceEnd int64
-	lastPoll sim.Time
-	stats    WorkerStats
+	// flight; promotion may only split above it. sliceItems is that
+	// slice's iteration count.
+	sliceEnd   int64
+	sliceItems int64
+	lastPoll   sim.Time
+	stats      WorkerStats
+
+	// step and sliceDone, bound once: an idle worker re-polls every
+	// IdleBackoff cycles, and every slice completes through sliceDone.
+	stepFn      func()
+	sliceDoneFn func()
 }
 
 // Runtime is one heartbeat-scheduling instance across the machine.
@@ -153,6 +160,7 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 	rng := sim.NewRNG(cfg.Seed)
 	for i, cpu := range m.CPUs {
 		w := &worker{rt: rt, id: i, cpu: cpu, deque: NewDeque(), rng: rng.Split()}
+		w.stepFn, w.sliceDoneFn = w.step, w.sliceDone
 		rt.workers = append(rt.workers, w)
 	}
 	if sh := m.Eng.Shards(); sh > 1 && cfg.Domains != sh {
@@ -342,7 +350,7 @@ func (w *worker) step() {
 			w.sliceEnd = 0
 		} else {
 			// Idle: back off and retry.
-			w.q().After(sim.Time(rt.Cfg.IdleBackoff), w.step)
+			w.q().After(sim.Time(rt.Cfg.IdleBackoff), w.stepFn)
 			return
 		}
 	}
@@ -389,36 +397,43 @@ func (w *worker) execSlice() {
 		cost += pc
 		w.stats.PollCycles += pc
 	}
-	w.cpu.Run(cost, func() {
-		f.Lo += items
-		w.stats.Items += items
-		w.stats.WorkCycles += items * f.CyclesPerItem
-		if w.dom != nil {
-			w.dom.remaining -= items
-		} else {
-			rt.remaining -= items
+	w.sliceItems = items
+	w.cpu.Run(cost, w.sliceDoneFn)
+}
+
+// sliceDone retires the slice in flight on the current frame, then
+// steps the worker unless its work is finished.
+func (w *worker) sliceDone() {
+	rt := w.rt
+	f, items := w.cur, w.sliceItems
+	f.Lo += items
+	w.stats.Items += items
+	w.stats.WorkCycles += items * f.CyclesPerItem
+	if w.dom != nil {
+		w.dom.remaining -= items
+	} else {
+		rt.remaining -= items
+	}
+	if rt.Cfg.Substrate == SubstrateLinuxPolling {
+		now := w.now()
+		if now.Sub(w.lastPoll) >= rt.Cfg.PeriodCycles {
+			w.lastPoll = now
+			w.pollBeat()
 		}
-		if rt.Cfg.Substrate == SubstrateLinuxPolling {
-			now := w.now()
-			if now.Sub(w.lastPoll) >= rt.Cfg.PeriodCycles {
-				w.lastPoll = now
-				w.pollBeat()
-			}
-		}
-		if f.Remaining() == 0 {
-			w.cur = nil
-		}
-		if w.dom != nil {
-			if w.dom.remaining <= 0 {
-				rt.domainDone(w)
-				return
-			}
-		} else if rt.remaining <= 0 {
-			rt.finish()
+	}
+	if f.Remaining() == 0 {
+		w.cur = nil
+	}
+	if w.dom != nil {
+		if w.dom.remaining <= 0 {
+			rt.domainDone(w)
 			return
 		}
-		w.step()
-	})
+	} else if rt.remaining <= 0 {
+		rt.finish()
+		return
+	}
+	w.step()
 }
 
 // domainDone runs on the finishing domain's shard: stamp the domain's

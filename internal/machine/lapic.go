@@ -14,14 +14,17 @@ type LAPIC struct {
 	periodic bool
 	period   int64
 	vector   Vector
-	ev       *sim.Event
+	ev       sim.EventID
+	fireFn   func() // fire, bound once: the timer re-arms every period
 
 	// Fired counts timer expirations delivered.
 	Fired int64
 }
 
 func newLAPIC(cpu *CPU) *LAPIC {
-	return &LAPIC{cpu: cpu}
+	l := &LAPIC{cpu: cpu}
+	l.fireFn = l.fire
+	return l
 }
 
 // OneShot arms the timer to fire vector v once after delay cycles.
@@ -53,7 +56,7 @@ func (l *LAPIC) schedule(delay int64) {
 	if f := l.cpu.m.TimerFault; f != nil {
 		delay += f(l.cpu.ID, l.vector, delay)
 	}
-	l.ev = l.cpu.q.After(sim.Time(delay), l.fire)
+	l.ev = l.cpu.q.After(sim.Time(delay), l.fireFn)
 }
 
 func (l *LAPIC) fire() {
@@ -68,17 +71,15 @@ func (l *LAPIC) fire() {
 		l.schedule(l.period)
 	} else {
 		l.armed = false
-		l.ev = nil
+		l.ev = sim.EventID{}
 	}
 	l.cpu.Raise(l.vector)
 }
 
 // Stop disarms the timer.
 func (l *LAPIC) Stop() {
-	if l.ev != nil {
-		l.ev.Cancel()
-		l.ev = nil
-	}
+	l.cpu.q.Cancel(l.ev)
+	l.ev = sim.EventID{}
 	l.armed = false
 }
 

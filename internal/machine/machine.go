@@ -117,7 +117,8 @@ type CPU struct {
 
 	// Execution state: at most one run in flight.
 	running      bool
-	runEv        *sim.Event
+	runEv        sim.EventID
+	finishFn     func() // finishRun, bound once: every run schedules it
 	runResumedAt sim.Time
 	runRemaining int64
 	runDone      func()
@@ -196,6 +197,7 @@ func New(eng sim.Sim, m model.Model, topo Topology, seed uint64) *Machine {
 			handlers: make(map[Vector]Handler),
 			delivery: make(map[Vector]Delivery),
 		}
+		cpu.finishFn = cpu.finishRun
 		cpu.apic = newLAPIC(cpu)
 		mach.CPUs[i] = cpu
 	}
@@ -273,14 +275,14 @@ func (c *CPU) startRun(cycles int64, done func()) {
 	c.runRemaining = cycles
 	c.runDone = done
 	c.runResumedAt = c.q.Now()
-	c.runEv = c.q.After(sim.Time(cycles), c.finishRun)
+	c.runEv = c.q.After(sim.Time(cycles), c.finishFn)
 }
 
 func (c *CPU) finishRun() {
 	c.Stats.BusyCycles += c.q.Now().Sub(c.runResumedAt)
 	done := c.runDone
 	c.running = false
-	c.runEv = nil
+	c.runEv = sim.EventID{}
 	c.runDone = nil
 	c.runRemaining = 0
 	if done != nil {
@@ -299,10 +301,10 @@ func (c *CPU) pauseRun() *PausedRun {
 	if remaining < 0 {
 		remaining = 0
 	}
-	c.runEv.Cancel()
+	c.q.Cancel(c.runEv)
 	paused := &PausedRun{Remaining: remaining, Done: c.runDone}
 	c.running = false
-	c.runEv = nil
+	c.runEv = sim.EventID{}
 	c.runDone = nil
 	c.runRemaining = 0
 	c.Stats.Preemptions++

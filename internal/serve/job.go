@@ -116,6 +116,17 @@ func (j *Job) appendLocked(ev Event) {
 	j.cond.Broadcast()
 }
 
+// appendTerminalLocked records the terminal event. Nothing follows it,
+// and the store keeps the job for the daemon's lifetime, so the log is
+// stored at its exact length rather than with append's growth slack.
+func (j *Job) appendTerminalLocked(ev Event) {
+	evs := make([]Event, len(j.events)+1)
+	copy(evs, j.events)
+	evs[len(j.events)] = ev
+	j.events = evs
+	j.cond.Broadcast()
+}
+
 // setRunning transitions queued → running.
 func (j *Job) setRunning(now time.Time) {
 	j.mu.Lock()
@@ -136,15 +147,21 @@ func (j *Job) cellEvent(ev core.CellEvent, now time.Time) {
 }
 
 // setDone records terminal success: the rendered result (the exact
-// bytes the CLI would print — Table.String() + "\n" per table), its
-// digest, and the tier that served the table set.
+// bytes the CLI would print — Table.String() + "\n" per table, stored
+// at exact size), its digest, and the tier that served the table set.
 func (j *Job) setDone(tables []*core.Table, src cache.Source, now time.Time) {
-	var buf []byte
+	rendered := make([]string, len(tables))
+	n := 0
 	e := cache.NewEnc()
 	for i, t := range tables {
-		buf = append(buf, t.String()...)
-		buf = append(buf, '\n')
+		rendered[i] = t.String()
+		n += len(rendered[i]) + 1
 		e.U64(fmt.Sprintf("table-%d", i), t.Digest())
+	}
+	buf := make([]byte, 0, n)
+	for _, s := range rendered {
+		buf = append(buf, s...)
+		buf = append(buf, '\n')
 	}
 	digest := fmt.Sprintf("%016x", e.Fingerprint())
 
@@ -155,7 +172,7 @@ func (j *Job) setDone(tables []*core.Table, src cache.Source, now time.Time) {
 	j.digest = digest
 	j.tables = len(tables)
 	j.source = src
-	j.appendLocked(Event{
+	j.appendTerminalLocked(Event{
 		Type: "done", Job: j.ID, Time: stamp(now),
 		Tables: len(tables), Digest: digest, Source: src.String(),
 	})
@@ -169,7 +186,7 @@ func (j *Job) setFailed(code, msg string, now time.Time) {
 	j.state = StateFailed
 	j.code = code
 	j.errMsg = msg
-	j.appendLocked(Event{Type: "failed", Job: j.ID, Time: stamp(now), Code: code, Error: msg})
+	j.appendTerminalLocked(Event{Type: "failed", Job: j.ID, Time: stamp(now), Code: code, Error: msg})
 	close(j.done)
 }
 
@@ -179,7 +196,7 @@ func (j *Job) setCancelled(now time.Time) {
 	defer j.mu.Unlock()
 	j.state = StateCancelled
 	j.code = CodeCancelled
-	j.appendLocked(Event{Type: "cancelled", Job: j.ID, Time: stamp(now), Code: CodeCancelled})
+	j.appendTerminalLocked(Event{Type: "cancelled", Job: j.ID, Time: stamp(now), Code: CodeCancelled})
 	close(j.done)
 }
 

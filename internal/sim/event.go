@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Time is a point in simulated time, measured in CPU cycles of the
 // simulated machine's reference clock. All subsystems share this unit; a
 // machine's frequency converts cycles to nanoseconds where needed.
@@ -8,199 +10,14 @@ type Time int64
 // Sub returns t - u as an int64 cycle count.
 func (t Time) Sub(u Time) int64 { return int64(t) - int64(u) }
 
-// Event is a scheduled callback in the simulation.
-//
-// Same-time events are totally ordered by a canonical key (slot, minor)
-// that is a pure function of the simulation's causal structure rather
-// than of scheduling call order across the whole engine: an event
-// scheduled while event p (the parent) is firing gets slot 2*exec(p)+1
-// and a per-parent minor index, while an event scheduled outside any
-// handler (a root) gets slot 2*F (F = events fired so far) and a global
-// root index. exec(p) is p's global execution rank. Because children of
-// earlier-executed parents are always scheduled earlier, this order is
-// identical to the classic global-sequence tie-break on a sequential
-// engine — but unlike a global sequence it can be computed shard-locally
-// and merged, which is what lets ShardedEngine replay the exact same
-// total order.
-type Event struct {
-	// At is the simulated time the event fires.
-	At Time
-	// Fn is invoked when the event fires. It may schedule further events.
-	Fn func()
-
-	// slot/minor are the canonical tie-break key (see above). While
-	// parent is non-nil the slot is provisional: it resolves to
-	// 2*parent.exec+1 once the parent's global execution rank is known
-	// (immediately on the sequential engine; at the window barrier on the
-	// sharded engine).
-	slot   int64
-	minor  int64
-	parent *Event
-	// exec is the event's global execution rank. On a shard it first
-	// carries the shard-local execution stamp and is rewritten to the
-	// global rank at the merge barrier; the remap is monotone per shard,
-	// so comparisons through it never change.
-	exec int64
-
-	owner *eventHeap // queue currently holding the event, nil otherwise
-	index int32      // heap index; -1 when not queued; int32 keeps Event at 64 bytes
-	dead  bool
-}
-
-// Cancel removes the event from its queue immediately, releasing the
-// queue's references to it (and its Fn closure) rather than waiting for
-// its fire time — long-horizon timers would otherwise pin their closures
-// for the whole horizon. Cancelling an already-fired or already-cancelled
-// event is a no-op. Cancel must be called from the event's own shard.
-func (e *Event) Cancel() {
-	e.dead = true
-	e.Fn = nil
-	if e.owner != nil && e.index >= 0 {
-		e.owner.remove(int(e.index))
-		e.owner = nil
-	}
-}
-
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e.dead }
-
-// before reports whether e fires before f under the canonical order.
-// Events with unresolved (provisional) keys always belong to the window
-// currently executing, so their eventual slots exceed every resolved
-// slot at the same timestamp; two unresolved events are on the same
-// shard and compare by their parents' execution stamps.
-func (e *Event) before(f *Event) bool {
-	if e.At != f.At {
-		return e.At < f.At
-	}
-	er, fr := e.parent == nil, f.parent == nil
-	if er != fr {
-		return er
-	}
-	if !er {
-		if e.parent.exec != f.parent.exec {
-			return e.parent.exec < f.parent.exec
-		}
-		return e.minor < f.minor
-	}
-	if e.slot != f.slot {
-		return e.slot < f.slot
-	}
-	return e.minor < f.minor
-}
-
-// resolve finalizes a provisional key once the parent's execution rank
-// is known.
-func (e *Event) resolve() {
-	if e.parent != nil {
-		e.slot = 2*e.parent.exec + 1
-		e.parent = nil
-	}
-}
-
-// eventHeap is a binary min-heap of events under the canonical order,
-// typed so the hot path calls (*Event).before directly instead of going
-// through container/heap's interface dispatch. Every queued event
-// records its position in index, which is what lets Cancel remove it
-// eagerly. Sifts move a hole and write each displaced event once,
-// rather than swapping pairs. Keys are unique, so the pop order is a
-// function of the keys alone, never of the heap's shape.
-type eventHeap []*Event
-
-// push queues ev.
-func (h *eventHeap) push(ev *Event) {
-	*h = append(*h, nil)
-	h.up(ev, len(*h)-1)
-}
-
-// pop removes and returns the earliest event. The heap must be
-// non-empty. The root's hole first walks down the earlier-child path to
-// a leaf, then the displaced last event sifts up from there (Floyd's
-// bottom-up pop): the last event nearly always belongs near the leaves,
-// so this takes about half the comparisons of sifting it down from the
-// root.
-func (h *eventHeap) pop() *Event {
-	q := *h
-	n := len(q) - 1
-	top, last := q[0], q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
-	top.index = -1
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q[r].before(q[c]) {
-			c = r
-		}
-		ce := q[c]
-		q[i], ce.index = ce, int32(i)
-		i = c
-	}
-	q.up(last, i)
-	return top
-}
-
-// remove deletes the event at position i.
-func (h *eventHeap) remove(i int) {
-	q := *h
-	n := len(q) - 1
-	ev, last := q[i], q[n]
-	q[n] = nil
-	*h = q[:n]
-	ev.index = -1
-	if i == n {
-		return
-	}
-	if !h.down(last, i) {
-		h.up(last, i)
-	}
-}
-
-// up fills the hole at i with ev, first moving ev's later ancestors
-// down into the hole.
-func (h eventHeap) up(ev *Event, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		pe := h[p]
-		if !ev.before(pe) {
-			break
-		}
-		h[i], pe.index = pe, int32(i)
-		i = p
-	}
-	h[i], ev.index = ev, int32(i)
-}
-
-// down fills the hole at i0 with ev, first moving ev's earlier
-// descendants up into the hole. It reports whether ev moved below i0.
-func (h eventHeap) down(ev *Event, i0 int) bool {
-	n := len(h)
-	i := i0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		ce := h[c]
-		if !ce.before(ev) {
-			break
-		}
-		h[i], ce.index = ce, int32(i)
-		i = c
-	}
-	h[i], ev.index = ev, int32(i)
-	return i > i0
-}
+// EventID is a value handle to a scheduled event: the slab slot the
+// event occupies and the generation that slot had when the event was
+// scheduled. An engine recycles a slot once its event has fired or its
+// cancellation has been collected, and bumps the slot's generation when
+// it does, so a handle may safely outlive its event: Cancel through a
+// stale handle compares generations and does nothing. The zero EventID
+// never names an event.
+type EventID struct{ slot, gen uint32 }
 
 // Queue is the scheduling interface of one event shard. On the
 // sequential Engine every CPU shares the single queue (the engine
@@ -211,14 +28,20 @@ type Queue interface {
 	// Now returns the queue's current simulated time.
 	Now() Time
 	// At schedules fn at absolute time t on this queue.
-	At(t Time, fn func()) *Event
+	At(t Time, fn func()) EventID
 	// After schedules fn d cycles from now on this queue.
-	After(d Time, fn func()) *Event
+	After(d Time, fn func()) EventID
 	// CrossAfter schedules fn d cycles from now on dst. When dst is a
 	// different shard, d must be at least the engine's lookahead (the
 	// modeled cross-CPU latency floor that makes conservative windows
 	// safe); same-queue calls are equivalent to After.
-	CrossAfter(dst Queue, d Time, fn func()) *Event
+	CrossAfter(dst Queue, d Time, fn func()) EventID
+	// Cancel removes the event id names, releasing its Fn closure at
+	// once rather than at its fire time: long-horizon timers would
+	// otherwise pin their closures for the whole horizon. Cancelling a
+	// fired or cancelled event, or through a stale handle, is a no-op.
+	// Cancel must be called from the shard that scheduled the event.
+	Cancel(id EventID)
 	// Shard returns the queue's shard index.
 	Shard() int
 }
@@ -233,8 +56,8 @@ type Sim interface {
 	// At/After schedule on shard 0 — the natural home of kernel-level
 	// activity for single-shard workloads (on the sequential engine they
 	// are the only queue). Shard-aware code uses Queue(i) instead.
-	At(t Time, fn func()) *Event
-	After(d Time, fn func()) *Event
+	At(t Time, fn func()) EventID
+	After(d Time, fn func()) EventID
 	Run()
 	RunUntil(deadline Time)
 	Halt()
@@ -249,19 +72,61 @@ type Sim interface {
 }
 
 // Engine is a single-queue discrete-event simulation loop: a clock plus
-// a priority queue of events. It is single-threaded by design;
-// determinism comes from the canonical (time, slot, minor) total order.
-// Engine implements both Sim (as a 1-shard engine) and Queue (as its
-// own only shard).
+// a monotone priority queue of events. It is single-threaded by design.
+// Events fire in (time, schedule order): same-time events fire in the
+// order they were scheduled. That is the canonical order the sharded
+// engine reconstructs from its (At, slot, minor) keys (see event), so
+// the two engines agree event for event. Engine implements both Sim (as
+// a 1-shard engine) and Queue (as its own only shard).
+//
+// The queue is a radix heap. last is the time of the latest event taken
+// off the queue, and an event at time t waits in bucket
+// bits.Len64(t^last): bucket 0 holds exactly the events at last, and
+// bucket i > 0 the times that agree with last above bit i-1 and differ
+// at it. Taking the next event drains bucket 0; when it is empty, the
+// lowest non-empty bucket's earliest live time becomes last and the
+// bucket is redistributed, entirely into lower buckets. Each bucket is
+// FIFO: a direct push appends the newest event, and a redistribution
+// happens only when every lower bucket is empty, so it appends an
+// ordered run to empty buckets. Every bucket therefore stays in schedule
+// order, and bucket 0 pops same-time events in exactly that order.
+//
+// Events live in an engine-owned slab and are addressed by EventID. A
+// slot is recycled when its event fires, or when a cancelled event's
+// entry (a tombstone, whose Fn is released at Cancel) reaches the front
+// of the queue or is met while a bucket is redistributed. Steady-state
+// scheduling therefore allocates nothing.
 type Engine struct {
 	now    Time
-	queue  eventHeap
 	fired  uint64
-	rootn  int64
-	cur    *Event // event currently firing, for child attribution
-	childn int64  // children scheduled by cur so far
 	halted bool
+
+	last    Time // <= now: advanced only to a live event about to fire
+	buckets [64][]qent
+	head    int    // entries of buckets[0] already taken
+	full    uint64 // bit i set when buckets[i] may be non-empty
+	live    int    // scheduled events neither fired nor cancelled
+
+	slab []slabEvent
+	free []uint32 // recycled slab slots
 }
+
+// qent is one queue entry. It holds no pointers, so the garbage
+// collector never scans the buckets.
+type qent struct {
+	at   Time
+	slot uint32
+}
+
+// slabEvent is one slab slot: the callback of the event occupying it,
+// nil once the event is cancelled or the slot is free.
+type slabEvent struct {
+	fn  func()
+	gen uint32
+}
+
+// maxTime is the latest representable simulated time.
+const maxTime = Time(1<<63 - 1)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -275,7 +140,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.live }
 
 // Shards returns 1: the sequential engine is its own single shard.
 func (e *Engine) Shards() int { return 1 }
@@ -291,29 +156,32 @@ func (e *Engine) Lookahead() Time { return 0 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now) panics: it would make the simulation acausal.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) EventID {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := &Event{At: t, Fn: fn}
-	if e.cur != nil {
-		// Child: keyed to the firing event's execution rank, which is
-		// already final on the sequential engine.
-		ev.slot = 2*e.cur.exec + 1
-		ev.minor = e.childn
-		e.childn++
-	} else {
-		ev.slot = 2 * int64(e.fired)
-		ev.minor = e.rootn
-		e.rootn++
+	if fn == nil {
+		panic("sim: nil event callback")
 	}
-	ev.owner = &e.queue
-	e.queue.push(ev)
-	return ev
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		slot = uint32(len(e.slab))
+		e.slab = append(e.slab, slabEvent{gen: 1})
+	}
+	s := &e.slab[slot]
+	s.fn = fn
+	e.live++
+	b := bits.Len64(uint64(t ^ e.last))
+	e.buckets[b] = append(e.buckets[b], qent{t, slot})
+	e.full |= 1 << b
+	return EventID{slot, s.gen}
 }
 
 // After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
@@ -322,8 +190,32 @@ func (e *Engine) After(d Time, fn func()) *Event {
 
 // CrossAfter schedules fn on dst d cycles from now. On the sequential
 // engine every queue is the engine itself, so this is After.
-func (e *Engine) CrossAfter(dst Queue, d Time, fn func()) *Event {
+func (e *Engine) CrossAfter(dst Queue, d Time, fn func()) EventID {
 	return e.After(d, fn)
+}
+
+// Cancel turns the event into a tombstone: its Fn is released now, and
+// its slot is recycled when the queue next reaches the entry.
+func (e *Engine) Cancel(id EventID) {
+	if int(id.slot) >= len(e.slab) {
+		return
+	}
+	s := &e.slab[id.slot]
+	if s.gen != id.gen || s.fn == nil {
+		return
+	}
+	s.fn = nil
+	e.live--
+}
+
+// release frees a slot, invalidating every handle to it.
+func (e *Engine) release(slot uint32) {
+	s := &e.slab[slot]
+	s.fn = nil
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	e.free = append(e.free, slot)
 }
 
 // Halt stops the run loop after the current event completes.
@@ -331,20 +223,86 @@ func (e *Engine) Halt() { e.halted = true }
 
 // Step fires the next event, advancing the clock to its timestamp. It
 // returns false if the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		ev.owner = nil
-		if ev.dead {
-			continue
+func (e *Engine) Step() bool { return e.fire(maxTime) }
+
+// fire fires the next live event if it is due at or before deadline.
+// The slot is released before Fn runs, so Fn may reuse it and a handle
+// to the firing event is already stale.
+func (e *Engine) fire(deadline Time) bool {
+	q, ok := e.take(deadline)
+	if !ok {
+		return false
+	}
+	fn := e.slab[q.slot].fn
+	e.release(q.slot)
+	e.live--
+	e.now = q.at
+	e.fired++
+	fn()
+	return true
+}
+
+// take removes and returns the earliest live entry if it is due at or
+// before deadline, dropping the tombstones it passes.
+func (e *Engine) take(deadline Time) (qent, bool) {
+	for {
+		b := e.buckets[0]
+		for e.head < len(b) {
+			q := b[e.head]
+			if e.slab[q.slot].fn == nil {
+				e.head++
+				e.release(q.slot)
+				continue
+			}
+			if q.at > deadline {
+				return qent{}, false
+			}
+			e.head++
+			return q, true
 		}
-		e.now = ev.At
-		ev.exec = int64(e.fired)
-		e.fired++
-		e.cur, e.childn = ev, 0
-		ev.Fn()
-		e.cur = nil
-		return true
+		e.buckets[0], e.head = b[:0], 0
+		e.full &^= 1
+		if !e.refill(deadline) {
+			return qent{}, false
+		}
+	}
+}
+
+// refill advances last to the earliest live time and moves that time's
+// events into bucket 0. Bucket 0 must be empty. It reports false,
+// leaving last alone, when no live event is left or the earliest is
+// after deadline; peeking past the clock would otherwise forbid
+// scheduling between the clock and that event.
+func (e *Engine) refill(deadline Time) bool {
+	for m := e.full &^ 1; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := e.buckets[i]
+		first, found := Time(0), false
+		for _, q := range b {
+			if e.slab[q.slot].fn != nil && (!found || q.at < first) {
+				first, found = q.at, true
+			}
+		}
+		if found && first > deadline {
+			return false
+		}
+		if found {
+			e.last = first
+		}
+		for _, q := range b {
+			if e.slab[q.slot].fn == nil {
+				e.release(q.slot)
+				continue
+			}
+			j := bits.Len64(uint64(q.at ^ first))
+			e.buckets[j] = append(e.buckets[j], q)
+			e.full |= 1 << j
+		}
+		e.buckets[i] = b[:0]
+		e.full &^= 1 << i
+		if found {
+			return true
+		}
 	}
 	return false
 }
@@ -361,8 +319,7 @@ func (e *Engine) Run() {
 // remain queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted && len(e.queue) > 0 && e.queue[0].At <= deadline {
-		e.Step()
+	for !e.halted && e.fire(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline

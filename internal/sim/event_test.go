@@ -52,13 +52,13 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
+	e.Cancel(ev)
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Cancel, want 0", e.Pending())
+	}
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
 	}
 }
 
@@ -120,7 +120,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunUntilSkipsCancelled(t *testing.T) {
 	e := NewEngine()
 	ev := e.At(5, func() { t.Error("cancelled event ran") })
-	ev.Cancel()
+	e.Cancel(ev)
 	ran := false
 	e.At(6, func() { ran = true })
 	e.RunUntil(10)

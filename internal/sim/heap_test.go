@@ -7,10 +7,12 @@ import (
 	"unsafe"
 )
 
-// This file checks the typed event heap against a sorted-slice oracle:
-// an engine that keeps its pending events in one slice sorted by the
-// canonical (At, slot, minor) key and fires the head. Both engines run
-// the same seeded scheduling programs; their fire orders must agree.
+// This file checks both engines against a sorted-slice oracle: an
+// engine that keeps its pending events in one slice sorted by the
+// canonical (At, slot, minor) key and fires the head. Engine orders
+// same-time events by schedule sequence instead, and ShardedEngine by
+// the canonical key; running the same seeded scheduling programs on
+// all three checks that the two orders agree rather than assuming it.
 
 // refEvent is one event of the oracle engine.
 type refEvent struct {
@@ -127,7 +129,11 @@ type diffEngine interface {
 	halt()
 	fired() uint64
 	pending() int
-	execOf(canceler) int64
+	// current returns a token for the event firing on cpu's shard;
+	// rank resolves it to the event's global execution rank once the
+	// run is over.
+	current(cpu int) any
+	rank(tok any) int64
 }
 
 type canceler interface{ Cancel() }
@@ -140,23 +146,47 @@ type simDiff struct {
 	ncpu int
 }
 
+// handle cancels an event through the queue that scheduled it.
+type handle struct {
+	q  Queue
+	id EventID
+}
+
+func (h handle) Cancel() { h.q.Cancel(h.id) }
+
 func (d simDiff) q(cpu int) Queue { return d.s.Queue(cpu * d.s.Shards() / d.ncpu) }
 func (d simDiff) now() Time       { return d.s.Now() }
 func (d simDiff) root(cpu int, t Time, fn func()) canceler {
-	return d.q(cpu).At(t, fn)
+	return handle{d.q(cpu), d.q(cpu).At(t, fn)}
 }
 func (d simDiff) child(cpu, dst int, dt Time, fn func()) canceler {
+	q := d.q(cpu)
 	if cpu == dst {
-		return d.q(cpu).After(dt, fn)
+		return handle{q, q.After(dt, fn)}
 	}
-	return d.q(cpu).CrossAfter(d.q(dst), dt, fn)
+	return handle{q, q.CrossAfter(d.q(dst), dt, fn)}
 }
-func (d simDiff) run()                    { d.s.Run() }
-func (d simDiff) runUntil(t Time)         { d.s.RunUntil(t) }
-func (d simDiff) halt()                   { d.s.Halt() }
-func (d simDiff) fired() uint64           { return d.s.Fired() }
-func (d simDiff) pending() int            { return d.s.Pending() }
-func (d simDiff) execOf(c canceler) int64 { return c.(*Event).exec }
+func (d simDiff) run()            { d.s.Run() }
+func (d simDiff) runUntil(t Time) { d.s.RunUntil(t) }
+func (d simDiff) halt()           { d.s.Halt() }
+func (d simDiff) fired() uint64   { return d.s.Fired() }
+func (d simDiff) pending() int    { return d.s.Pending() }
+
+// current is the firing event itself on a shard, whose rank is final
+// after the window barrier, and the fire count on Engine, where the
+// firing event's rank is already final.
+func (d simDiff) current(cpu int) any {
+	if s, ok := d.q(cpu).(*Shard); ok {
+		return s.cur
+	}
+	return int64(d.s.Fired()) - 1
+}
+func (d simDiff) rank(tok any) int64 {
+	if ev, ok := tok.(*event); ok {
+		return ev.exec
+	}
+	return tok.(int64)
+}
 
 // refDiff adapts the oracle; it has one queue, so every send is local.
 type refDiff struct{ r *refEngine }
@@ -168,12 +198,13 @@ func (d refDiff) root(cpu int, t Time, fn func()) canceler {
 func (d refDiff) child(cpu, dst int, dt Time, fn func()) canceler {
 	return d.r.at(d.r.cur.at+dt, fn)
 }
-func (d refDiff) run()                    { d.r.run() }
-func (d refDiff) runUntil(t Time)         { d.r.runUntil(t) }
-func (d refDiff) halt()                   { d.r.halted = true }
-func (d refDiff) fired() uint64           { return uint64(d.r.fired) }
-func (d refDiff) pending() int            { return len(d.r.q) }
-func (d refDiff) execOf(c canceler) int64 { return c.(*refEvent).exec }
+func (d refDiff) run()                { d.r.run() }
+func (d refDiff) runUntil(t Time)     { d.r.runUntil(t) }
+func (d refDiff) halt()               { d.r.halted = true }
+func (d refDiff) fired() uint64       { return uint64(d.r.fired) }
+func (d refDiff) pending() int        { return len(d.r.q) }
+func (d refDiff) current(cpu int) any { return d.r.cur }
+func (d refDiff) rank(tok any) int64  { return tok.(*refEvent).exec }
 
 // mix64 is the splitmix64 finalizer: event IDs and per-event decision
 // streams derive from it, so every engine makes the same decisions.
@@ -198,8 +229,8 @@ type diffProgram struct {
 }
 
 type firing struct {
-	id uint64
-	h  canceler
+	id  uint64
+	tok any // diffEngine.current at fire time
 }
 
 func newDiffProgram(eng diffEngine, ncpu int, seed uint64, halts bool) *diffProgram {
@@ -209,8 +240,8 @@ func newDiffProgram(eng diffEngine, ncpu int, seed uint64, halts bool) *diffProg
 
 // fire is the handler of event id on cpu, generation gen. Its decisions
 // are a pure function of (seed, id) and of its CPU's own history.
-func (p *diffProgram) fire(cpu int, id uint64, gen int, self *canceler) {
-	p.logs[cpu] = append(p.logs[cpu], firing{id, *self})
+func (p *diffProgram) fire(cpu int, id uint64, gen int) {
+	p.logs[cpu] = append(p.logs[cpu], firing{id, p.eng.current(cpu)})
 	r := mix64(p.seed ^ id)
 	next := func(n uint64) uint64 {
 		r = mix64(r)
@@ -225,8 +256,7 @@ func (p *diffProgram) fire(cpu int, id uint64, gen int, self *canceler) {
 				d = diffLookahead + Time(next(40))
 			}
 			cid := mix64(id*31 + k + 1)
-			var h canceler
-			h = p.eng.child(cpu, dst, d, func() { p.fire(dst, cid, gen+1, &h) })
+			h := p.eng.child(cpu, dst, d, func() { p.fire(dst, cid, gen+1) })
 			if dst == cpu {
 				p.local[cpu] = append(p.local[cpu], h)
 			}
@@ -256,8 +286,7 @@ func (p *diffProgram) run() {
 			cpu := int(next(uint64(len(p.logs))))
 			id := mix64(p.seed<<20 | rootID)
 			rootID++
-			var h canceler
-			h = p.eng.root(cpu, p.eng.now()+Time(next(100)), func() { p.fire(cpu, id, 0, &h) })
+			h := p.eng.root(cpu, p.eng.now()+Time(next(100)), func() { p.fire(cpu, id, 0) })
 			p.roots = append(p.roots, h)
 		}
 		if len(p.roots) > 0 && next(3) == 0 {
@@ -290,7 +319,7 @@ func (p *diffProgram) order(t *testing.T) []uint64 {
 	var all []ranked
 	for _, l := range p.logs {
 		for _, f := range l {
-			all = append(all, ranked{p.eng.execOf(f.h), f.id})
+			all = append(all, ranked{p.eng.rank(f.tok), f.id})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].exec < all[j].exec })
@@ -358,30 +387,29 @@ func TestHeapMatchesSortedOracle(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveKeepsOrder cancels events at every heap position,
-// including the last slot and the root, and checks the survivors still
-// pop in canonical order with consistent indices.
+// TestHeapRemoveKeepsOrder cancels events at every position of a
+// shard's event heap, including the last slot and the root, and checks
+// the survivors still pop in canonical order with consistent indices.
 func TestHeapRemoveKeepsOrder(t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		for cut := 0; cut < n; cut++ {
-			e := NewEngine()
-			evs := make([]*Event, n)
-			for i := range evs {
-				evs[i] = e.At(Time(mix64(uint64(n*100+i))%17), func() {})
+			s := NewSharded(1, 1).shards[0]
+			for i := 0; i < n; i++ {
+				s.At(Time(mix64(uint64(n*100+i))%17), func() {})
 			}
-			victim := e.queue[cut]
-			victim.Cancel()
+			victim := s.queue[cut]
+			s.Cancel(EventID{victim.ref, s.gens[victim.ref]})
 			if victim.index != -1 || victim.owner != nil {
 				t.Fatalf("n=%d cut=%d: cancelled event still indexed", n, cut)
 			}
-			for i, ev := range e.queue {
+			for i, ev := range s.queue {
 				if int(ev.index) != i {
 					t.Fatalf("n=%d cut=%d: event at %d records index %d", n, cut, i, ev.index)
 				}
 			}
-			var prev *Event
-			for e.Pending() > 0 {
-				ev := e.queue.pop()
+			var prev *event
+			for len(s.queue) > 0 {
+				ev := s.queue.pop()
 				if ev == victim {
 					t.Fatalf("n=%d cut=%d: cancelled event popped", n, cut)
 				}
@@ -394,27 +422,94 @@ func TestHeapRemoveKeepsOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineStep measures one fire-and-reschedule at a steady heap
-// depth: each handler schedules one successor at a pseudo-random delay,
-// so the depth stays constant. The only allocation per op is the Event
-// itself.
+// TestEngineScheduleAtClockAfterRunUntil stops RunUntil short of the
+// next event and schedules at the clock. Looking for the next event
+// must not advance the queue past the clock, even when the lowest
+// pending entry is a tombstone.
+func TestEngineScheduleAtClockAfterRunUntil(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	e.At(100, rec)
+	e.Cancel(e.At(30, rec))
+	e.RunUntil(50)
+	if e.Now() != 50 || len(fired) != 0 {
+		t.Fatalf("RunUntil(50): clock %d, fired %v", e.Now(), fired)
+	}
+	e.At(50, rec)
+	e.At(60, rec)
+	e.RunUntil(50)
+	e.Run()
+	if fmt.Sprint(fired) != "[50 60 100]" {
+		t.Fatalf("fired at %v, want [50 60 100]", fired)
+	}
+}
+
+// TestEngineStaleHandleCancel cancels through handles whose slots have
+// been reused, once after the event fired and once after a cancelled
+// event's tombstone was collected: both must leave the new occupant
+// alone.
+func TestEngineStaleHandleCancel(t *testing.T) {
+	e := NewEngine()
+	old := e.At(10, func() {})
+	e.Run()
+	ran := 0
+	reused := e.At(20, func() { ran++ })
+	if reused.slot != old.slot {
+		t.Fatalf("slot %d not reused (new event in slot %d)", old.slot, reused.slot)
+	}
+	e.Cancel(old)
+	e.Run()
+	if ran != 1 {
+		t.Fatal("cancel through a fired event's handle cancelled its slot's next event")
+	}
+
+	dead := e.At(30, func() { t.Error("cancelled event ran") })
+	e.Cancel(dead)
+	e.Run() // collects the tombstone
+	again := e.At(40, func() { ran++ })
+	if again.slot != dead.slot {
+		t.Fatalf("slot %d not reused (new event in slot %d)", dead.slot, again.slot)
+	}
+	e.Cancel(dead)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.Pending())
+	}
+	e.Run()
+	if ran != 2 {
+		t.Fatal("cancel through a collected tombstone's handle cancelled its slot's next event")
+	}
+	e.Cancel(EventID{}) // the zero handle names no event
+}
+
+// newStepEngine returns an engine at a steady queue depth: each handler
+// schedules one successor at a pseudo-random delay, so Step keeps the
+// depth constant.
+func newStepEngine(depth int) *Engine {
+	e := NewEngine()
+	x := uint64(depth)
+	var fn func()
+	fn = func() {
+		x = mix64(x)
+		e.After(Time(x%4096), fn)
+	}
+	for i := 0; i < depth; i++ {
+		x = mix64(x)
+		e.At(Time(x%4096), fn)
+	}
+	for i := 0; i < depth; i++ { // reach steady state
+		e.Step()
+	}
+	return e
+}
+
+// BenchmarkEngineStep measures one fire-and-reschedule at a steady queue
+// depth. Slots are recycled, so an op allocates nothing
+// (TestEngineStepAllocFree).
 func BenchmarkEngineStep(b *testing.B) {
 	for _, depth := range []int{1 << 10, 1 << 16} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			e := NewEngine()
-			x := uint64(depth)
-			var fn func()
-			fn = func() {
-				x = mix64(x)
-				e.After(Time(x%4096), fn)
-			}
-			for i := 0; i < depth; i++ {
-				x = mix64(x)
-				e.At(Time(x%4096), fn)
-			}
-			for i := 0; i < depth; i++ { // reach steady state
-				e.Step()
-			}
+			e := newStepEngine(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -428,10 +523,18 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// TestEventSize pins Event to one 64-byte allocation class: every
-// scheduled event allocates one, so the size is on the hot path.
+// TestEngineStepAllocFree pins BenchmarkEngineStep's 0 allocs/op.
+func TestEngineStepAllocFree(t *testing.T) {
+	e := newStepEngine(1 << 10)
+	if n := testing.AllocsPerRun(10_000, func() { e.Step() }); n != 0 {
+		t.Fatalf("Step allocates %.2f objects per fire-and-reschedule, want 0", n)
+	}
+}
+
+// TestEventSize pins the sharded engine's event to one 64-byte
+// allocation class: every event it schedules allocates one.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 64 {
-		t.Fatalf("Event is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Fatalf("event is %d bytes, want <= 64", n)
 	}
 }

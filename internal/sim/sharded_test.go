@@ -14,7 +14,7 @@ import (
 func TestCancelReleasesEagerly(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
-	evs := make([]*Event, n)
+	evs := make([]EventID, n)
 	for i := range evs {
 		big := make([]byte, 1<<10)
 		evs[i] = e.At(1_000_000_000, func() { _ = big })
@@ -23,20 +23,20 @@ func TestCancelReleasesEagerly(t *testing.T) {
 		t.Fatalf("pending = %d, want %d", e.Pending(), n)
 	}
 	for _, ev := range evs {
-		ev.Cancel()
+		e.Cancel(ev)
 	}
 	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelling all events, want 0 (heap retained dead events)", e.Pending())
+		t.Fatalf("pending = %d after cancelling all events, want 0 (cancelled events still counted)", e.Pending())
 	}
 	for _, ev := range evs {
-		if ev.Fn != nil {
+		if e.slab[ev.slot].fn != nil {
 			t.Fatal("cancelled event still pins its Fn closure")
 		}
 	}
 	// Double-cancel and cancel-after-fire stay no-ops.
 	ev := e.At(1_000_000_001, func() {})
-	ev.Cancel()
-	ev.Cancel()
+	e.Cancel(ev)
+	e.Cancel(ev)
 	e.Run()
 	if got := e.Now(); got != 0 {
 		t.Fatalf("clock moved to %d with every event cancelled", got)
@@ -55,7 +55,7 @@ type fuzzHarness struct {
 	queues []Queue
 	rngs   []*RNG
 	steps  []int
-	hold   []*Event // last locally scheduled event, cancellation target
+	hold   []EventID // last locally scheduled event, cancellation target
 	trace  []strings.Builder
 	limit  int
 }
@@ -65,7 +65,7 @@ func newFuzzHarness(eng Sim, nCPU int, seed uint64, limit int) *fuzzHarness {
 	h.queues = make([]Queue, nCPU)
 	h.rngs = make([]*RNG, nCPU)
 	h.steps = make([]int, nCPU)
-	h.hold = make([]*Event, nCPU)
+	h.hold = make([]EventID, nCPU)
 	h.trace = make([]strings.Builder, nCPU)
 	root := NewRNG(seed)
 	for i := 0; i < nCPU; i++ {
@@ -107,8 +107,8 @@ func (h *fuzzHarness) tick(cpu, gen int) {
 	case 4:
 		// Cancel the previously held event (may already have fired — a
 		// no-op then) and reschedule a replacement.
-		if ev := h.hold[cpu]; ev != nil {
-			ev.Cancel()
+		if ev := h.hold[cpu]; ev != (EventID{}) {
+			q.Cancel(ev)
 			fmt.Fprintf(&h.trace[cpu], "c%d cancel\n", cpu)
 		}
 		h.hold[cpu] = q.After(Time(r.Intn(400)), func() { h.tick(cpu, gen+1) })
@@ -120,7 +120,7 @@ func (h *fuzzHarness) tick(cpu, gen int) {
 			h.tick(dst, gen+1)
 		})
 		if r.Intn(2) == 0 {
-			ev.Cancel()
+			q.Cancel(ev)
 			fmt.Fprintf(&h.trace[cpu], "c%d cancel-migrated\n", cpu)
 		}
 		h.hold[cpu] = q.After(Time(r.Intn(400)), func() { h.tick(cpu, gen+1) })
@@ -212,12 +212,11 @@ func TestShardedCancelInsideHandler(t *testing.T) {
 		eng := mk()
 		q := eng.Queue(0)
 		var fired []string
-		var second *Event
-		var first *Event
+		var first, second EventID
 		first = q.At(100, func() {
 			fired = append(fired, "first")
-			second.Cancel() // pending same-tick sibling: must not fire
-			first.Cancel()  // self, already firing: no-op
+			q.Cancel(second) // pending same-tick sibling: must not fire
+			q.Cancel(first)  // self, already firing: no-op
 		})
 		second = q.At(100, func() { fired = append(fired, "second") })
 		q.At(200, func() { fired = append(fired, "tail") })
