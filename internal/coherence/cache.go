@@ -133,32 +133,68 @@ func (c *Cache) SetState(line uint64, s LineState) {
 	}
 }
 
-// Fill installs a line, evicting LRU if needed. It returns the evicted
-// line number and its state (state Invalid if no eviction occurred).
-func (c *Cache) Fill(line uint64, s LineState) (evicted uint64, evictedState LineState) {
-	c.tick++
-	set := c.set(line)
-	// Already present: update.
-	if l := find(set, line); l != nil {
-		l.meta = c.tick<<2 | uint64(s)
-		return 0, Invalid
-	}
-	victim := 0
+// probe scans set once for line. It returns the valid way holding it,
+// or nil and the way a fill replaces: the first invalid way, else the
+// least recently used one.
+func probe(set []cacheLine, line uint64) (hit, victim *cacheLine) {
+	victim = &set[0]
+	free := false
 	for i := range set {
-		if set[i].state() == Invalid {
-			victim = i
-			break
-		}
-		if set[i].meta < set[victim].meta {
-			victim = i
+		l := &set[i]
+		switch {
+		case l.state() == Invalid:
+			if !free {
+				victim, free = l, true
+			}
+		case l.tag == line:
+			return l, nil
+		case !free && l.meta < victim.meta:
+			victim = l
 		}
 	}
-	ev, evs := set[victim].tag, set[victim].state()
-	set[victim] = cacheLine{tag: line, meta: c.tick<<2 | uint64(s)}
+	return nil, victim
+}
+
+// install replaces victim with line in state s at the current tick,
+// returning the line it evicted and its state (Invalid if none).
+func (c *Cache) install(victim *cacheLine, line uint64, s LineState) (uint64, LineState) {
+	ev, evs := victim.tag, victim.state()
+	*victim = cacheLine{tag: line, meta: c.tick<<2 | uint64(s)}
 	if evs == Invalid {
 		return 0, Invalid
 	}
 	return ev, evs
+}
+
+// Fill installs a line, evicting LRU if needed. It returns the evicted
+// line number and its state (state Invalid if no eviction occurred).
+func (c *Cache) Fill(line uint64, s LineState) (evicted uint64, evictedState LineState) {
+	c.tick++
+	hit, victim := probe(c.set(line), line)
+	if hit != nil {
+		hit.meta = c.tick<<2 | uint64(s)
+		return 0, Invalid
+	}
+	return c.install(victim, line, s)
+}
+
+// LookupOrFill is Lookup and, on a miss, Fill(line, s), in one scan of
+// the set. It returns the line's state before the call (Invalid on a
+// miss) and what the fill evicted; ticks, counters and victims are
+// those of the two calls.
+func (c *Cache) LookupOrFill(line uint64, s LineState) (st LineState, evicted uint64, evictedState LineState) {
+	c.tick++
+	hit, victim := probe(c.set(line), line)
+	if hit != nil {
+		st = hit.state()
+		hit.meta = c.tick<<2 | uint64(st)
+		c.Hits++
+		return st, 0, Invalid
+	}
+	c.Misses++
+	c.tick++
+	evicted, evictedState = c.install(victim, line, s)
+	return Invalid, evicted, evictedState
 }
 
 // Invalidate removes a line, returning its prior state.

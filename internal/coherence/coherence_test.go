@@ -161,7 +161,7 @@ func TestPrivateDeactivationSkipsDirectory(t *testing.T) {
 	if s.Stats.DeactivatedAcc != 2 {
 		t.Fatalf("deactivated accesses = %d", s.Stats.DeactivatedAcc)
 	}
-	if len(s.dir) != 0 {
+	if s.dir.n != 0 {
 		t.Fatal("directory state allocated for private lines")
 	}
 }

@@ -133,10 +133,23 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 					}
 				}
 			}
+			// A hit on a way past an invalid one: the fused operation must
+			// find the line, not fill the free way before it.
+			a, b := uint64(0), g.sets
+			for _, l := range []uint64{a, b} {
+				c.Fill(l, Shared)
+				m.fill(l, Shared)
+			}
+			c.Invalidate(a)
+			m.invalidate(a)
+			if st, ev, evs := c.LookupOrFill(b, Modified); st != Shared || evs != Invalid {
+				t.Fatalf("LookupOrFill past an invalid way = (%v, %d, %v), want a Shared hit", st, ev, evs)
+			}
+			m.lookup(b)
 			for op := 0; op < 20000; op++ {
 				line := next(span)
 				st := LineState(1 + next(3))
-				switch k := next(10); {
+				switch k := next(11); {
 				case k < 4:
 					if got, want := c.Lookup(line), m.lookup(line); got != want {
 						t.Fatalf("op %d Lookup(%d) = %v, model %v", op, line, got, want)
@@ -157,9 +170,24 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 					}
 					c.SetState(line, st)
 					m.setState(line, st)
-				default:
+				case k < 10:
 					if got, want := c.Peek(line), m.peek(line); got != want {
 						t.Fatalf("op %d Peek(%d) = %v, model %v", op, line, got, want)
+					}
+				default:
+					tick := c.tick
+					got, ev, evs := c.LookupOrFill(line, st)
+					want, wev, wevs := m.lookup(line), uint64(0), Invalid
+					ticks := uint64(1) // Lookup's
+					if want == Invalid {
+						wev, wevs = m.fill(line, st)
+						ticks++ // and Fill's
+					}
+					if got != want || ev != wev || evs != wevs {
+						t.Fatalf("op %d LookupOrFill(%d) = (%v,%d,%v), model (%v,%d,%v)", op, line, got, ev, evs, want, wev, wevs)
+					}
+					if c.tick != tick+ticks {
+						t.Fatalf("op %d LookupOrFill(%d) advanced the tick by %d, Lookup+Fill by %d", op, line, c.tick-tick, ticks)
 					}
 				}
 			}
@@ -170,6 +198,59 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 				t.Fatal("trace exercised only hits or only misses")
 			}
 		})
+	}
+}
+
+// TestDirTableMatchesMap replays a seeded put/get trace on the
+// directory table and on a Go map. The keys include line 0 (key 0 is
+// the empty marker, so line 0 is stored as 1), runs of lines that share
+// one home slot, and lines homed in the last slot, whose probes wrap;
+// the trace grows the table several times.
+func TestDirTableMatchesMap(t *testing.T) {
+	tab := newDirTable()
+	ref := map[uint64]*dirState{}
+	last := uint64(len(tab.slots) - 1)
+	keys := []uint64{0}
+	var shared, wrap int
+	for line := uint64(1); shared < 12 || wrap < 12; line++ {
+		switch tab.home(line) {
+		case tab.home(0):
+			keys, shared = append(keys, line), shared+1
+		case last:
+			keys, wrap = append(keys, line), wrap+1
+		}
+	}
+	x := uint64(42)
+	next := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % n
+	}
+	for op := 0; op < 20000; op++ {
+		line := next(4096)
+		if next(3) == 0 {
+			line = keys[next(uint64(len(keys)))]
+		}
+		if next(2) == 0 {
+			d := &dirState{owner: op}
+			tab.put(line, d)
+			ref[line] = d
+		} else if got, want := tab.get(line), ref[line]; got != want {
+			t.Fatalf("op %d get(%d) = %p, map %p", op, line, got, want)
+		}
+		if tab.n != len(ref) {
+			t.Fatalf("op %d: table holds %d entries, map %d", op, tab.n, len(ref))
+		}
+		if 2*tab.n > len(tab.slots) || 1<<(64-tab.shift) != len(tab.slots) {
+			t.Fatalf("op %d: %d entries in %d slots, hash shift %d", op, tab.n, len(tab.slots), tab.shift)
+		}
+	}
+	for _, line := range keys {
+		if tab.get(line) != ref[line] {
+			t.Fatalf("get(%d) = %p, map %p", line, tab.get(line), ref[line])
+		}
+	}
+	if len(tab.slots) < 8*dirTableMin {
+		t.Fatalf("trace grew the table only to %d slots", len(tab.slots))
 	}
 }
 
@@ -233,7 +314,7 @@ func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 		s.l2[c].Fill(line, Shared)
 	}
 	d.add(129)
-	s.dir[line] = d
+	s.dir.put(line, d)
 	home := s.home(line)
 	var wantHops uint64
 	for _, c := range want {
@@ -272,7 +353,7 @@ func TestDirectoryWideWriteInvalidatesAllWords(t *testing.T) {
 		s.Access(c, addr, false)
 	}
 	line := s.l1[0].LineAddr(addr)
-	d := s.dir[line]
+	d := s.dir.get(line)
 	if d.n != len(readers) {
 		t.Fatalf("directory tracks %d sharers, want %d", d.n, len(readers))
 	}

@@ -124,6 +124,76 @@ func (d *dirState) invalidees(keeper int, fn func(core int)) {
 // dirChunk is how many directory entries one slab allocation carves.
 const dirChunk = 256
 
+// dirTable maps lines to their directory entries: open addressing with
+// linear probing over a power-of-two slot array that is kept at most
+// half full. A slot's key is line+1, so key 0 marks an empty slot and
+// line 0 needs no special case. Entries are never removed.
+type dirTable struct {
+	slots []dirSlot
+	n     int
+	shift uint // 64 - log2(len(slots)): the slot index is the hash's top bits
+}
+
+type dirSlot struct {
+	key uint64 // line+1; 0 = empty
+	d   *dirState
+}
+
+// dirTableMin is a fresh table's slot count.
+const dirTableMin = 256
+
+func newDirTable() dirTable {
+	return dirTable{slots: make([]dirSlot, dirTableMin), shift: 64 - uint(bits.TrailingZeros(dirTableMin))}
+}
+
+// home returns the slot where probing for line starts. Fibonacci
+// hashing spreads runs of consecutive lines over the table.
+func (t *dirTable) home(line uint64) uint64 {
+	return ((line + 1) * 0x9E3779B97F4A7C15) >> t.shift
+}
+
+// slot returns the slot holding line, or the empty slot where probing
+// for it stopped.
+func (t *dirTable) slot(line uint64) *dirSlot {
+	key, mask := line+1, uint64(len(t.slots)-1)
+	for i := t.home(line); ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.key == key || sl.key == 0 {
+			return sl
+		}
+	}
+}
+
+// get returns line's entry, or nil.
+func (t *dirTable) get(line uint64) *dirState {
+	return t.slot(line).d
+}
+
+// put sets line's entry to d.
+func (t *dirTable) put(line uint64, d *dirState) {
+	sl := t.slot(line)
+	if sl.key == 0 {
+		if 2*(t.n+1) > len(t.slots) {
+			t.grow()
+			sl = t.slot(line)
+		}
+		sl.key = line + 1
+		t.n++
+	}
+	sl.d = d
+}
+
+// grow doubles the slot array and reinserts every entry.
+func (t *dirTable) grow() {
+	old := t.slots
+	t.slots = make([]dirSlot, 2*len(old))
+	t.shift--
+	for _, sl := range old {
+		if sl.key != 0 {
+			*t.slot(sl.key - 1) = sl
+		}
+	}
+}
+
 // Stats aggregates the measurable outcomes: Fig. 7 plots speedup (from
 // cycles) and reports interconnect energy reduction.
 type Stats struct {
@@ -146,6 +216,10 @@ type Stats struct {
 
 	// Cycles is the per-core cycle accounting.
 	Cycles []int64
+	// Crossings counts, per core, the socket crossings whose
+	// RemoteSocket latency reached Cycles[core]. Cycles depend on
+	// RemoteSocket only through these, linearly (see SumCyclesAt).
+	Crossings []int64
 	// EnergyPJ is total memory-system energy (interconnect +
 	// directory + memory).
 	EnergyPJ float64
@@ -171,6 +245,19 @@ func (s *Stats) SumCycles() int64 {
 	var t int64
 	for _, c := range s.Cycles {
 		t += c
+	}
+	return t
+}
+
+// SumCyclesAt returns SumCycles repriced for a run that charged ran
+// cycles per socket crossing as if each had cost remote: every crossing
+// added exactly ran to Cycles, so this is the sum a run at remote would
+// have measured, in exact integer arithmetic, provided the access trace
+// does not depend on the latencies Access returns.
+func (s *Stats) SumCyclesAt(ran, remote int64) int64 {
+	t := s.SumCycles()
+	for _, x := range s.Crossings {
+		t += (remote - ran) * x
 	}
 	return t
 }
@@ -217,7 +304,7 @@ type System struct {
 
 	l1, l2 []*Cache
 	l3     []*Cache // one slice per core (NUCA); home by line hash
-	dir    map[uint64]*dirState
+	dir    dirTable
 
 	// Directory entries and their sharer words are carved from these
 	// slabs, dirChunk entries at a time; entries are never freed.
@@ -227,19 +314,24 @@ type System struct {
 
 	regions []Region // sorted by base
 
+	// crossed counts the socket crossings charged to the access in
+	// progress.
+	crossed int64
+
 	Stats Stats
 }
 
 // New builds a system from cfg.
 func New(cfg Config) *System {
 	cores := cfg.Sockets * cfg.CoresPerSocket
-	s := &System{Cfg: cfg, cores: cores, dir: make(map[uint64]*dirState), words: (cores + 63) / 64}
+	s := &System{Cfg: cfg, cores: cores, dir: newDirTable(), words: (cores + 63) / 64}
 	for i := 0; i < cores; i++ {
 		s.l1 = append(s.l1, NewCache(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
 		s.l2 = append(s.l2, NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize))
 		s.l3 = append(s.l3, NewCache(cfg.L3SlicePerCore, cfg.L3Ways, cfg.LineSize))
 	}
 	s.Stats.Cycles = make([]int64, cores)
+	s.Stats.Crossings = make([]int64, cores)
 	return s
 }
 
@@ -323,14 +415,10 @@ func (s *System) hops(a, b int) (hops uint64, crossSocket bool) {
 	return h, false
 }
 
-// chargeHops accounts latency and energy for n hops (+ socket crossing)
-// carrying a line payload if xfer is true.
-func (s *System) chargeHops(core int, n uint64, cross bool, xfer bool) int64 {
+// traffic accounts the hops and energy of n interconnect hops, carrying
+// a line payload if xfer is true. It charges no latency.
+func (s *System) traffic(n uint64, xfer bool) {
 	c := s.Cfg.Costs
-	lat := int64(n) * c.HopLatency
-	if cross {
-		lat += c.RemoteSocket
-	}
 	s.Stats.Hops += n
 	s.Stats.EnergyPJ += float64(n) * c.EnergyPerHopPJ
 	s.Stats.InterconnectPJ += float64(n) * c.EnergyPerHopPJ
@@ -338,6 +426,18 @@ func (s *System) chargeHops(core int, n uint64, cross bool, xfer bool) int64 {
 		s.Stats.LineTransfers++
 		s.Stats.EnergyPJ += c.EnergyPerLinePJ * float64(n)
 		s.Stats.InterconnectPJ += c.EnergyPerLinePJ * float64(n)
+	}
+}
+
+// chargeHops accounts the traffic of n hops (+ socket crossing) and
+// returns their latency. A crossing adds RemoteSocket and is counted in
+// crossed, which Access credits to the requesting core.
+func (s *System) chargeHops(n uint64, cross bool, xfer bool) int64 {
+	s.traffic(n, xfer)
+	lat := int64(n) * s.Cfg.Costs.HopLatency
+	if cross {
+		lat += s.Cfg.Costs.RemoteSocket
+		s.crossed++
 	}
 	return lat
 }
@@ -362,6 +462,8 @@ func (s *System) Access(core int, addr mem.Addr, write bool) int64 {
 		lat = s.accessMESI(core, line, write)
 	}
 	s.Stats.Cycles[core] += lat
+	s.Stats.Crossings[core] += s.crossed
+	s.crossed = 0
 	return lat
 }
 
@@ -407,15 +509,15 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 	// Miss to the home tile: directory + L3 slice.
 	home := s.home(line)
 	h, cross := s.hops(core, home)
-	lat := s.chargeHops(core, h, cross, false) + c.DirLookup
+	lat := s.chargeHops(h, cross, false) + c.DirLookup
 	s.Stats.DirLookups++
 	s.Stats.EnergyPJ += c.EnergyPerDirPJ
 	s.Stats.InterconnectPJ += c.EnergyPerDirPJ
 
-	d := s.dir[line]
+	d := s.dir.get(line)
 	if d == nil {
 		d = s.newDir(-1)
-		s.dir[line] = d
+		s.dir.put(line, d)
 	}
 
 	if write {
@@ -438,9 +540,9 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 		}
 		if ownSt == Modified || ownSt == Exclusive {
 			oh, ocross := s.hops(home, d.owner)
-			lat += s.chargeHops(core, oh, ocross, false) // home -> owner request
+			lat += s.chargeHops(oh, ocross, false) // home -> owner request
 			rh, rcross := s.hops(d.owner, core)
-			lat += s.chargeHops(core, rh, rcross, true) // owner -> requester data
+			lat += s.chargeHops(rh, rcross, true) // owner -> requester data
 			s.Stats.OwnerForwards++
 			s.setPrivState(d.owner, line, Shared)
 			if ownSt == Modified {
@@ -551,7 +653,7 @@ func (s *System) accessSteered(core int, line uint64, write bool, producer int) 
 		// Direct steer from the producer's cache if it has the line.
 		if s.l1[producer].Peek(line) != Invalid || s.l2[producer].Peek(line) != Invalid {
 			h, cross := s.hops(core, producer)
-			lat := s.chargeHops(core, h, cross, true)
+			lat := s.chargeHops(h, cross, true)
 			s.Stats.DirectSteers++
 			s.fillPrivate(core, line, Shared)
 			return lat + c.L1Hit
@@ -571,14 +673,13 @@ func (s *System) accessSteered(core int, line uint64, write bool, producer int) 
 func (s *System) fetchData(core, home int, line uint64) int64 {
 	c := s.Cfg.Costs
 	h, cross := s.hops(home, core)
-	lat := s.chargeHops(core, h, cross, true) // data return path
-	if s.l3[home].Lookup(line) != Invalid {
+	lat := s.chargeHops(h, cross, true) // data return path
+	if st, _, _ := s.l3[home].LookupOrFill(line, Shared); st != Invalid {
 		s.Stats.L3Hits++
 		return lat + c.L3Hit
 	}
 	s.Stats.MemFetches++
 	s.Stats.EnergyPJ += c.EnergyPerMemPJ
-	s.l3[home].Fill(line, Shared)
 	return lat + c.MemAccess
 }
 
@@ -621,7 +722,7 @@ func (s *System) fillPrivate(core int, line uint64, st LineState) {
 // dropDir removes a core from a line's directory entry after a clean
 // eviction.
 func (s *System) dropDir(core int, line uint64) {
-	if d := s.dir[line]; d != nil {
+	if d := s.dir.get(line); d != nil {
 		d.remove(core)
 		if d.owner == core {
 			d.owner = -1
@@ -631,11 +732,11 @@ func (s *System) dropDir(core int, line uint64) {
 
 func (s *System) writeback(core int, line uint64) {
 	home := s.home(line)
-	h, cross := s.hops(core, home)
-	s.chargeHops(core, h, cross, true)
+	h, _ := s.hops(core, home)
+	s.traffic(h, true) // off the critical path: no latency, no crossing
 	s.l3[home].Fill(line, Modified)
 	s.Stats.WritebacksDir++
-	if d := s.dir[line]; d != nil {
+	if d := s.dir.get(line); d != nil {
 		d.remove(core)
 		if d.owner == core {
 			d.owner = -1
@@ -648,15 +749,15 @@ func (s *System) writeback(core int, line uint64) {
 func (s *System) dirInvalidateOthers(core int, line uint64) int64 {
 	home := s.home(line)
 	h, cross := s.hops(core, home)
-	lat := s.chargeHops(core, h, cross, false) + s.Cfg.Costs.DirLookup
+	lat := s.chargeHops(h, cross, false) + s.Cfg.Costs.DirLookup
 	s.Stats.DirLookups++
 	s.Stats.EnergyPJ += s.Cfg.Costs.EnergyPerDirPJ
 	s.Stats.InterconnectPJ += s.Cfg.Costs.EnergyPerDirPJ
-	d := s.dir[line]
+	d := s.dir.get(line)
 	if d == nil {
 		d = s.newDir(-1)
 		d.only(core)
-		s.dir[line] = d
+		s.dir.put(line, d)
 	}
 	lat += s.invalidateAll(core, line, d)
 	d.only(core)
@@ -670,7 +771,7 @@ func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
 	var lat int64
 	d.invalidees(keeper, func(sh int) {
 		h, cross := s.hops(home, sh)
-		lat += s.chargeHops(keeper, h, cross, false)
+		lat += s.chargeHops(h, cross, false)
 		s.l1[sh].Invalidate(line)
 		s.l2[sh].Invalidate(line)
 		s.Stats.Invalidations++
@@ -680,11 +781,11 @@ func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
 
 // setDirOwner updates the directory owner on silent local upgrades.
 func (s *System) setDirOwner(line uint64, core int) {
-	d := s.dir[line]
+	d := s.dir.get(line)
 	if d == nil {
 		d = s.newDir(core)
 		d.only(core)
-		s.dir[line] = d
+		s.dir.put(line, d)
 		return
 	}
 	d.owner = core

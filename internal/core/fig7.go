@@ -64,33 +64,40 @@ func (s *Stack) Fig7SweepCores(coreCounts []int) *Table {
 	}
 	latencies := []int64{1, 4}
 	benches := workloads.PBBS()
+	remote := s.Model.Coherence.RemoteSocket
+	// One cell per (cores, benchmark) pair: the base and deactivated
+	// systems run once, at 1x, and every remote latency is priced from
+	// their crossing counts. The traces never read the latency Access
+	// returns, so a run at latX x walks the same states and its cycle
+	// sums are exactly what SumCyclesAt computes; energy does not
+	// depend on the remote latency at all. Cells run concurrently and
+	// are averaged in canonical order.
 	type point struct {
-		Sp, En float64
+		Sp []float64 // one speedup per latency
+		En float64
 	}
-	// One cell per (cores, latency, benchmark) triple — the sweep's full
-	// cross product runs concurrently and is averaged in canonical order.
 	nPer := len(benches)
-	nCfg := len(coreCounts) * len(latencies)
-	pts := runCells(s, "fig7-sweep", nCfg*nPer, func(i int) point {
-		cfgIdx, b := i/nPer, benches[i%nPer]
-		cores := coreCounts[cfgIdx/len(latencies)]
-		latX := latencies[cfgIdx%len(latencies)]
-		base := s.coherenceRunScaled(b, false, cores, latX)
-		fast := s.coherenceRunScaled(b, true, cores, latX)
-		return point{
-			Sp: float64(base.Stats.SumCycles()) / float64(fast.Stats.SumCycles()),
-			En: 1 - fast.Stats.InterconnectPJ/base.Stats.InterconnectPJ,
+	pts := runCells(s, "fig7-sweep", len(coreCounts)*nPer, func(i int) point {
+		cores, b := coreCounts[i/nPer], benches[i%nPer]
+		base := s.coherenceRun(b, false, cores).Stats
+		fast := s.coherenceRun(b, true, cores).Stats
+		p := point{En: 1 - fast.InterconnectPJ/base.InterconnectPJ}
+		for _, latX := range latencies {
+			r := latX * remote
+			p.Sp = append(p.Sp, float64(base.SumCyclesAt(remote, r))/float64(fast.SumCyclesAt(remote, r)))
 		}
+		return p
 	})
-	for cfgIdx := 0; cfgIdx < nCfg; cfgIdx++ {
-		var sps, ens []float64
-		for _, p := range pts[cfgIdx*nPer : (cfgIdx+1)*nPer] {
-			sps = append(sps, p.Sp)
-			ens = append(ens, p.En)
+	for ci, cores := range coreCounts {
+		for li, latX := range latencies {
+			var sps, ens []float64
+			for _, p := range pts[ci*nPer : (ci+1)*nPer] {
+				sps = append(sps, p.Sp[li])
+				ens = append(ens, p.En)
+			}
+			t.AddRow(i64(int64(cores)), fmt.Sprintf("%dx", latX),
+				f2(stats.Mean(sps)), pct(stats.Mean(ens)))
 		}
-		t.AddRow(i64(int64(coreCounts[cfgIdx/len(latencies)])),
-			fmt.Sprintf("%dx", latencies[cfgIdx%len(latencies)]),
-			f2(stats.Mean(sps)), pct(stats.Mean(ens)))
 	}
 	t.AddNote("higher remote latency models disaggregated memory; deactivation's benefit grows with both scale and distance")
 	return t
@@ -125,7 +132,7 @@ func (s *Stack) AblationSharingClasses() *Table {
 		case 1:
 			sys = s.coherenceRun(b, true, 0)
 		default:
-			sys = s.newCoherenceSystem(true, 0, 0)
+			sys = coherence.New(s.coherenceConfig(true, 0))
 			sys.FilterClass = classes[i-2]
 			b.Run(sys, b.Scale, s.Seed)
 		}
@@ -143,10 +150,10 @@ func (s *Stack) AblationSharingClasses() *Table {
 	return t
 }
 
-// newCoherenceSystem builds the Fig. 7 memory system. cores == 0 keeps
-// the stack topology; latX scales the cross-socket latency (the
-// disaggregation knob).
-func (s *Stack) newCoherenceSystem(deact bool, cores int, latX int64) *coherence.System {
+// coherenceConfig is the Fig. 7 memory system. cores == 0 keeps the
+// stack topology; otherwise cores split over two sockets (one socket
+// below two cores).
+func (s *Stack) coherenceConfig(deact bool, cores int) coherence.Config {
 	cfg := coherence.DefaultConfig()
 	cfg.Sockets = s.Topo.Sockets
 	cfg.CoresPerSocket = s.Topo.CoresPerSocket
@@ -160,20 +167,12 @@ func (s *Stack) newCoherenceSystem(deact bool, cores int, latX int64) *coherence
 	}
 	cfg.Deactivation = deact
 	cfg.Costs = s.Model.Coherence
-	if latX > 1 {
-		cfg.Costs.RemoteSocket *= latX
-	}
-	return coherence.New(cfg)
+	return cfg
 }
 
-func (s *Stack) coherenceRun(b workloads.PBBSBench, deact bool, latX int64) *coherence.System {
-	sys := s.newCoherenceSystem(deact, 0, latX)
-	b.Run(sys, b.Scale, s.Seed)
-	return sys
-}
-
-func (s *Stack) coherenceRunScaled(b workloads.PBBSBench, deact bool, cores int, latX int64) *coherence.System {
-	sys := s.newCoherenceSystem(deact, cores, latX)
+// coherenceRun replays b on a fresh Fig. 7 system (see coherenceConfig).
+func (s *Stack) coherenceRun(b workloads.PBBSBench, deact bool, cores int) *coherence.System {
+	sys := coherence.New(s.coherenceConfig(deact, cores))
 	b.Run(sys, b.Scale, s.Seed)
 	return sys
 }

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/heartbeat"
+	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // heartbeatDigest reduces a finished heartbeat run to a canonical string
@@ -74,5 +77,54 @@ func TestFig3TableDomainOracle(t *testing.T) {
 	}
 	if seq, sharded := run(1), run(0); seq != sharded {
 		t.Fatalf("fig3 table diverges between engines:\n%s\nvs\n%s", seq, sharded)
+	}
+}
+
+// fig7SweepReference is Fig7SweepCores as it was before the latency axis
+// was priced: every (cores, latency, benchmark) point reruns the base and
+// deactivated traces with RemoteSocket scaled by latX.
+func fig7SweepReference(s *Stack, coreCounts []int) *Table {
+	t := &Table{
+		ID:     "fig7-sweep",
+		Title:  "Deactivation benefit vs scale and disaggregation",
+		Header: []string{"cores", "remote-latency x", "avg speedup", "avg energy reduction"},
+	}
+	run := func(b workloads.PBBSBench, deact bool, cores int, latX int64) coherence.Stats {
+		cfg := s.coherenceConfig(deact, cores)
+		cfg.Costs.RemoteSocket *= latX
+		sys := coherence.New(cfg)
+		b.Run(sys, b.Scale, s.Seed)
+		return sys.Stats
+	}
+	for _, cores := range coreCounts {
+		for _, latX := range []int64{1, 4} {
+			var sps, ens []float64
+			for _, b := range workloads.PBBS() {
+				base := run(b, false, cores, latX)
+				fast := run(b, true, cores, latX)
+				sps = append(sps, float64(base.SumCycles())/float64(fast.SumCycles()))
+				ens = append(ens, 1-fast.InterconnectPJ/base.InterconnectPJ)
+			}
+			t.AddRow(i64(int64(cores)), fmt.Sprintf("%dx", latX),
+				f2(stats.Mean(sps)), pct(stats.Mean(ens)))
+		}
+	}
+	t.AddNote("higher remote latency models disaggregated memory; deactivation's benefit grows with both scale and distance")
+	return t
+}
+
+// TestFig7SweepMatchesRerunReference pins the priced sweep to the rerun
+// reference on a core axis the digest manifest does not cover (one
+// 1-core-per-socket point included), at two seeds.
+func TestFig7SweepMatchesRerunReference(t *testing.T) {
+	t.Parallel()
+	axis := []int{2, 6, 10}
+	for _, seed := range []uint64{42, 9} {
+		s := ServerStack()
+		s.Seed = seed
+		got, want := s.Fig7SweepCores(axis), fig7SweepReference(s, axis)
+		if got.Digest() != want.Digest() {
+			t.Fatalf("seed %d: priced sweep\n%s\nrerun reference\n%s", seed, got, want)
+		}
 	}
 }
