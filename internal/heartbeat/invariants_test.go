@@ -114,8 +114,18 @@ func TestRuntimeCheckInvariantsTable(t *testing.T) {
 				rt.running = true
 				rt.remaining = 30
 				rt.workers[0].deque.PushBottom(&Frame{Lo: 0, Hi: 20, Grain: 1})
+				rt.queued = 1
 				rt.workers[1].cur = &Frame{Lo: 20, Hi: 30, Grain: 1}
 			},
+		},
+		{
+			name: "queued-count-drift",
+			mutate: func(rt *Runtime) {
+				rt.workers[0].deque.PushBottom(&Frame{Lo: 0, Hi: 20, Grain: 1})
+				// a push that skipped the counter: idle batches would
+				// advance as if nothing could be stolen
+			},
+			wantErr: "counted queued",
 		},
 		{
 			name: "double-owned-frame",
@@ -139,6 +149,7 @@ func TestRuntimeCheckInvariantsTable(t *testing.T) {
 				rt.running = true
 				rt.remaining = 50 // but only 20 items are held by frames
 				rt.workers[0].deque.PushBottom(&Frame{Lo: 0, Hi: 20, Grain: 1})
+				rt.queued = 1
 			},
 			wantErr: "remain outstanding",
 		},

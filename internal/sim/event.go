@@ -97,9 +97,10 @@ type Sim interface {
 // of the queue or is met while a bucket is redistributed. Steady-state
 // scheduling therefore allocates nothing.
 type Engine struct {
-	now    Time
-	fired  uint64
-	halted bool
+	now       Time
+	fired     uint64
+	scheduled uint64
+	halted    bool
 
 	last    Time // <= now: advanced only to a live event about to fire
 	buckets [64][]qent
@@ -142,6 +143,13 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of live events still queued.
 func (e *Engine) Pending() int { return e.live }
 
+// Scheduled returns the number of events scheduled so far: every At,
+// After and CrossAfter call counts once. Events fire in (time, schedule
+// order), so two events scheduled for the same time while this count
+// moved by exactly one fire back to back, with nothing in between; a
+// caller may then fire them as one event.
+func (e *Engine) Scheduled() uint64 { return e.scheduled }
+
 // Shards returns 1: the sequential engine is its own single shard.
 func (e *Engine) Shards() int { return 1 }
 
@@ -174,6 +182,7 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	s := &e.slab[slot]
 	s.fn = fn
 	e.live++
+	e.scheduled++
 	b := bits.Len64(uint64(t ^ e.last))
 	e.buckets[b] = append(e.buckets[b], qent{t, slot})
 	e.full |= 1 << b
