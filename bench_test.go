@@ -216,6 +216,21 @@ func BenchmarkE11_CoherenceScaleSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkFig7Suite runs what `interweave all` runs for fig7 on one
+// stack: the table, the small-axis sweep, then the ablation. Unlike the
+// per-driver benchmarks it sees the runs they share.
+func BenchmarkFig7Suite(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := core.ServerStack()
+		s.Parallel = 1
+		s.Fig7()
+		s.Fig7SweepCores([]int{8, 16, 24, 48})
+		if tab := s.AblationSharingClasses(); len(tab.Rows) != 4 {
+			b.Fatal("bad ablation table")
+		}
+	}
+}
+
 // BenchmarkE8_VirtineStartPaths regenerates §IV-D (E8): cold vs snapshot
 // vs pooled virtine invocation.
 func BenchmarkE8_VirtineStartPaths(b *testing.B) {

@@ -10,7 +10,11 @@
 // deterministic access traces from internal/workloads.
 package coherence
 
-import "repro/internal/mem"
+import (
+	"math/bits"
+
+	"repro/internal/mem"
+)
 
 // LineState is the MESI state of a line in a private cache.
 type LineState uint8
@@ -53,7 +57,7 @@ func (l *cacheLine) state() LineState { return LineState(l.meta & 3) }
 // ways live in one flat slice, set by set: set i is
 // lines[i*ways : (i+1)*ways].
 type Cache struct {
-	sets      uint64
+	sets      fastmod
 	ways      int
 	lineShift uint
 	lines     []cacheLine
@@ -63,21 +67,18 @@ type Cache struct {
 }
 
 // NewCache builds a cache of the given total size (bytes), associativity
-// and line size.
+// and line size, which must be a power of two.
 func NewCache(sizeBytes, ways, lineSize int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
+	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 || lineSize&(lineSize-1) != 0 {
 		panic("coherence: bad cache geometry")
 	}
-	lineShift := uint(0)
-	for 1<<lineShift < lineSize {
-		lineShift++
-	}
+	lineShift := uint(bits.TrailingZeros(uint(lineSize)))
 	sets := sizeBytes / (ways * lineSize)
 	if sets == 0 {
 		sets = 1
 	}
 	return &Cache{
-		sets:      uint64(sets),
+		sets:      newFastmod(uint64(sets)),
 		ways:      ways,
 		lineShift: lineShift,
 		lines:     make([]cacheLine, sets*ways),
@@ -87,12 +88,26 @@ func NewCache(sizeBytes, ways, lineSize int) *Cache {
 // LineAddr returns the line-aligned address for a.
 func (c *Cache) LineAddr(a mem.Addr) uint64 { return uint64(a) >> c.lineShift }
 
-// set returns the ways of line's set. The set index costs a division
-// (set counts need not be powers of two: an L3 slice has 2560), so
-// each operation calls this once.
+// set returns the ways of line's set. Set counts need not be powers of
+// two (an L3 slice has 2560), so the index is a remainder.
 func (c *Cache) set(line uint64) []cacheLine {
-	i := int(line%c.sets) * c.ways
+	i := int(c.sets.mod(line)) * c.ways
 	return c.lines[i : i+c.ways : i+c.ways]
+}
+
+// fastmod computes x % d with a multiply-high in place of the division
+// for x below 2^32 (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019); larger x fall back to %. d must be below 2^32.
+type fastmod struct{ d, m uint64 }
+
+func newFastmod(d uint64) fastmod { return fastmod{d: d, m: ^uint64(0)/d + 1} }
+
+func (f fastmod) mod(x uint64) uint64 {
+	if x < 1<<32 {
+		hi, _ := bits.Mul64(f.m*x, f.d)
+		return hi
+	}
+	return x % f.d
 }
 
 // find returns the valid way of set holding line, or nil.

@@ -57,12 +57,42 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCache(0, 1, 64)
+	for _, g := range []struct {
+		name                 string
+		size, ways, lineSize int
+	}{
+		{"size 0", 0, 1, 64},
+		{"ways 0", 1024, 0, 64},
+		{"line size 0", 1024, 1, 0},
+		// LineAddr would shift by 64 while the set count used 48.
+		{"line size 48", 1536, 2, 48},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCache(%d, %d, %d) did not panic", g.size, g.ways, g.lineSize)
+				}
+			}()
+			NewCache(g.size, g.ways, g.lineSize)
+		})
+	}
+}
+
+// TestNewRejectsCoreCount checks the core counts a directory record
+// cannot represent: owner and sharer count are packed in 16 bits each.
+func TestNewRejectsCoreCount(t *testing.T) {
+	for _, cores := range []int{0, 1 << 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New with %d cores did not panic", cores)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Sockets, cfg.CoresPerSocket = 1, cores
+			New(cfg)
+		}()
+	}
 }
 
 func TestStateString(t *testing.T) {

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -104,8 +105,8 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 	for _, g := range geoms {
 		t.Run(g.name, func(t *testing.T) {
 			c := NewCache(g.size, g.ways, g.lineSize)
-			if c.sets != g.sets {
-				t.Fatalf("sets = %d, want %d", c.sets, g.sets)
+			if c.sets.d != g.sets {
+				t.Fatalf("sets = %d, want %d", c.sets.d, g.sets)
 			}
 			m := &lruModel{sets: g.sets, ways: uint64(g.ways), res: map[uint64][]modelLine{}}
 			// A few sets' worth of lines, aliased so sets overflow.
@@ -201,56 +202,166 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 	}
 }
 
-// TestDirTableMatchesMap replays a seeded put/get trace on the
-// directory table and on a Go map. The keys include line 0 (key 0 is
-// the empty marker, so line 0 is stored as 1), runs of lines that share
-// one home slot, and lines homed in the last slot, whose probes wrap;
-// the trace grows the table several times.
-func TestDirTableMatchesMap(t *testing.T) {
-	tab := newDirTable()
-	ref := map[uint64]*dirState{}
-	last := uint64(len(tab.slots) - 1)
-	keys := []uint64{0}
-	var shared, wrap int
-	for line := uint64(1); shared < 12 || wrap < 12; line++ {
-		switch tab.home(line) {
-		case tab.home(0):
-			keys, shared = append(keys, line), shared+1
-		case last:
-			keys, wrap = append(keys, line), wrap+1
-		}
-	}
-	x := uint64(42)
-	next := func(n uint64) uint64 {
+// TestFastmodMatchesRemainder checks the division-free set and home
+// indices against %: set counts 1, 64, 512 and 2560, every core count
+// up to 1024, on seeded lines below 2^32 and on seeded and edge lines
+// at and above it, where fastmod must fall back to %.
+func TestFastmodMatchesRemainder(t *testing.T) {
+	x := uint64(7)
+	lines := []uint64{0, 1, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<40 + 12345, 1<<64 - 1}
+	for len(lines) < 2000 {
 		x = x*6364136223846793005 + 1442695040888963407
-		return (x >> 33) % n
+		lines = append(lines, x>>32, x>>(8+x%24)) // below 2^32; up to 2^56
 	}
-	for op := 0; op < 20000; op++ {
-		line := next(4096)
-		if next(3) == 0 {
-			line = keys[next(uint64(len(keys)))]
-		}
-		if next(2) == 0 {
-			d := &dirState{owner: op}
-			tab.put(line, d)
-			ref[line] = d
-		} else if got, want := tab.get(line), ref[line]; got != want {
-			t.Fatalf("op %d get(%d) = %p, map %p", op, line, got, want)
-		}
-		if tab.n != len(ref) {
-			t.Fatalf("op %d: table holds %d entries, map %d", op, tab.n, len(ref))
-		}
-		if 2*tab.n > len(tab.slots) || 1<<(64-tab.shift) != len(tab.slots) {
-			t.Fatalf("op %d: %d entries in %d slots, hash shift %d", op, tab.n, len(tab.slots), tab.shift)
+	for _, g := range []struct{ size, ways, sets int }{
+		{256, 4, 1}, {32 << 10, 8, 64}, {256 << 10, 8, 512}, {2560 << 10, 16, 2560},
+	} {
+		c := NewCache(g.size, g.ways, 64)
+		for _, line := range lines {
+			want := int(line%uint64(g.sets)) * g.ways
+			if got := c.set(line); &got[0] != &c.lines[want] || len(got) != g.ways {
+				t.Fatalf("%d sets: set(%d) is not ways %d..%d", g.sets, line, want, want+g.ways-1)
+			}
 		}
 	}
-	for _, line := range keys {
-		if tab.get(line) != ref[line] {
-			t.Fatalf("get(%d) = %p, map %p", line, tab.get(line), ref[line])
+	for cores := uint64(1); cores <= 1024; cores++ {
+		f := newFastmod(cores)
+		for _, line := range lines {
+			if got, want := f.mod(line), line%cores; got != want {
+				t.Fatalf("%d cores: home of line %d = %d, want %d", cores, line, got, want)
+			}
 		}
 	}
-	if len(tab.slots) < 8*dirTableMin {
-		t.Fatalf("trace grew the table only to %d slots", len(tab.slots))
+	cfg := wideConfig()
+	cfg.L1Size, cfg.L2Size, cfg.L3SlicePerCore = 1024, 1024, 1024
+	s := New(cfg)
+	for _, line := range lines {
+		if got, want := s.home(line), int(line%uint64(s.Cores())); got != want {
+			t.Fatalf("System.home(%d) = %d, want %d", line, got, want)
+		}
+	}
+}
+
+// TestDirTableMatchesMap replays a seeded trace of inserts, lookups and
+// sharer updates on the directory table and on a Go map of owners and
+// sharer words, at one, three and sixteen sharer words per record. The
+// keys include line 0 (key 0 is the empty marker, so line 0 is stored
+// as 1), runs of lines that share one home slot, and lines homed in the
+// last slot, whose probes wrap. The trace inserts a few thousand
+// records, so their words span several chunks, and grows the table
+// several times; after each doubling and at the end every record is
+// checked against the map.
+func TestDirTableMatchesMap(t *testing.T) {
+	for _, words := range []int{1, 3, 16} {
+		t.Run(fmt.Sprintf("words=%d", words), func(t *testing.T) {
+			tab := newDirTable(words)
+			type refEntry struct {
+				owner   int
+				sharers []uint64
+			}
+			ref := map[uint64]*refEntry{}
+			var inserted []uint64 // ref's keys, in insertion order
+			keys := []uint64{0}
+			var shared, wrap int
+			for line := uint64(1); shared < 12 || wrap < 12; line++ {
+				switch tab.home(line) {
+				case tab.home(0):
+					keys, shared = append(keys, line), shared+1
+				case uint64(len(tab.recs) - 1):
+					keys, wrap = append(keys, line), wrap+1
+				}
+			}
+			x := uint64(42 + words)
+			next := func(n uint64) uint64 {
+				x = x*6364136223846793005 + 1442695040888963407
+				return (x >> 33) % n
+			}
+			cores := uint64(64 * words)
+			check := func(op int, line uint64, d dirEntry, r *refEntry) {
+				t.Helper()
+				n := 0
+				for wi, w := range r.sharers {
+					if got := d.sharers[wi]; got != w {
+						t.Fatalf("op %d line %d: sharer word %d = %#x, map %#x", op, line, wi, got, w)
+					}
+					n += bits.OnesCount64(w)
+				}
+				if d.owner() != r.owner || d.count() != n {
+					t.Fatalf("op %d line %d: owner %d, %d sharers; map owner %d, %d sharers",
+						op, line, d.owner(), d.count(), r.owner, n)
+				}
+			}
+			checkAll := func(op int) {
+				t.Helper()
+				for _, line := range inserted {
+					d, ok := tab.get(line)
+					if !ok {
+						t.Fatalf("op %d: line %d lost", op, line)
+					}
+					check(op, line, d, ref[line])
+				}
+			}
+			slots := len(tab.recs)
+			for op := 0; op < 20000; op++ {
+				line := next(4096)
+				if next(3) == 0 {
+					line = keys[next(uint64(len(keys)))]
+				}
+				r, had := ref[line]
+				if next(2) == 0 {
+					d, fresh := tab.entry(line)
+					if fresh == had {
+						t.Fatalf("op %d entry(%d): fresh = %v, map had it = %v", op, line, fresh, had)
+					}
+					if fresh {
+						r = &refEntry{owner: -1, sharers: make([]uint64, words)}
+						ref[line] = r
+						inserted = append(inserted, line)
+					}
+					check(op, line, d, r)
+					core := int(next(cores))
+					w, bit := &r.sharers[core>>6], uint64(1)<<(core&63)
+					switch next(4) {
+					case 0:
+						d.add(core)
+						*w |= bit
+					case 1:
+						d.remove(core)
+						*w &^= bit
+					case 2:
+						d.only(core)
+						clear(r.sharers)
+						*w = bit
+					default:
+						r.owner = int(next(cores+1)) - 1
+						d.setOwner(r.owner)
+					}
+					check(op, line, d, r)
+				} else if d, ok := tab.get(line); ok != had {
+					t.Fatalf("op %d get(%d) found = %v, map %v", op, line, ok, had)
+				} else if ok {
+					check(op, line, d, r)
+				}
+				if tab.n != len(ref) {
+					t.Fatalf("op %d: table holds %d entries, map %d", op, tab.n, len(ref))
+				}
+				if n := len(tab.recs); n != slots {
+					if 1<<(64-tab.shift) != n || len(tab.words) != (tab.n+wordChunk-1)/wordChunk {
+						t.Fatalf("op %d: %d slots, hash shift %d, %d word chunks for %d entries",
+							op, n, tab.shift, len(tab.words), tab.n)
+					}
+					checkAll(op)
+					slots = n
+				}
+				if 2*tab.n > slots {
+					t.Fatalf("op %d: %d entries in %d slots", op, tab.n, slots)
+				}
+			}
+			checkAll(20000)
+			if slots < 8*dirTableMin {
+				t.Fatalf("trace grew the table only to %d slots", slots)
+			}
+		})
 	}
 }
 
@@ -269,20 +380,20 @@ func wideConfig() Config {
 // Invalidations and Hops counts of the resulting invalidation round.
 func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 	s := New(wideConfig())
-	if s.words != 3 {
-		t.Fatalf("words = %d, want 3 for %d cores", s.words, s.Cores())
+	if words := s.dir.width; words != 3 {
+		t.Fatalf("words = %d, want 3 for %d cores", words, s.Cores())
 	}
 	const line = 0x777
 	sharers := []int{129, 0, 63, 64, 70, 127, 128}
-	d := s.newDir(-1)
+	d, _ := s.dir.entry(line)
 	for _, c := range sharers {
 		d.add(c)
 		d.add(c) // idempotent
 	}
-	if d.n != len(sharers) {
-		t.Fatalf("n = %d, want %d", d.n, len(sharers))
+	if d.count() != len(sharers) {
+		t.Fatalf("n = %d, want %d", d.count(), len(sharers))
 	}
-	d.owner = 65 // owns the line without being a sharer
+	d.setOwner(65) // owns the line without being a sharer
 	keeper := 64
 
 	var order []int
@@ -293,7 +404,7 @@ func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 	}
 
 	// Owner past every sharer, and owner that is a sharer (not repeated).
-	d.owner = 129
+	d.setOwner(129)
 	order = order[:0]
 	d.invalidees(keeper, func(c int) { order = append(order, c) })
 	if want := []int{0, 63, 70, 127, 128, 129}; fmt.Sprint(order) != fmt.Sprint(want) {
@@ -305,7 +416,7 @@ func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 	if want := []int{0, 63, 70, 127, 128, 129}; fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("owner-after-sharers order %v, want %v", order, want)
 	}
-	d.owner = 65
+	d.setOwner(65)
 
 	// The same round through the System: every invalidee's private copies
 	// go, the keeper's stays, and the counters match the walk.
@@ -314,7 +425,6 @@ func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 		s.l2[c].Fill(line, Shared)
 	}
 	d.add(129)
-	s.dir.put(line, d)
 	home := s.home(line)
 	var wantHops uint64
 	for _, c := range want {
@@ -338,8 +448,8 @@ func TestDirectoryBitsetInvalidationOrder(t *testing.T) {
 	}
 
 	d.only(keeper)
-	if d.n != 1 || !d.has(keeper) || d.has(0) || d.has(129) {
-		t.Fatalf("only(%d) left n=%d, words %x", keeper, d.n, d.sharers)
+	if d.count() != 1 || !d.has(keeper) || d.has(0) || d.has(129) {
+		t.Fatalf("only(%d) left n=%d, words %x", keeper, d.count(), d.sharers)
 	}
 }
 
@@ -353,9 +463,9 @@ func TestDirectoryWideWriteInvalidatesAllWords(t *testing.T) {
 		s.Access(c, addr, false)
 	}
 	line := s.l1[0].LineAddr(addr)
-	d := s.dir.get(line)
-	if d.n != len(readers) {
-		t.Fatalf("directory tracks %d sharers, want %d", d.n, len(readers))
+	d, _ := s.dir.get(line)
+	if d.count() != len(readers) {
+		t.Fatalf("directory tracks %d sharers, want %d", d.count(), len(readers))
 	}
 	before := s.Stats.Invalidations
 	s.Access(5, addr, true)
@@ -367,7 +477,8 @@ func TestDirectoryWideWriteInvalidatesAllWords(t *testing.T) {
 			t.Fatalf("reader %d kept its copy", c)
 		}
 	}
-	if d.n != 1 || !d.has(5) || d.owner != 5 {
-		t.Fatalf("after write: n=%d owner=%d", d.n, d.owner)
+	d, _ = s.dir.get(line)
+	if d.count() != 1 || !d.has(5) || d.owner() != 5 {
+		t.Fatalf("after write: n=%d owner=%d", d.count(), d.owner())
 	}
 }

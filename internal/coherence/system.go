@@ -54,43 +54,61 @@ type Region struct {
 	Producer int
 }
 
-// dirState is the directory's view of one line. The sharer set is a
-// bitset of one bit per core, carved from the System's slab, with its
-// population kept in n.
-type dirState struct {
-	sharers []uint64
-	n       int
-	owner   int // core with M copy; -1 if none
+// dirRec is one directory record, 16 bytes, inline in dirTable's array.
+// It holds no pointer, so the collector never scans the table. Its
+// sharer words live in dirTable.words at the record's index.
+type dirRec struct {
+	key  uint64 // line+1; 0 marks an empty slot, so line 0 needs no special case
+	meta uint64 // owner+1 (0: no owner) | sharer count << 16 | index << 32
 }
 
+// dirEntry is a view of one directory record: r is the record and
+// sharers its sharer bitset, one bit per core. A view stays valid until
+// the next insert into its table.
+type dirEntry struct {
+	r       *dirRec
+	sharers []uint64
+}
+
+// owner returns the core holding the line in M or E, or -1.
+func (d dirEntry) owner() int { return int(uint16(d.r.meta)) - 1 }
+
+// setOwner records core (or -1) as the owner.
+func (d dirEntry) setOwner(core int) {
+	d.r.meta = d.r.meta&^0xFFFF | uint64(uint16(core+1))
+}
+
+// count returns the number of sharers.
+func (d dirEntry) count() int { return int(uint16(d.r.meta >> 16)) }
+
 // has reports whether core is a sharer.
-func (d *dirState) has(core int) bool {
+func (d dirEntry) has(core int) bool {
 	return d.sharers[core>>6]&(1<<(core&63)) != 0
 }
 
 // add makes core a sharer.
-func (d *dirState) add(core int) {
+func (d dirEntry) add(core int) {
 	w, b := &d.sharers[core>>6], uint64(1)<<(core&63)
 	if *w&b == 0 {
 		*w |= b
-		d.n++
+		d.r.meta += 1 << 16
 	}
 }
 
 // remove drops core from the sharers.
-func (d *dirState) remove(core int) {
+func (d dirEntry) remove(core int) {
 	w, b := &d.sharers[core>>6], uint64(1)<<(core&63)
 	if *w&b != 0 {
 		*w &^= b
-		d.n--
+		d.r.meta -= 1 << 16
 	}
 }
 
 // only makes core the sole sharer.
-func (d *dirState) only(core int) {
+func (d dirEntry) only(core int) {
 	clear(d.sharers)
 	d.sharers[core>>6] = 1 << (core & 63)
-	d.n = 1
+	d.r.meta = d.r.meta&^0xFFFF0000 | 1<<16
 }
 
 // invalidees calls fn, in ascending core order, for every core that
@@ -98,10 +116,10 @@ func (d *dirState) only(core int) {
 // other than keeper, and the owner when it is not a sharer (merged into
 // the ascending walk). Energy sums are order-sensitive floats, so the
 // order is part of the output.
-func (d *dirState) invalidees(keeper int, fn func(core int)) {
+func (d dirEntry) invalidees(keeper int, fn func(core int)) {
 	owner := -1
-	if d.owner >= 0 && d.owner != keeper && !d.has(d.owner) {
-		owner = d.owner
+	if o := d.owner(); o >= 0 && o != keeper && !d.has(o) {
+		owner = o
 	}
 	for wi, w := range d.sharers {
 		for w != 0 {
@@ -121,29 +139,31 @@ func (d *dirState) invalidees(keeper int, fn func(core int)) {
 	}
 }
 
-// dirChunk is how many directory entries one slab allocation carves.
-const dirChunk = 256
-
-// dirTable maps lines to their directory entries: open addressing with
-// linear probing over a power-of-two slot array that is kept at most
-// half full. A slot's key is line+1, so key 0 marks an empty slot and
-// line 0 needs no special case. Entries are never removed.
+// dirTable maps lines to their directory records: open addressing with
+// linear probing over a power-of-two array of records, kept at most
+// half full. Records are never removed. Each record's sharer words are
+// carved, in insertion order, from chunks that never move, so growth
+// copies only the 16-byte records and probing stays as dense at 1024
+// cores (16 words) as at 24.
 type dirTable struct {
-	slots []dirSlot
+	recs  []dirRec
+	words [][]uint64 // wordChunk records' sharer words per chunk
+	width int        // sharer words per record
+	shift uint       // 64 - log2(len(recs)): the slot index is the hash's top bits
 	n     int
-	shift uint // 64 - log2(len(slots)): the slot index is the hash's top bits
 }
 
-type dirSlot struct {
-	key uint64 // line+1; 0 = empty
-	d   *dirState
-}
+const (
+	// dirTableMin is a fresh table's slot count.
+	dirTableMin = 256
+	// wordChunk is how many records' sharer words one chunk holds.
+	wordChunk = 1024
+)
 
-// dirTableMin is a fresh table's slot count.
-const dirTableMin = 256
-
-func newDirTable() dirTable {
-	return dirTable{slots: make([]dirSlot, dirTableMin), shift: 64 - uint(bits.TrailingZeros(dirTableMin))}
+// newDirTable returns an empty table for sharer sets of width words.
+func newDirTable(width int) dirTable {
+	return dirTable{recs: make([]dirRec, dirTableMin), width: width,
+		shift: 64 - uint(bits.TrailingZeros(dirTableMin))}
 }
 
 // home returns the slot where probing for line starts. Fibonacci
@@ -152,44 +172,67 @@ func (t *dirTable) home(line uint64) uint64 {
 	return ((line + 1) * 0x9E3779B97F4A7C15) >> t.shift
 }
 
-// slot returns the slot holding line, or the empty slot where probing
-// for it stopped.
-func (t *dirTable) slot(line uint64) *dirSlot {
-	key, mask := line+1, uint64(len(t.slots)-1)
+// find returns the record holding line, or the empty record where
+// probing for it stopped.
+func (t *dirTable) find(line uint64) *dirRec {
+	key, mask := line+1, uint64(len(t.recs)-1)
 	for i := t.home(line); ; i = (i + 1) & mask {
-		if sl := &t.slots[i]; sl.key == key || sl.key == 0 {
-			return sl
+		if r := &t.recs[i]; r.key == key || r.key == 0 {
+			return r
 		}
 	}
 }
 
-// get returns line's entry, or nil.
-func (t *dirTable) get(line uint64) *dirState {
-	return t.slot(line).d
+// view returns the entry of record r.
+func (t *dirTable) view(r *dirRec) dirEntry {
+	i := r.meta >> 32
+	off := int(i%wordChunk) * t.width
+	return dirEntry{r: r, sharers: t.words[i/wordChunk][off : off+t.width : off+t.width]}
 }
 
-// put sets line's entry to d.
-func (t *dirTable) put(line uint64, d *dirState) {
-	sl := t.slot(line)
-	if sl.key == 0 {
-		if 2*(t.n+1) > len(t.slots) {
-			t.grow()
-			sl = t.slot(line)
-		}
-		sl.key = line + 1
-		t.n++
+// get returns line's entry, if it has one.
+func (t *dirTable) get(line uint64) (dirEntry, bool) {
+	r := t.find(line)
+	if r.key == 0 {
+		return dirEntry{}, false
 	}
-	sl.d = d
+	return t.view(r), true
 }
 
-// grow doubles the slot array and reinserts every entry.
+// entry returns line's entry, first inserting an empty one (no owner,
+// no sharers) if it has none; fresh reports the insert, which
+// invalidates every other view of the table.
+func (t *dirTable) entry(line uint64) (d dirEntry, fresh bool) {
+	r := t.find(line)
+	if r.key == 0 {
+		r = t.insert(line)
+		fresh = true
+	}
+	return t.view(r), fresh
+}
+
+// insert adds an empty record for line, which the table lacks.
+func (t *dirTable) insert(line uint64) *dirRec {
+	if 2*(t.n+1) > len(t.recs) {
+		t.grow()
+	}
+	if t.n%wordChunk == 0 {
+		t.words = append(t.words, make([]uint64, wordChunk*t.width))
+	}
+	r := t.find(line)
+	*r = dirRec{key: line + 1, meta: uint64(t.n) << 32}
+	t.n++
+	return r
+}
+
+// grow doubles the record array and reinserts every record.
 func (t *dirTable) grow() {
-	old := t.slots
-	t.slots = make([]dirSlot, 2*len(old))
+	old := t.recs
+	t.recs = make([]dirRec, 2*len(old))
 	t.shift--
-	for _, sl := range old {
-		if sl.key != 0 {
-			*t.slot(sl.key - 1) = sl
+	for _, r := range old {
+		if r.key != 0 {
+			*t.find(r.key - 1) = r
 		}
 	}
 }
@@ -304,13 +347,9 @@ type System struct {
 
 	l1, l2 []*Cache
 	l3     []*Cache // one slice per core (NUCA); home by line hash
+	homes  fastmod  // line % cores
+	tiles  []tile   // each core's mesh position
 	dir    dirTable
-
-	// Directory entries and their sharer words are carved from these
-	// slabs, dirChunk entries at a time; entries are never freed.
-	dirSlab  []dirState
-	wordSlab []uint64
-	words    int // sharer bitset words per entry
 
 	regions []Region // sorted by base
 
@@ -321,32 +360,26 @@ type System struct {
 	Stats Stats
 }
 
-// New builds a system from cfg.
+// New builds a system from cfg, which must have between 1 and 65535
+// cores.
 func New(cfg Config) *System {
 	cores := cfg.Sockets * cfg.CoresPerSocket
-	s := &System{Cfg: cfg, cores: cores, dir: newDirTable(), words: (cores + 63) / 64}
+	if cores < 1 || cores > 0xFFFF {
+		panic("coherence: core count out of range") // dirRec packs owner and count in 16 bits
+	}
+	s := &System{Cfg: cfg, cores: cores, homes: newFastmod(uint64(cores)), dir: newDirTable((cores + 63) / 64)}
 	for i := 0; i < cores; i++ {
 		s.l1 = append(s.l1, NewCache(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
 		s.l2 = append(s.l2, NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize))
 		s.l3 = append(s.l3, NewCache(cfg.L3SlicePerCore, cfg.L3Ways, cfg.LineSize))
 	}
+	s.tiles = make([]tile, cores)
+	for c := range s.tiles {
+		s.tiles[c] = s.meshCoord(c)
+	}
 	s.Stats.Cycles = make([]int64, cores)
 	s.Stats.Crossings = make([]int64, cores)
 	return s
-}
-
-// newDir allocates an empty directory entry with the given owner.
-func (s *System) newDir(owner int) *dirState {
-	if len(s.dirSlab) == 0 {
-		s.dirSlab = make([]dirState, dirChunk)
-		s.wordSlab = make([]uint64, dirChunk*s.words)
-	}
-	d := &s.dirSlab[0]
-	s.dirSlab = s.dirSlab[1:]
-	d.sharers = s.wordSlab[:s.words:s.words]
-	s.wordSlab = s.wordSlab[s.words:]
-	d.owner = owner
-	return d
 }
 
 // Cores returns the core count.
@@ -379,12 +412,15 @@ func (s *System) classOf(a mem.Addr) (SharingClass, int) {
 
 // home returns the home core (L3 slice / directory tile) of a line.
 func (s *System) home(line uint64) int {
-	return int(line % uint64(s.cores))
+	return int(s.homes.mod(line))
 }
 
-// meshCoord returns a core's tile coordinates within its socket.
-func (s *System) meshCoord(core int) (sock, x, y int) {
-	sock = core / s.Cfg.CoresPerSocket
+// tile is a core's socket and its tile coordinates within the socket's
+// mesh.
+type tile struct{ sock, x, y int32 }
+
+// meshCoord returns a core's tile.
+func (s *System) meshCoord(core int) tile {
 	local := core % s.Cfg.CoresPerSocket
 	w := s.Cfg.MeshWidth
 	if w == 0 {
@@ -393,15 +429,14 @@ func (s *System) meshCoord(core int) (sock, x, y int) {
 			w++
 		}
 	}
-	return sock, local % w, local / w
+	return tile{int32(core / s.Cfg.CoresPerSocket), int32(local % w), int32(local / w)}
 }
 
 // hops returns the interconnect distance between two cores, counting
 // mesh hops plus the socket interconnect when crossing.
 func (s *System) hops(a, b int) (hops uint64, crossSocket bool) {
-	sa, xa, ya := s.meshCoord(a)
-	sb, xb, yb := s.meshCoord(b)
-	dx, dy := xa-xb, ya-yb
+	ta, tb := s.tiles[a], s.tiles[b]
+	dx, dy := ta.x-tb.x, ta.y-tb.y
 	if dx < 0 {
 		dx = -dx
 	}
@@ -409,7 +444,7 @@ func (s *System) hops(a, b int) (hops uint64, crossSocket bool) {
 		dy = -dy
 	}
 	h := uint64(dx + dy)
-	if sa != sb {
+	if ta.sock != tb.sock {
 		return h + 2, true // to edge, across, from edge (abstracted)
 	}
 	return h, false
@@ -514,18 +549,14 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 	s.Stats.EnergyPJ += c.EnergyPerDirPJ
 	s.Stats.InterconnectPJ += c.EnergyPerDirPJ
 
-	d := s.dir.get(line)
-	if d == nil {
-		d = s.newDir(-1)
-		s.dir.put(line, d)
-	}
+	d, _ := s.dir.entry(line)
 
 	if write {
 		// Invalidate every other copy; fetch data.
 		lat += s.invalidateAll(core, line, d)
 		lat += s.fetchData(core, home, line)
 		d.only(core)
-		d.owner = core
+		d.setOwner(core)
 		s.fillPrivate(core, line, Modified)
 		return lat
 	}
@@ -533,37 +564,37 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 	// Read: if another core holds the line M or E, forward from the
 	// owner (3-hop path: requester -> home -> owner -> requester) and
 	// downgrade it to S. Dirty (M) forwards also write back to the home.
-	if d.owner >= 0 && d.owner != core {
-		ownSt := s.l1[d.owner].Peek(line)
+	if owner := d.owner(); owner >= 0 && owner != core {
+		ownSt := s.l1[owner].Peek(line)
 		if ownSt == Invalid {
-			ownSt = s.l2[d.owner].Peek(line)
+			ownSt = s.l2[owner].Peek(line)
 		}
 		if ownSt == Modified || ownSt == Exclusive {
-			oh, ocross := s.hops(home, d.owner)
+			oh, ocross := s.hops(home, owner)
 			lat += s.chargeHops(oh, ocross, false) // home -> owner request
-			rh, rcross := s.hops(d.owner, core)
+			rh, rcross := s.hops(owner, core)
 			lat += s.chargeHops(rh, rcross, true) // owner -> requester data
 			s.Stats.OwnerForwards++
-			s.setPrivState(d.owner, line, Shared)
+			s.setPrivState(owner, line, Shared)
 			if ownSt == Modified {
 				s.l3[home].Fill(line, Modified)
 				s.Stats.WritebacksDir++
 			}
-			d.add(d.owner) // downgraded owner stays a sharer
-			d.owner = -1
+			d.add(owner) // downgraded owner stays a sharer
+			d.setOwner(-1)
 			d.add(core)
 			s.fillPrivate(core, line, Shared)
 			return lat
 		}
 		// Owner evicted silently: fall through to the home fetch.
-		d.owner = -1
+		d.setOwner(-1)
 	}
 	lat += s.fetchData(core, home, line)
 	d.add(core)
 	state := Shared
-	if d.n == 1 {
+	if d.count() == 1 {
 		state = Exclusive
-		d.owner = core
+		d.setOwner(core)
 	}
 	s.fillPrivate(core, line, state)
 	return lat
@@ -722,10 +753,10 @@ func (s *System) fillPrivate(core int, line uint64, st LineState) {
 // dropDir removes a core from a line's directory entry after a clean
 // eviction.
 func (s *System) dropDir(core int, line uint64) {
-	if d := s.dir.get(line); d != nil {
+	if d, ok := s.dir.get(line); ok {
 		d.remove(core)
-		if d.owner == core {
-			d.owner = -1
+		if d.owner() == core {
+			d.setOwner(-1)
 		}
 	}
 }
@@ -736,12 +767,7 @@ func (s *System) writeback(core int, line uint64) {
 	s.traffic(h, true) // off the critical path: no latency, no crossing
 	s.l3[home].Fill(line, Modified)
 	s.Stats.WritebacksDir++
-	if d := s.dir.get(line); d != nil {
-		d.remove(core)
-		if d.owner == core {
-			d.owner = -1
-		}
-	}
+	s.dropDir(core, line)
 }
 
 // dirInvalidateOthers handles an S->M upgrade: ask the home to
@@ -753,20 +779,17 @@ func (s *System) dirInvalidateOthers(core int, line uint64) int64 {
 	s.Stats.DirLookups++
 	s.Stats.EnergyPJ += s.Cfg.Costs.EnergyPerDirPJ
 	s.Stats.InterconnectPJ += s.Cfg.Costs.EnergyPerDirPJ
-	d := s.dir.get(line)
-	if d == nil {
-		d = s.newDir(-1)
-		d.only(core)
-		s.dir.put(line, d)
-	}
+	// A fresh entry has no sharers and no owner, so nothing is
+	// invalidated.
+	d, _ := s.dir.entry(line)
 	lat += s.invalidateAll(core, line, d)
 	d.only(core)
-	d.owner = core
+	d.setOwner(core)
 	return lat
 }
 
 // invalidateAll sends invalidations to every core d.invalidees names.
-func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
+func (s *System) invalidateAll(keeper int, line uint64, d dirEntry) int64 {
 	home := s.home(line)
 	var lat int64
 	d.invalidees(keeper, func(sh int) {
@@ -781,12 +804,9 @@ func (s *System) invalidateAll(keeper int, line uint64, d *dirState) int64 {
 
 // setDirOwner updates the directory owner on silent local upgrades.
 func (s *System) setDirOwner(line uint64, core int) {
-	d := s.dir.get(line)
-	if d == nil {
-		d = s.newDir(core)
+	d, fresh := s.dir.entry(line)
+	if fresh {
 		d.only(core)
-		s.dir.put(line, d)
-		return
 	}
-	d.owner = core
+	d.setOwner(core)
 }

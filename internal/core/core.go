@@ -187,6 +187,10 @@ type Stack struct {
 	// cell completes. At Parallel 1 the sequence is deterministic (cells
 	// complete in index order); wider pools report completion order.
 	Observe func(CellEvent)
+
+	// coherenceRuns, when non-nil, shares Fig. 7 memory-system runs
+	// between the drivers and cells this stack runs (see coherenceStats).
+	coherenceRuns *coherenceRuns
 }
 
 // CellEvent reports the completion of one experiment cell — the
@@ -270,6 +274,8 @@ func ServerStack() *Stack {
 		Model: model.Server(),
 		Topo:  machine.Topology{Sockets: 2, CoresPerSocket: 12},
 		Seed:  42,
+
+		coherenceRuns: newCoherenceRuns(),
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/coherence"
 	"repro/internal/stats"
@@ -24,12 +26,12 @@ func (s *Stack) Fig7() *Table {
 	}
 	var speedups, energySavings []float64
 	results := runCells(s, "fig7", len(benches), func(i int) res {
-		base := s.coherenceRun(benches[i], false, 0)
-		fast := s.coherenceRun(benches[i], true, 0)
+		base := s.coherenceStats(benches[i], false, 0, coherence.ClassDefault)
+		fast := s.coherenceStats(benches[i], true, 0, coherence.ClassDefault)
 		return res{
-			Sp:   float64(base.Stats.SumCycles()) / float64(fast.Stats.SumCycles()),
-			Es:   1 - fast.Stats.InterconnectPJ/base.Stats.InterconnectPJ,
-			Frac: float64(fast.Stats.DeactivatedAcc) / float64(fast.Stats.Accesses),
+			Sp:   float64(base.SumCycles()) / float64(fast.SumCycles()),
+			Es:   1 - fast.InterconnectPJ/base.InterconnectPJ,
+			Frac: float64(fast.DeactivatedAcc) / float64(fast.Accesses),
 		}
 	})
 	for i, r := range results {
@@ -79,8 +81,8 @@ func (s *Stack) Fig7SweepCores(coreCounts []int) *Table {
 	nPer := len(benches)
 	pts := runCells(s, "fig7-sweep", len(coreCounts)*nPer, func(i int) point {
 		cores, b := coreCounts[i/nPer], benches[i%nPer]
-		base := s.coherenceRun(b, false, cores).Stats
-		fast := s.coherenceRun(b, true, cores).Stats
+		base := s.coherenceStats(b, false, cores, coherence.ClassDefault)
+		fast := s.coherenceStats(b, true, cores, coherence.ClassDefault)
 		p := point{En: 1 - fast.InterconnectPJ/base.InterconnectPJ}
 		for _, latX := range latencies {
 			r := latX * remote
@@ -115,37 +117,23 @@ func (s *Stack) AblationSharingClasses() *Table {
 	classes := []coherence.SharingClass{
 		coherence.ClassPrivate, coherence.ClassReadOnly, coherence.ClassProducerConsumer,
 	}
-	// Cells return the two metrics the rows need rather than the whole
-	// *coherence.System, so finished systems are not kept alive.
-	type ablationMetrics struct {
-		Cycles         int64
-		InterconnectPJ float64
-	}
 	// Cells: baseline, full deactivation, then one per kept class. The
 	// per-class ablation reuses the same trace but reclassifies regions,
 	// handled by filtering inside each run.
-	systems := runCells(s, "fig7-ablation", 2+len(classes), func(i int) ablationMetrics {
-		var sys *coherence.System
-		switch i {
-		case 0:
-			sys = s.coherenceRun(b, false, 0)
-		case 1:
-			sys = s.coherenceRun(b, true, 0)
-		default:
-			sys = coherence.New(s.coherenceConfig(true, 0))
-			sys.FilterClass = classes[i-2]
-			b.Run(sys, b.Scale, s.Seed)
+	runs := runCells(s, "fig7-ablation", 2+len(classes), func(i int) coherence.Stats {
+		if i < 2 {
+			return s.coherenceStats(b, i == 1, 0, coherence.ClassDefault)
 		}
-		return ablationMetrics{Cycles: sys.Stats.SumCycles(), InterconnectPJ: sys.Stats.InterconnectPJ}
+		return s.coherenceStats(b, true, 0, classes[i-2])
 	})
-	base := systems[0]
-	for i, sys := range systems[1:] {
+	base := runs[0]
+	for i, r := range runs[1:] {
 		label := "all"
 		if i > 0 {
 			label = "only " + classes[i-1].String()
 		}
-		t.AddRow(label, f2(float64(base.Cycles)/float64(sys.Cycles)),
-			pct(1-sys.InterconnectPJ/base.InterconnectPJ))
+		t.AddRow(label, f2(float64(base.SumCycles())/float64(r.SumCycles())),
+			pct(1-r.InterconnectPJ/base.InterconnectPJ))
 	}
 	return t
 }
@@ -170,9 +158,79 @@ func (s *Stack) coherenceConfig(deact bool, cores int) coherence.Config {
 	return cfg
 }
 
-// coherenceRun replays b on a fresh Fig. 7 system (see coherenceConfig).
-func (s *Stack) coherenceRun(b workloads.PBBSBench, deact bool, cores int) *coherence.System {
-	sys := coherence.New(s.coherenceConfig(deact, cores))
-	b.Run(sys, b.Scale, s.Seed)
-	return sys
+// coherenceStats replays b on a fresh Fig. 7 system (see
+// coherenceConfig) whose FilterClass is filter, and returns its
+// statistics. On a stack with a run memo (ServerStack), each distinct
+// point is simulated once however many cells and drivers ask for it.
+func (s *Stack) coherenceStats(b workloads.PBBSBench, deact bool, cores int, filter coherence.SharingClass) coherence.Stats {
+	cfg := s.coherenceConfig(deact, cores)
+	run := func() coherence.Stats {
+		sys := coherence.New(cfg)
+		sys.FilterClass = filter
+		b.Run(sys, b.Scale, s.Seed)
+		return sys.Stats
+	}
+	if s.coherenceRuns == nil {
+		return run()
+	}
+	return s.coherenceRuns.get(coherenceKey{cfg, b.Name, b.Scale, s.Seed, filter}, run)
+}
+
+// coherenceRuns shares Fig. 7 memory-system runs between the cells of
+// one experiment run. The Fig. 7 table, the sweep's 24-core point and
+// the ablation's baseline and full-deactivation cells replay the same
+// systems; the memo simulates each once. It holds only Stats, never a
+// *coherence.System, and lives on the stack that owns it, so it is
+// dropped when that stack is.
+type coherenceRuns struct {
+	mu   sync.Mutex
+	runs map[coherenceKey]*coherenceRun
+}
+
+// coherenceKey is everything a run's Stats depend on: the complete
+// memory-system config, the trace, the seed and the ablation filter.
+type coherenceKey struct {
+	cfg    coherence.Config
+	bench  string
+	scale  int
+	seed   uint64
+	filter coherence.SharingClass
+}
+
+// coherenceRun is one memo entry; done closes when the first asker's
+// compute returns, and ok reports whether it finished.
+type coherenceRun struct {
+	done  chan struct{}
+	stats coherence.Stats
+	ok    bool
+}
+
+func newCoherenceRuns() *coherenceRuns {
+	return &coherenceRuns{runs: map[coherenceKey]*coherenceRun{}}
+}
+
+// get returns k's Stats, calling run for the first asker only; later
+// askers wait for that compute. If it panicked, a waiter runs its own.
+func (m *coherenceRuns) get(k coherenceKey, run func() coherence.Stats) coherence.Stats {
+	m.mu.Lock()
+	r, found := m.runs[k]
+	if !found {
+		r = &coherenceRun{done: make(chan struct{})}
+		m.runs[k] = r
+	}
+	m.mu.Unlock()
+	if found {
+		<-r.done
+		if !r.ok {
+			return run()
+		}
+		return r.stats
+	}
+	defer close(r.done)
+	st := run()
+	r.stats = st
+	r.stats.Cycles = slices.Clone(st.Cycles)
+	r.stats.Crossings = slices.Clone(st.Crossings)
+	r.ok = true
+	return st
 }
