@@ -38,7 +38,7 @@ func checkSWMR(t *testing.T, s *System, lines []uint64) {
 }
 
 // TestMESISWMRInvariant drives the full protocol with random access
-// streams and validates SWMR after every access.
+// streams and validates SWMR and L1 ⊆ L2 inclusion after every access.
 func TestMESISWMRInvariant(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
@@ -57,6 +57,10 @@ func TestMESISWMRInvariant(t *testing.T) {
 			addr := pool[rng.Intn(len(pool))]
 			write := rng.Intn(3) == 0
 			s.Access(core, addr, write)
+			if err := s.CheckInclusion(); err != nil {
+				t.Log(err)
+				return false
+			}
 			for _, line := range lines {
 				owners, sharers := 0, 0
 				for c := 0; c < s.cores; c++ {
@@ -84,7 +88,8 @@ func TestMESISWMRInvariant(t *testing.T) {
 }
 
 // TestMESISWMRWithEvictions repeats the invariant check with tiny caches
-// so evictions and writebacks interleave with the protocol.
+// so evictions and writebacks interleave with the protocol; inclusion
+// is checked after every access.
 func TestMESISWMRWithEvictions(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sockets = 1
@@ -105,6 +110,9 @@ func TestMESISWMRWithEvictions(t *testing.T) {
 	}
 	for i := 0; i < 3000; i++ {
 		s.Access(rng.Intn(4), pool[rng.Intn(len(pool))], rng.Intn(2) == 0)
+		if err := s.CheckInclusion(); err != nil {
+			t.Fatalf("access %d: %v", i, err)
+		}
 	}
 	checkSWMR(t, s, lines)
 	if s.Stats.WritebacksDir == 0 {
@@ -112,9 +120,10 @@ func TestMESISWMRWithEvictions(t *testing.T) {
 	}
 }
 
-// TestDeactivatedPrivateSWMRNotRequired documents the semantics: private
-// lines have no cross-core invariant because the language guarantees a
-// single accessor; the protocol must still never corrupt default lines.
+// TestDeactivatedMixedTraffic documents the semantics: private lines
+// have no cross-core invariant because the language guarantees a single
+// accessor; the protocol must still never corrupt default lines, and
+// every core's private levels stay inclusive after every access.
 func TestDeactivatedMixedTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sockets = 1
@@ -131,6 +140,9 @@ func TestDeactivatedMixedTraffic(t *testing.T) {
 			s.Access(core, 0x100000+mem.Addr(core*4096+rng.Intn(16)*64), true)
 		} else {
 			s.Access(core, sharedPool[rng.Intn(3)], rng.Intn(3) == 0)
+		}
+		if err := s.CheckInclusion(); err != nil {
+			t.Fatalf("access %d: %v", i, err)
 		}
 	}
 	var lines []uint64

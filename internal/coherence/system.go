@@ -723,22 +723,13 @@ func (s *System) setPrivState(core int, line uint64, st LineState) {
 
 // fillPrivate installs the line in L1 and L2 with a consistent state,
 // handling evictions: a line leaves the core's private hierarchy only
-// when it is gone from both levels (L2 evictions purge L1 — inclusive
-// policy), at which point dirty data writes back and the directory
-// forgets the core.
+// when L2 evicts it, at which point dirty data writes back and the
+// directory forgets the core. The private levels are inclusive (every
+// valid L1 line is in L2 in the same state: L2 evictions purge L1, and
+// invalidations and state changes hit both levels), so an L1 victim
+// stays in L2 and the directory still rightly tracks the core.
 func (s *System) fillPrivate(core int, line uint64, st LineState) {
-	if ev, evs := s.l1[core].Fill(line, st); evs != Invalid {
-		if s.l2[core].Peek(ev) == Invalid {
-			// Left the hierarchy entirely.
-			if evs == Modified {
-				s.writeback(core, ev)
-			} else {
-				s.dropDir(core, ev)
-			}
-		}
-		// Otherwise L2 retains it (same state; levels are kept
-		// consistent), so the directory still rightly tracks the core.
-	}
+	s.l1[core].Fill(line, st)
 	if ev, evs := s.l2[core].Fill(line, st); evs != Invalid {
 		// Inclusive: L2 eviction forces the L1 copy out too.
 		l1St := s.l1[core].Invalidate(ev)

@@ -450,7 +450,7 @@ func (w *worker) steal() *Frame {
 // back, so they would fire back to back, in member order (DESIGN.md
 // §3k). While no frame is queued in the members' steal scope, every
 // member's poll must fail; the batch then only counts the round and
-// fires again IdleBackoff later, and each member replays the rounds it
+// fires again IdleBackoff later, and each member settles the rounds it
 // missed before it next steps.
 type idleBatch struct {
 	rt      *Runtime
@@ -520,9 +520,10 @@ func (b *idleBatch) fire() {
 	rt.spare = append(rt.spare, b)
 }
 
-// settle replays the polls the worker's batch counted for it since it
-// last settled: each failed, costing one steal attempt and drawing a
-// victim as steal does.
+// settle accounts for the polls the worker's batch counted for it since
+// it last settled: each failed, costing one steal attempt and drawing a
+// victim as steal does. Nobody reads those victims, so the rng jumps
+// past their draws instead of making them.
 func (w *worker) settle() {
 	n := w.batch.polls - w.polled
 	w.polled = w.batch.polls
@@ -532,9 +533,7 @@ func (w *worker) settle() {
 	}
 	w.stats.StealAttempts += n
 	w.stats.StealCycles += n * w.rt.Cfg.StealCost
-	for ; n > 0; n-- {
-		w.rng.Intn(hi - lo - 1)
-	}
+	w.rng.SkipIntn(hi-lo-1, n)
 }
 
 // settleIdle settles every worker still waiting in a batch, so stats

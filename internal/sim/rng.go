@@ -51,13 +51,37 @@ func (r *RNG) SplitLabel(label string) *RNG {
 	return d
 }
 
+// splitmix64's constants: gamma is the state increment, mulA and mulB
+// the output mixer's multipliers. All are odd, so each has an inverse
+// modulo 2^64, written as a literal so no process start computes it.
+const (
+	gamma    = 0x9e3779b97f4a7c15
+	gammaInv = 0xf1de83e19937733d
+	mulA     = 0xbf58476d1ce4e5b9
+	mulAInv  = 0x96de1b173f119089
+	mulB     = 0x94d049bb133111eb
+	mulBInv  = 0x319642b2d24d8ec3
+)
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * mulA
+	z = (z ^ (z >> 27)) * mulB
 	return z ^ (z >> 31)
+}
+
+// unmix inverts Uint64's output mixer: Uint64 returns v exactly when
+// the state it advances to is unmix(v). Each xorshift is undone by
+// xoring in further shifts of its output, each multiply by the
+// multiplier's inverse.
+func unmix(v uint64) uint64 {
+	z := v ^ v>>31 ^ v>>62
+	z *= mulBInv
+	z ^= z>>27 ^ z>>54
+	z *= mulAInv
+	return z ^ z>>30 ^ z>>60
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -90,6 +114,47 @@ func (r *RNG) bounded(n uint64) uint64 {
 		v = r.Uint64()
 	}
 	return v % n
+}
+
+// SkipIntn advances r exactly as k calls of Intn(n) would, discarding
+// their results. It panics if n <= 0 or k < 0. With t = 2^64 mod n it
+// takes O(min(k, t)) steps instead of O(k), plus O(t) for each rejected
+// draw among the k (each draw is rejected with probability t/2^64).
+//
+// bounded rejects only the top t outputs, and draw i from now reads
+// state + i·gamma. The mixer is a bijection, so a draw is rejected iff
+// its state is the preimage p of a rejected output, and since gamma is
+// odd each p falls at exactly one i = (p − state)·gammaInv. Until the
+// first such i, every call takes one draw and the state advances by
+// gamma each; the call that meets it runs for real and retries as
+// Intn does.
+func (r *RNG) SkipIntn(n int, k int64) {
+	if n <= 0 || k < 0 {
+		panic("sim: SkipIntn with non-positive n or negative k")
+	}
+	m := uint64(n)
+	t := -m % m // 2^64 mod n
+	if uint64(k) <= t {
+		for ; k > 0; k-- {
+			r.bounded(m)
+		}
+		return
+	}
+	for k > 0 {
+		first := ^uint64(0) // the next draw Intn(n) rejects
+		for j := uint64(0); j < t; j++ {
+			if i := (unmix(^j) - r.state) * gammaInv; i >= 1 && i < first {
+				first = i
+			}
+		}
+		if first > uint64(k) {
+			r.state += uint64(k) * gamma
+			return
+		}
+		r.state += (first - 1) * gamma
+		r.bounded(m)
+		k -= int64(first)
+	}
 }
 
 // Float64 returns a uniform float64 in [0, 1).
