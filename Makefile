@@ -33,8 +33,7 @@ short:
 	$(GO) test -short ./...
 
 # Every package's tests under the race detector: the allocator
-# front-end, sharded event engine, result cache and experiment service
-# included.
+# front-end, result cache and experiment service included.
 race:
 	$(GO) test -race -timeout 600s ./...
 
@@ -58,7 +57,7 @@ bench-mem:
 	$(GO) run ./cmd/benchdiff -mem -o BENCH_mem.json
 
 # Event-engine scaling benches: the Fig 3 heartbeat workload at 64-1024
-# simulated CPUs, sequential vs sharded (digests must match); writes
+# simulated CPUs, with each run's wall time and schedule digest; writes
 # BENCH_machine.json.
 bench-machine:
 	$(GO) run ./cmd/benchdiff -machine -o BENCH_machine.json

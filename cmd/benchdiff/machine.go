@@ -2,45 +2,38 @@ package main
 
 // The -machine leg benchmarks the discrete-event machine itself rather
 // than a guest computation: the Fig 3 heartbeat workload at large
-// simulated-CPU counts, run once on the sequential engine and once on
-// the sharded engine, asserting byte-identical schedules and recording
-// the wall-clock scaling curve in BENCH_machine.json.
+// simulated-CPU counts, recording the wall-clock scaling curve and each
+// run's schedule digest in BENCH_machine.json.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/heartbeat"
 )
 
 type machinePoint struct {
-	CPUs          int     `json:"cpus"`
-	Domains       int     `json:"domains"`
-	EngineWorkers int     `json:"engine_workers"`
-	Items         int64   `json:"items"`
-	SequentialMs  float64 `json:"sequential_ms"`
-	ShardedMs     float64 `json:"sharded_ms"`
-	Speedup       float64 `json:"speedup"`
-	Digest        string  `json:"digest"`
+	CPUs    int     `json:"cpus"`
+	Domains int     `json:"domains"`
+	Items   int64   `json:"items"`
+	Ms      float64 `json:"ms"`
+	Digest  string  `json:"digest"`
 }
 
 type machineReport struct {
-	Points     []machinePoint `json:"points"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	CPU        string         `json:"cpu,omitempty"`
-	Note       string         `json:"note"`
+	Points []machinePoint `json:"points"`
+	CPU    string         `json:"cpu,omitempty"`
+	Note   string         `json:"note"`
 }
 
 // machineDigest canonicalizes everything Fig 3 observes about a run
-// into a core.Table and takes its content digest, so equality means the
-// engines are indistinguishable to the figures — the same digest the
-// result cache uses as its integrity check.
+// into a core.Table and takes its content digest, so equal digests mean
+// runs indistinguishable to the figures — the same digest the result
+// cache uses as its integrity check.
 func machineDigest(rt *heartbeat.Runtime) string {
 	t := &core.Table{
 		ID:     "machine-digest",
@@ -58,11 +51,9 @@ func machineDigest(rt *heartbeat.Runtime) string {
 }
 
 // machineRun executes one heartbeat configuration and returns wall time
-// plus the schedule digest. shards == 1 forces the sequential oracle;
-// shards == domains runs the sharded engine.
-func machineRun(cpus, domains, shards int, items int64) (time.Duration, string) {
+// plus the schedule digest.
+func machineRun(cpus, domains int, items int64) (time.Duration, string) {
 	s := core.NewStack(cpus)
-	s.Shards = shards
 	_, m := s.Build()
 	hcfg := heartbeat.DefaultConfig()
 	hcfg.Substrate = heartbeat.SubstrateNautilusIPI
@@ -77,10 +68,8 @@ func machineRun(cpus, domains, shards int, items int64) (time.Duration, string) 
 
 func runMachine(out string) error {
 	rep := machineReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "wall-clock ms are machine-dependent; the tracked claim is digest equality " +
-			"(sharded == sequential, bit-exact). Sharded speedup is bounded by GOMAXPROCS: " +
-			"with one OS CPU the shards execute serially and speedup ~1x is expected.",
+		Note: "wall-clock ms are machine-dependent; the digest pins each run's schedule, " +
+			"so a change that moves it changes what Fig 3 observes.",
 	}
 	// Carry the host CPU tag forward from an existing file, as the other
 	// legs do for their pinned sections.
@@ -97,24 +86,15 @@ func runMachine(out string) error {
 			domains = 2
 		}
 		items := core.Fig3SweepItems(cpus)
-		fmt.Printf("bench machine cpus=%-5d domains=%-3d sequential...", cpus, domains)
-		seqT, seqD := machineRun(cpus, domains, 1, items)
-		fmt.Printf(" %7.0f ms   sharded...", float64(seqT.Microseconds())/1e3)
-		shT, shD := machineRun(cpus, domains, domains, items)
-		fmt.Printf(" %7.0f ms\n", float64(shT.Microseconds())/1e3)
-		if seqD != shD {
-			return fmt.Errorf("machine bench cpus=%d: sharded digest %s != sequential %s",
-				cpus, shD, seqD)
-		}
+		fmt.Printf("bench machine cpus=%-5d domains=%-3d...", cpus, domains)
+		d, digest := machineRun(cpus, domains, items)
+		fmt.Printf(" %7.0f ms\n", float64(d.Microseconds())/1e3)
 		rep.Points = append(rep.Points, machinePoint{
-			CPUs:          cpus,
-			Domains:       domains,
-			EngineWorkers: exp.EngineWorkers(0, domains),
-			Items:         items,
-			SequentialMs:  round2(float64(seqT.Microseconds()) / 1e3),
-			ShardedMs:     round2(float64(shT.Microseconds()) / 1e3),
-			Speedup:       round2(float64(seqT) / float64(shT)),
-			Digest:        shD,
+			CPUs:    cpus,
+			Domains: domains,
+			Items:   items,
+			Ms:      round2(float64(d.Microseconds()) / 1e3),
+			Digest:  digest,
 		})
 	}
 

@@ -10,7 +10,7 @@
 //	                                      # also runs a 10k-op allocator differential trace
 //	benchdiff -mem -o BENCH_mem.json      # allocator benches: intrusive Buddy vs
 //	                                      # ReferenceBuddy, plus contended magazines vs mutex
-//	benchdiff -machine                    # sharded event-engine scaling curve at
+//	benchdiff -machine                    # event-engine scaling curve at
 //	                                      # 64-1024 simulated CPUs -> BENCH_machine.json
 //	benchdiff -cache -o BENCH_cache.json  # result-cache cold/warm/restart/coalesced legs
 package main
@@ -272,7 +272,7 @@ func main() {
 	quick := flag.Bool("quick", false, "equivalence smoke only; measure nothing, write nothing")
 	memMode := flag.Bool("mem", false, "benchmark the memory allocator instead of the interpreter")
 	machineMode := flag.Bool("machine", false,
-		"benchmark the sharded event engine at 64-1024 simulated CPUs instead of the interpreter")
+		"benchmark the event engine on Fig 3 at 64-1024 simulated CPUs instead of the interpreter")
 	cacheMode := flag.Bool("cache", false,
 		"benchmark the content-addressed result cache (cold/warm/restart/coalesced legs) instead of the interpreter")
 	chaosSeed := flag.Uint64("chaos-seed", 11,

@@ -80,9 +80,7 @@ func main() {
 	chaosSeed := fs.Uint64("chaos-seed", 0,
 		"arm the fault-injection harness with this seed (0 = off); same seed replays the same faults")
 	domains := fs.Int("domains", 0,
-		"fig3: steal domains per run (0 = auto; >1 shards the event engine, one shard per domain)")
-	shards := fs.Int("shards", 0,
-		"event-engine shards (0 = follow -domains, 1 = force the sequential engine)")
+		"fig3: steal domains per run (0 = one machine-wide domain; the -sweep table uses one per 32 CPUs from 256 up)")
 	useCache := fs.Bool("cache", false,
 		"memoize results in the content-addressed cache (disk spill at -cache-dir); output stays byte-identical")
 	cacheDir := fs.String("cache-dir", os.Getenv(cache.EnvDir),
@@ -103,7 +101,7 @@ func main() {
 	// points (SmallAxes): the 256–1024 CPU/core points take minutes
 	// each and belong to the explicit `fig3 -sweep` / `fig7 -sweep`
 	// invocations.
-	runner := &core.Runner{Parallel: *parallel, Shards: *shards, Cache: resultCache}
+	runner := &core.Runner{Parallel: *parallel, Cache: resultCache}
 	config := func(name string) core.RunConfig {
 		cfg := core.DefaultRunConfig(name)
 		cfg.CPUs = *cpus

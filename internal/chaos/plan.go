@@ -94,13 +94,10 @@ func (p *Plan) OnInvariant(name string, fn func() error) {
 
 // OnSiteInvariant registers a checker that runs only for faults fired at
 // the named site (exact match, including any /cpuN suffix). Site-scoped
-// checkers are the sharded-run form of OnInvariant: a fault consulted on
-// one engine shard may only be checked against state owned by that
-// shard, so each shard's sites carry their own checkers and their own
-// re-entrancy guard. Global OnInvariant checkers remain suited to
-// sequential runs only — their shared guard makes concurrent firings
-// skip checks nondeterministically, and they typically walk state that
-// spans shards.
+// checkers are the per-CPU form of OnInvariant: a fault consulted for
+// one CPU is checked against just the state that CPU's work belongs to
+// (in heartbeat domain mode, its steal domain), and each site carries
+// its own re-entrancy guard.
 func (p *Plan) OnSiteInvariant(siteName, name string, fn func() error) {
 	p.mu.Lock()
 	if p.siteChecks == nil {
@@ -164,29 +161,11 @@ func (p *Plan) CheckNow(label string) {
 }
 
 // Violations returns a copy of all recorded invariant violations, in
-// recording order. A sequential run's order is deterministic; under
-// concurrent shards, canonicalize with SortViolations before comparing
-// runs.
+// recording order, which is deterministic.
 func (p *Plan) Violations() []Violation {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]Violation(nil), p.viols...)
-}
-
-// SortViolations orders violations canonically by (site, sequence,
-// invariant name) — the same key Trace uses — so two runs of the same
-// plan compare byte-identically regardless of how many engine shards
-// recorded them concurrently.
-func SortViolations(v []Violation) {
-	sort.Slice(v, func(i, j int) bool {
-		if v[i].Fault.Site != v[j].Fault.Site {
-			return v[i].Fault.Site < v[j].Fault.Site
-		}
-		if v[i].Fault.Seq != v[j].Fault.Seq {
-			return v[i].Fault.Seq < v[j].Fault.Seq
-		}
-		return v[i].Invariant < v[j].Invariant
-	})
 }
 
 // Faults returns how many faults have fired.

@@ -265,8 +265,8 @@ func TestTableDigest(t *testing.T) {
 
 // TestVersionSaltStable pins that the salt is memoized and stable
 // within a build, and that RunConfig.Key is a function of the result
-// coordinates alone. Pool width and engine sharding live on Runner, so
-// they cannot reach the key.
+// coordinates alone. Pool width lives on Runner, so it cannot reach
+// the key.
 func TestVersionSaltStable(t *testing.T) {
 	t.Parallel()
 	if VersionSalt() != VersionSalt() {

@@ -150,14 +150,13 @@ type Stack struct {
 	// setting: each cell builds its own machine and RNG from the seed,
 	// and rows are assembled in canonical order.
 	Parallel int
-	// Shards selects the discrete-event engine Build constructs: > 1
-	// builds a sim.ShardedEngine with that many shards (lookahead =
-	// the model's IPI latency) so event windows advance concurrently;
-	// 0 or 1 builds the sequential engine. Sharding is opted into per
-	// run by the drivers whose workloads honor the shard-safety
-	// contract (heartbeat domain mode); runs on either engine are
-	// byte-identical. 1 forces the sequential oracle even where a
-	// driver would otherwise shard.
+	// Shards is inert: Build ignores it and always builds the one
+	// sequential sim.Engine.
+	//
+	// Deprecated: the sharded event engine it selected is retired
+	// (DESIGN.md §3e). The field remains only because the frozen
+	// benchmark harness (perfbench/fig3.go) still sets it; delete it
+	// with the next change allowed to touch perfbench/.
 	Shards int
 	// ChaosSeed, when non-zero, arms the deterministic fault-injection
 	// harness (internal/chaos) on every machine this stack builds: IPI
@@ -283,26 +282,16 @@ func ServerStack() *Stack {
 // count. Topology is part of the machine's construction-time config —
 // Build sizes every per-CPU structure from it and the machine exposes it
 // read-only afterwards — so sweeps derive a fresh stack per point
-// instead of mutating one that has already built machines. The derived
-// stack resets Shards: engine sharding is a per-run decision its driver
-// makes against the new CPU count.
+// instead of mutating one that has already built machines.
 func (s *Stack) WithCPUs(cpus int) *Stack {
 	st := *s
 	st.Topo = machine.Topology{Sockets: 1, CoresPerSocket: cpus}
-	st.Shards = 0
 	return &st
 }
 
 // Build instantiates a fresh engine and machine for one experiment run.
-func (s *Stack) Build() (sim.Sim, *machine.Machine) {
-	var eng sim.Sim
-	if s.Shards > 1 {
-		se := sim.NewSharded(s.Shards, sim.Time(s.Model.HW.IPILatency))
-		se.SetWorkers(exp.EngineWorkers(s.Parallel, s.Shards))
-		eng = se
-	} else {
-		eng = sim.NewEngine()
-	}
+func (s *Stack) Build() (*sim.Engine, *machine.Machine) {
+	eng := sim.NewEngine()
 	m := machine.New(eng, s.Model, s.Topo, s.Seed)
 	if s.ChaosSeed != 0 {
 		ArmChaos(m, chaos.NewPlan(s.ChaosSeed, s.chaosConfig()))

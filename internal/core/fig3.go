@@ -17,10 +17,8 @@ type Fig3Config struct {
 	CyclesPerItem int64
 	Grain         int64
 	// Domains, when > 1, runs the heartbeat runtime in steal-domain
-	// mode with that many domains, and (unless the stack pins Shards
-	// to 1, the sequential oracle) builds the machine on a sharded
-	// engine with one shard per domain. 0 keeps the legacy global-
-	// stealing runtime on the sequential engine.
+	// mode with that many domains. 0 keeps the legacy global-stealing
+	// runtime.
 	Domains int
 }
 
@@ -100,11 +98,7 @@ func (s *Stack) Fig3Overheads(cfg Fig3Config) *Table {
 }
 
 func (s *Stack) heartbeatRun(cfg Fig3Config, sub heartbeat.Substrate, period int64) *heartbeat.Runtime {
-	st := s.WithCPUs(cfg.CPUs)
-	if cfg.Domains > 1 && s.Shards != 1 {
-		st.Shards = cfg.Domains
-	}
-	_, m := st.Build()
+	_, m := s.WithCPUs(cfg.CPUs).Build()
 	hcfg := heartbeat.DefaultConfig()
 	hcfg.Substrate = sub
 	hcfg.PeriodCycles = period
@@ -116,14 +110,14 @@ func (s *Stack) heartbeatRun(cfg Fig3Config, sub heartbeat.Substrate, period int
 }
 
 // DefaultFig3SweepCounts is Fig3Sweep's CPU axis: the paper's original
-// small-N points plus the 256–1024 range where the sharded engine's
-// steal domains carry the simulation.
+// small-N points plus the 256–1024 range, which runs in steal-domain
+// mode.
 var DefaultFig3SweepCounts = []int{8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Fig3SweepDomains returns the steal-domain (= engine shard) count used
-// for a sweep point: one domain per 32 CPUs once the machine is large
-// enough that a single event queue becomes the bottleneck, and the
-// legacy single-domain runtime below that.
+// Fig3SweepDomains returns the steal-domain count used for a sweep
+// point: one domain per 32 CPUs from 256 CPUs up, and the legacy
+// single-domain runtime below that. Domains shape the schedule, and so
+// the table: the count is a result coordinate, not a performance knob.
 func Fig3SweepDomains(cpus int) int {
 	if cpus < 256 {
 		return 0
@@ -150,9 +144,8 @@ func (s *Stack) Fig3Sweep(periodUS float64) *Table {
 }
 
 // Fig3SweepCounts is Fig3Sweep with an explicit CPU axis. Points at 256
-// CPUs and above run in steal-domain mode on the sharded engine (one
-// domain per 32 CPUs) with a proportionally larger workload; results
-// are byte-identical to the sequential engine either way.
+// CPUs and above run in steal-domain mode (one domain per 32 CPUs) with
+// a proportionally larger workload.
 func (s *Stack) Fig3SweepCounts(periodUS float64, cpuCounts []int) *Table {
 	t := &Table{
 		ID:     "fig3-sweep",

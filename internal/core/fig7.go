@@ -45,8 +45,7 @@ func (s *Stack) Fig7() *Table {
 }
 
 // DefaultFig7SweepCores is Fig7Sweep's core-count axis: the paper's
-// server-scale points plus the 256–1024 range matching the sharded
-// machine's reach. The top two points dominate the sweep's runtime.
+// server-scale points plus the 256–1024 range of Fig 3's sweep. The top two points dominate the sweep's runtime.
 var DefaultFig7SweepCores = []int{8, 16, 24, 48, 256, 1024}
 
 // Fig7Sweep regenerates the §V-B scale claim: "the benefits grow with

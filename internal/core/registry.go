@@ -16,8 +16,7 @@ import (
 // through one door. A RunConfig is the complete serializable
 // description of an invocation (what to run and every knob that shapes
 // its output); a Runner carries the execution-side resources (pool
-// width, engine sharding, result cache) that deliberately do NOT shape
-// output. The split mirrors the cache-key rule from PR 9: RunConfig
+// width, result cache) that deliberately do NOT shape output. The split mirrors the cache-key rule from PR 9: RunConfig
 // fields are result coordinates, Runner fields are execution knobs.
 
 // ExperimentOrder is the canonical experiment order (`interweave all`).
@@ -45,12 +44,13 @@ func ValidExperiment(id string) bool {
 	return false
 }
 
-// MaxCPUs bounds RunConfig.CPUs: the sharded event engine is validated
-// to 1024 simulated CPUs (PR 6), and nothing above that has an oracle.
+// MaxCPUs bounds RunConfig.CPUs: the full-axis Fig 3 sweep pins its
+// 1024-CPU point by table digest (TestDomainModeDigests), and nothing
+// above that has a pinned result.
 const MaxCPUs = 1024
 
-// MaxDomains bounds RunConfig.Domains (fig3 steal domains / engine
-// shards; the 1024-CPU sweep point uses 32).
+// MaxDomains bounds RunConfig.Domains (fig3 steal domains; the 1024-CPU
+// sweep point uses 32).
 const MaxDomains = 256
 
 // RunConfig is the complete, serializable description of one
@@ -183,8 +183,8 @@ func (cfg RunConfig) chaosConfig() chaos.Config {
 // Key canonicalizes the whole invocation: experiment ID plus every
 // knob that shapes its output, under the version salt (which already
 // covers code-side inputs: cost tables, kernel modules, platform
-// models). Pool width and engine sharding are excluded — output is
-// byte-identical at every setting, the package's standing guarantee.
+// models). Pool width is excluded — output is byte-identical at every
+// setting, the package's standing guarantee.
 func (cfg RunConfig) Key() cache.Key {
 	e := cache.NewEnc()
 	e.U64("salt", VersionSalt())
@@ -208,13 +208,11 @@ func (cfg RunConfig) Key() cache.Key {
 }
 
 // Runner executes RunConfigs against shared execution-side resources.
-// The zero Runner is valid: default pool width, sequential engine,
-// no cache, a fresh pool per driver call.
+// The zero Runner is valid: default pool width, no cache, a fresh pool
+// per driver call.
 type Runner struct {
 	// Parallel bounds concurrent experiment cells (0 = exp default).
 	Parallel int
-	// Shards selects the event engine (see Stack.Shards).
-	Shards int
 	// Cache, when non-nil, memoizes whole table sets under
 	// RunConfig.Key (see CachedTablesCtx).
 	Cache *cache.Cache
@@ -271,7 +269,6 @@ func (cfg RunConfig) generate(r *Runner, ctx context.Context, observe func(CellE
 		s.Parallel = r.Parallel
 		s.ChaosSeed = cfg.ChaosSeed
 		s.ChaosConfig = cfg.Chaos
-		s.Shards = r.Shards
 		s.Pool = r.Pool
 		s.Ctx = ctx
 		s.Observe = observe

@@ -45,28 +45,6 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// EngineWorkers bounds the OS workers a nested parallel engine (e.g.
-// sim.ShardedEngine) should use when its experiment cell runs inside a
-// pool of the given width: the machine's cores are shared evenly across
-// the concurrently-running cells, never below one worker and never more
-// than the engine has shards. poolWorkers <= 0 means DefaultWorkers(),
-// mirroring New. Worker counts never affect results — only wall-clock —
-// so this is purely an oversubscription guard.
-func EngineWorkers(poolWorkers, shards int) int {
-	p := poolWorkers
-	if p <= 0 {
-		p = DefaultWorkers()
-	}
-	n := runtime.GOMAXPROCS(0) / p
-	if n < 1 {
-		n = 1
-	}
-	if n > shards {
-		n = shards
-	}
-	return n
-}
-
 // Pool is a bounded worker pool for independent experiment cells,
 // built on a token semaphore: a cell runs only while it holds one of
 // Workers() slots. Pools may be shared: concurrent Runs on one pool are

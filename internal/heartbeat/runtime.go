@@ -60,10 +60,7 @@ type Config struct {
 	// (0 or 1 keeps the single global domain, the legacy behavior).
 	// Each domain owns a contiguous worker range and a proportional
 	// share of the items, and steals never cross domains, so every
-	// domain's scheduler state is confined to its workers' CPUs. When
-	// the machine runs on a sharded engine, Domains must equal the
-	// engine's shard count: domain = shard is exactly the shard-safety
-	// contract that lets the windows run concurrently.
+	// domain's scheduler state is confined to its workers' CPUs.
 	Domains int
 }
 
@@ -101,7 +98,7 @@ type WorkerStats struct {
 
 // domain is one steal domain: a contiguous worker range with its own
 // share of the items and its own termination counter. All of its state
-// is only ever touched from its workers' CPUs (one shard, when sharded).
+// is only ever touched from its workers' CPUs.
 type domain struct {
 	id        int
 	lo, hi    int // worker index range [lo, hi)
@@ -129,9 +126,7 @@ type worker struct {
 	stats      WorkerStats
 
 	// queued counts the frames in the worker's steal scope: the
-	// runtime's in legacy mode, its domain's in domain mode. It is nil
-	// on the sharded engine, where polls do not batch and nothing
-	// reads the count.
+	// runtime's in legacy mode, its domain's in domain mode.
 	queued *int64
 	// batch is the idle batch the worker waits in (nil while it is not
 	// waiting in one); polled is the batch's poll count the worker's
@@ -139,10 +134,7 @@ type worker struct {
 	batch  *idleBatch
 	polled int64
 
-	// step and sliceDone, bound once: on the sharded engine an idle
-	// worker re-polls through step every IdleBackoff cycles, and every
-	// slice completes through sliceDone.
-	stepFn      func()
+	// sliceDone, bound once: every slice completes through it.
 	sliceDoneFn func()
 }
 
@@ -161,11 +153,8 @@ type Runtime struct {
 	running   bool
 	pacer     *linux.HeartbeatPacer
 
-	// eng is the machine's engine when it is the sequential one, the
-	// only engine idle polls batch on; nil otherwise. idle is the batch
-	// scheduled last, the only one a worker going idle may join; spare
-	// holds fired batches for reuse.
-	eng   *sim.Engine
+	// idle is the batch scheduled last, the only one a worker going
+	// idle may join; spare holds fired batches for reuse.
 	idle  *idleBatch
 	spare []*idleBatch
 
@@ -176,20 +165,15 @@ type Runtime struct {
 // New creates a runtime with one worker per machine CPU.
 func New(m *machine.Machine, cfg Config) *Runtime {
 	rt := &Runtime{M: m, Cfg: cfg}
-	rt.eng, _ = m.Eng.(*sim.Engine)
 	if cfg.Substrate != SubstrateNautilusIPI {
 		rt.L = linux.New(m, cfg.Seed^0x5eed)
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	for i, cpu := range m.CPUs {
 		w := &worker{rt: rt, id: i, cpu: cpu, deque: NewDeque(), rng: rng.Split()}
-		w.stepFn, w.sliceDoneFn = w.step, w.sliceDone
+		w.sliceDoneFn = w.sliceDone
+		w.queued = &rt.queued
 		rt.workers = append(rt.workers, w)
-	}
-	if sh := m.Eng.Shards(); sh > 1 && cfg.Domains != sh {
-		// Legacy global stealing (Domains <= 1) freely crosses CPUs and
-		// is only shard-safe on the sequential engine.
-		panic("heartbeat: domain count must equal the engine's shard count")
 	}
 	if d := cfg.Domains; d > 1 {
 		n := len(rt.workers)
@@ -200,24 +184,16 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 		for i := range rt.domains {
 			rt.domains[i] = &domain{id: i, lo: n, hi: 0}
 		}
-		// Worker i's domain uses the same i*D/n partition the machine
-		// uses for CPU->shard assignment, so domain d is exactly shard d.
+		// Worker i belongs to domain i*D/n: contiguous worker blocks.
 		for i, w := range rt.workers {
 			dom := rt.domains[i*d/n]
 			w.dom = dom
+			w.queued = &dom.queued
 			if i < dom.lo {
 				dom.lo = i
 			}
 			if i+1 > dom.hi {
 				dom.hi = i + 1
-			}
-		}
-	}
-	if rt.eng != nil {
-		for _, w := range rt.workers {
-			w.queued = &rt.queued
-			if w.dom != nil {
-				w.queued = &w.dom.queued
 			}
 		}
 	}
@@ -330,16 +306,9 @@ func (rt *Runtime) installSubstrate() {
 				rt.workers[workerCPUs[idx]].cpu.Raise(machine.VecHeartbeat)
 			},
 		}
-		if len(rt.domains) > 0 {
-			// Domain mode: deliveries must land on each worker's own
-			// shard, and the pending/coalescing state with them.
-			qs := make([]sim.Queue, len(workerCPUs))
-			for i, c := range workerCPUs {
-				qs[i] = rt.workers[c].cpu.Queue()
-			}
-			rt.pacer.WorkerQueues = qs
-			rt.pacer.PacerQueue = rt.M.CPU(0).Queue()
-		}
+		// Domain mode coalesces on the worker, at delivery: the
+		// worker's pending bit is its own domain's state.
+		rt.pacer.CoalesceAtDelivery = len(rt.domains) > 0
 		rt.pacer.Start()
 
 	case SubstrateLinuxPolling:
@@ -347,12 +316,8 @@ func (rt *Runtime) installSubstrate() {
 	}
 }
 
-// q returns the worker's event queue: its CPU's shard, which on the
-// sequential engine is the engine itself.
-func (w *worker) q() sim.Queue { return w.cpu.Queue() }
-
-// now returns the worker's shard-local clock.
-func (w *worker) now() sim.Time { return w.q().Now() }
+// now returns the current simulated time.
+func (w *worker) now() sim.Time { return w.rt.M.Eng.Now() }
 
 // onBeat is the promotion executed when a heartbeat reaches a worker.
 func (w *worker) onBeat(ctx *machine.IntrContext) {
@@ -386,13 +351,9 @@ func (w *worker) step() {
 			w.countQueued(-1)
 			w.cur = f
 			w.sliceEnd = 0
-		} else if w.rt.eng != nil {
+		} else {
 			// Idle: back off and retry, in an idle batch.
 			w.idleWait()
-			return
-		} else {
-			// Idle on the sharded engine: back off and retry.
-			w.q().After(sim.Time(w.rt.Cfg.IdleBackoff), w.stepFn)
 			return
 		}
 	}
@@ -400,18 +361,14 @@ func (w *worker) step() {
 }
 
 // countQueued adds d to the queued-frame count of the worker's steal
-// scope, where one is kept.
-func (w *worker) countQueued(d int64) {
-	if w.queued != nil {
-		*w.queued += d
-	}
-}
+// scope.
+func (w *worker) countQueued(d int64) { *w.queued += d }
 
 // done reports whether the work the worker takes part in is finished.
 func (w *worker) done() bool {
 	if w.dom != nil {
-		// Domain mode: the stop condition is domain-local (rt.running is
-		// coordinator state on CPU 0's shard and may not be read here).
+		// Domain mode: the stop condition is domain-local; rt.running
+		// only falls once every domain has reported.
 		return w.dom.remaining <= 0
 	}
 	return !w.rt.running
@@ -462,8 +419,8 @@ type idleBatch struct {
 	fireFn  func() // fire, bound once
 }
 
-// idleWait schedules the worker's next poll IdleBackoff cycles from now
-// on the sequential engine. It joins the batch scheduled last when that
+// idleWait schedules the worker's next poll IdleBackoff cycles from now.
+// It joins the batch scheduled last when that
 // batch is due then, polls the same scope and nothing has been scheduled
 // since it was: a separate event would fire right after the batch's last
 // member. Otherwise it starts a batch of its own.
@@ -471,7 +428,7 @@ func (w *worker) idleWait() {
 	rt := w.rt
 	at := rt.nextPoll()
 	b := rt.idle
-	if b == nil || b.at != at || b.seq != rt.eng.Scheduled() || b.queued != w.queued {
+	if b == nil || b.at != at || b.seq != rt.M.Eng.Scheduled() || b.queued != w.queued {
 		if n := len(rt.spare); n > 0 {
 			b, rt.spare = rt.spare[n-1], rt.spare[:n-1]
 		} else {
@@ -488,14 +445,14 @@ func (w *worker) idleWait() {
 // nextPoll is when a poll that fails now is retried, as After would
 // schedule it.
 func (rt *Runtime) nextPoll() sim.Time {
-	return rt.eng.Now() + sim.Time(max(rt.Cfg.IdleBackoff, 0))
+	return rt.M.Eng.Now() + sim.Time(max(rt.Cfg.IdleBackoff, 0))
 }
 
 // schedule puts the batch on the engine at time at.
 func (b *idleBatch) schedule(at sim.Time) {
 	rt := b.rt
-	rt.eng.At(at, b.fireFn)
-	b.at, b.seq = at, rt.eng.Scheduled()
+	rt.M.Eng.At(at, b.fireFn)
+	b.at, b.seq = at, rt.M.Eng.Scheduled()
 	rt.idle = b
 }
 
@@ -603,22 +560,20 @@ func (w *worker) sliceDone() {
 	w.step()
 }
 
-// domainDone runs on the finishing domain's shard: stamp the domain's
-// completion time and notify the coordinator CPU with a cross-shard
-// message at IPI latency. The notification is reliable — termination is
-// protocol, not workload, so it is not routed through the machine's
-// injectable IPI path.
+// domainDone stamps the finishing domain's completion time and
+// notifies the coordinator CPU at IPI latency. The notification is
+// reliable — termination is protocol, not workload, so it is not routed
+// through the machine's injectable IPI path.
 func (rt *Runtime) domainDone(w *worker) {
 	w.dom.doneAt = w.now()
 	lat := sim.Time(rt.M.Model.HW.IPILatency)
-	w.q().CrossAfter(rt.M.CPU(0).Queue(), lat, rt.domainReported)
+	rt.M.Eng.After(lat, rt.domainReported)
 }
 
-// domainReported runs on the coordinator's shard, once per finished
-// domain. When the last report lands, the substrate is stopped and the
-// engine drains naturally — no Halt: a sharded engine's shards sit at
-// arbitrary points mid-window, so quenching the event sources is the
-// only deterministic way to stop.
+// domainReported runs on the coordinator, once per finished domain.
+// When the last report lands, the substrate is stopped and the engine
+// drains without a Halt: with the heartbeat sources quenched and every
+// domain's workers done, nothing reschedules.
 func (rt *Runtime) domainReported() {
 	rt.reported++
 	if rt.reported < len(rt.domains) {
@@ -653,8 +608,7 @@ func (w *worker) pollBeat() {
 // CheckInvariants validates the runtime's cross-worker invariants:
 // every deque is structurally sound, no frame is owned by two places
 // at once (a deque slot or a worker's current frame), the queued-frame
-// counter idle batches read (kept on the sequential engine) equals the
-// frames in the deques, and —
+// counter idle batches read equals the frames in the deques, and —
 // while a run is in flight — the iterations remaining inside frames
 // equal the runtime's termination counter. The conservation check is
 // exact at engine-event boundaries, which is the vantage point of
@@ -663,9 +617,7 @@ func (w *worker) pollBeat() {
 // items.
 func (rt *Runtime) CheckInvariants() error {
 	if len(rt.domains) > 0 {
-		// Domain mode: every domain's check is self-contained; walking
-		// them all is only safe when the engine is quiescent (use
-		// CheckDomainInvariants from per-shard hooks during a run).
+		// Domain mode: every domain's check is self-contained.
 		for _, d := range rt.domains {
 			if err := rt.CheckDomainInvariants(d.id); err != nil {
 				return err
@@ -686,9 +638,8 @@ func (rt *Runtime) CheckInvariants() error {
 // CheckDomainInvariants validates one steal domain: deque structure,
 // unique frame ownership, the domain's queued-frame counter, and item
 // conservation against the domain's own termination counter. It
-// touches only domain d's workers, so in a sharded run it may be
-// called from any event on domain d's shard — which is how chaos
-// invariant hooks are scoped per shard.
+// touches only domain d's workers, so a chaos invariant hook on the
+// sites of domain d's CPUs can check just that domain.
 func (rt *Runtime) CheckDomainInvariants(d int) error {
 	dom := rt.domains[d]
 	pending, err := rt.checkWorkerRange(dom.lo, dom.hi)
@@ -735,14 +686,14 @@ func (rt *Runtime) checkWorkerRange(lo, hi int) (int64, error) {
 			}
 		}
 	}
-	if q := rt.workers[lo].queued; q != nil && held != *q {
-		return 0, fmt.Errorf("heartbeat: deques hold %d frames but %d are counted queued", held, *q)
+	if q := *rt.workers[lo].queued; held != q {
+		return 0, fmt.Errorf("heartbeat: deques hold %d frames but %d are counted queued", held, q)
 	}
 	return pending, nil
 }
 
 // stopSubstrate quenches the heartbeat sources: the coordinator CPU's
-// LAPIC timer and the Linux pacer. Runs on CPU 0's shard.
+// LAPIC timer and the Linux pacer.
 func (rt *Runtime) stopSubstrate() {
 	rt.M.CPU(0).APIC().Stop()
 	if rt.pacer != nil {

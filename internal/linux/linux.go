@@ -105,10 +105,6 @@ type PacerStats struct {
 	NoiseEpisodes   int64
 	DeliveredPerCPU []int64
 	DeliveryTimes   [][]sim.Time // per worker CPU, delivery timestamps
-	// CoalescedPerCPU replaces Coalesced in sharded mode, where the
-	// pending bit lives on the worker's shard and coalescing is decided
-	// at delivery; index i counts worker i's collapsed signals.
-	CoalescedPerCPU []int64
 }
 
 // HeartbeatPacer models TPAL's best available Linux mechanism (Fig. 2,
@@ -126,16 +122,11 @@ type HeartbeatPacer struct {
 	// OnBeat is invoked at each delivery on a worker (after costs).
 	OnBeat func(worker int, at sim.Time)
 
-	// WorkerQueues, when non-nil, puts the pacer in sharded mode:
-	// WorkerQueues[i] is worker i's event shard and PacerQueue is the
-	// pacer's own (CPU 0's). The pacer then cannot inspect the workers'
-	// pending bits — they are owned by the workers' shards — so every
-	// kill is sent, and POSIX coalescing is resolved at delivery on the
-	// worker's shard, where the bit actually lives. Delivery crosses
-	// shards through CrossAfter; the syscall + IPI floor keeps the delay
-	// at or above the engine lookahead.
-	WorkerQueues []sim.Queue
-	PacerQueue   sim.Queue
+	// CoalesceAtDelivery sends every kill and resolves POSIX coalescing
+	// at delivery, on the worker, instead of skipping the kill at the
+	// pacer while the worker's previous signal is pending. The heartbeat
+	// runtime sets it in steal-domain mode.
+	CoalesceAtDelivery bool
 
 	Stats   PacerStats
 	pending []bool
@@ -147,9 +138,6 @@ func (p *HeartbeatPacer) Start() {
 	p.pending = make([]bool, len(p.Workers))
 	p.Stats.DeliveredPerCPU = make([]int64, len(p.Workers))
 	p.Stats.DeliveryTimes = make([][]sim.Time, len(p.Workers))
-	if p.WorkerQueues != nil {
-		p.Stats.CoalescedPerCPU = make([]int64, len(p.Workers))
-	}
 	p.round()
 }
 
@@ -167,29 +155,21 @@ func (p *HeartbeatPacer) round() {
 	// Sequential pthread_kill to each worker: each costs the pacer a
 	// syscall and the kernel an IPI; the delivery lands later.
 	var pacerBusy int64
-	for i, cpu := range p.Workers {
-		i, cpu := i, cpu
+	for i := range p.Workers {
 		pacerBusy += s.SyscallCost()
-		if p.WorkerQueues != nil {
-			// Sharded: always send; the worker's shard coalesces.
-			p.Stats.SignalsSent++
-			deliveryDelay := pacerBusy + s.Model.HW.IPILatency + s.SampleTimerJitter()
-			p.PacerQueue.CrossAfter(p.WorkerQueues[i], sim.Time(deliveryDelay), func() {
-				p.deliverSharded(i)
-			})
-			continue
+		if !p.CoalesceAtDelivery {
+			if p.pending[i] {
+				// Previous signal still pending on this worker: POSIX
+				// collapses them.
+				p.Stats.Coalesced++
+				continue
+			}
+			p.pending[i] = true
 		}
-		if p.pending[i] {
-			// Previous signal still pending on this worker: POSIX
-			// collapses them.
-			p.Stats.Coalesced++
-			continue
-		}
-		p.pending[i] = true
 		p.Stats.SignalsSent++
 		deliveryDelay := pacerBusy + s.Model.HW.IPILatency + s.SampleTimerJitter()
 		eng.After(sim.Time(deliveryDelay), func() {
-			p.deliver(i, cpu)
+			p.deliver(i)
 		})
 	}
 
@@ -204,15 +184,20 @@ func (p *HeartbeatPacer) round() {
 		gap += s.SampleNoise()
 		p.Stats.NoiseEpisodes++
 	}
-	if p.WorkerQueues != nil {
-		p.PacerQueue.After(sim.Time(gap), p.round)
-	} else {
-		eng.After(sim.Time(gap), p.round)
-	}
+	eng.After(sim.Time(gap), p.round)
 }
 
-// deliver executes one signal delivery on a worker CPU.
-func (p *HeartbeatPacer) deliver(i, cpu int) {
+// deliver executes one signal delivery on worker i. When coalescing at
+// delivery, a still-pending prior signal collapses this one; otherwise
+// the pacer already skipped the kill.
+func (p *HeartbeatPacer) deliver(i int) {
+	if p.CoalesceAtDelivery {
+		if p.pending[i] {
+			p.Stats.Coalesced++
+			return
+		}
+		p.pending[i] = true
+	}
 	s := p.S
 	cost := s.SignalPathCost() + p.HandlerCost
 	// The worker is interrupted for the duration; we model the cost by
@@ -224,29 +209,6 @@ func (p *HeartbeatPacer) deliver(i, cpu int) {
 		p.OnBeat(i, at)
 	}
 	s.M.Eng.After(sim.Time(cost), func() {
-		p.pending[i] = false
-	})
-}
-
-// deliverSharded executes one signal delivery on the worker's own shard:
-// a still-pending prior signal collapses the new one (the sharded
-// equivalent of the pacer-side skip), otherwise the delivery is recorded
-// and the pending bit holds until the handler completes.
-func (p *HeartbeatPacer) deliverSharded(i int) {
-	if p.pending[i] {
-		p.Stats.CoalescedPerCPU[i]++
-		return
-	}
-	p.pending[i] = true
-	q := p.WorkerQueues[i]
-	at := q.Now()
-	p.Stats.DeliveredPerCPU[i]++
-	p.Stats.DeliveryTimes[i] = append(p.Stats.DeliveryTimes[i], at)
-	if p.OnBeat != nil {
-		p.OnBeat(i, at)
-	}
-	cost := p.S.SignalPathCost() + p.HandlerCost
-	q.After(sim.Time(cost), func() {
 		p.pending[i] = false
 	})
 }

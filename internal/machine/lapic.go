@@ -56,7 +56,7 @@ func (l *LAPIC) schedule(delay int64) {
 	if f := l.cpu.m.TimerFault; f != nil {
 		delay += f(l.cpu.ID, l.vector, delay)
 	}
-	l.ev = l.cpu.q.After(sim.Time(delay), l.fireFn)
+	l.ev = l.cpu.m.Eng.After(sim.Time(delay), l.fireFn)
 }
 
 func (l *LAPIC) fire() {
@@ -78,7 +78,7 @@ func (l *LAPIC) fire() {
 
 // Stop disarms the timer.
 func (l *LAPIC) Stop() {
-	l.cpu.q.Cancel(l.ev)
+	l.cpu.m.Eng.Cancel(l.ev)
 	l.ev = sim.EventID{}
 	l.armed = false
 }

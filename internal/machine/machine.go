@@ -109,11 +109,6 @@ type CPU struct {
 	Socket int
 
 	m *Machine
-	// q is the CPU's event shard: all of the CPU's own activity runs on
-	// it, and cross-CPU effects (IPIs) go through q.CrossAfter so the
-	// sharded engine can advance CPU groups concurrently.
-	q     sim.Queue
-	shard int
 
 	// Execution state: at most one run in flight.
 	running      bool
@@ -138,7 +133,7 @@ type CPU struct {
 
 // Machine is the full simulated platform.
 type Machine struct {
-	Eng   sim.Sim
+	Eng   *sim.Engine
 	Model model.Model
 	CPUs  []*CPU
 	RNG   *sim.RNG
@@ -165,18 +160,9 @@ type Machine struct {
 // topology is final: per-CPU structures are sized from it here, and it
 // is immutable afterwards (read it back with Topo). The seed fixes all
 // stochastic behavior.
-//
-// The engine may be the sequential sim.Engine or a sim.ShardedEngine;
-// with S shards, CPU i lives on shard i*S/n (contiguous CPU blocks),
-// and the engine's lookahead must not exceed the model's IPI latency —
-// the machine's cross-shard latency floor.
-func New(eng sim.Sim, m model.Model, topo Topology, seed uint64) *Machine {
+func New(eng *sim.Engine, m model.Model, topo Topology, seed uint64) *Machine {
 	if topo.Sockets <= 0 || topo.CoresPerSocket <= 0 {
 		panic("machine: invalid topology")
-	}
-	shards := eng.Shards()
-	if shards > 1 && int64(eng.Lookahead()) > m.HW.IPILatency {
-		panic("machine: engine lookahead exceeds the IPI latency floor")
 	}
 	mach := &Machine{
 		Eng:   eng,
@@ -187,13 +173,10 @@ func New(eng sim.Sim, m model.Model, topo Topology, seed uint64) *Machine {
 	n := topo.NumCPUs()
 	mach.CPUs = make([]*CPU, n)
 	for i := 0; i < n; i++ {
-		shard := i * shards / n
 		cpu := &CPU{
 			ID:       i,
 			Socket:   i / topo.CoresPerSocket,
 			m:        mach,
-			q:        eng.Queue(shard),
-			shard:    shard,
 			handlers: make(map[Vector]Handler),
 			delivery: make(map[Vector]Delivery),
 		}
@@ -212,14 +195,6 @@ func (m *Machine) Topo() Topology { return m.topo }
 
 // CPU returns the CPU with the given id.
 func (m *Machine) CPU(id int) *CPU { return m.CPUs[id] }
-
-// ShardOf returns the event shard CPU id lives on.
-func (m *Machine) ShardOf(id int) int { return m.CPUs[id].shard }
-
-// Queue returns the CPU's event shard, for runtimes that schedule their
-// own events on the CPU (cross-shard sends must use CrossAfter with a
-// delay of at least the machine's IPI latency).
-func (c *CPU) Queue() sim.Queue { return c.q }
 
 // APIC returns the CPU's local APIC.
 func (c *CPU) APIC() *LAPIC { return c.apic }
@@ -274,12 +249,12 @@ func (c *CPU) startRun(cycles int64, done func()) {
 	c.running = true
 	c.runRemaining = cycles
 	c.runDone = done
-	c.runResumedAt = c.q.Now()
-	c.runEv = c.q.After(sim.Time(cycles), c.finishFn)
+	c.runResumedAt = c.m.Eng.Now()
+	c.runEv = c.m.Eng.After(sim.Time(cycles), c.finishFn)
 }
 
 func (c *CPU) finishRun() {
-	c.Stats.BusyCycles += c.q.Now().Sub(c.runResumedAt)
+	c.Stats.BusyCycles += c.m.Eng.Now().Sub(c.runResumedAt)
 	done := c.runDone
 	c.running = false
 	c.runEv = sim.EventID{}
@@ -295,13 +270,13 @@ func (c *CPU) pauseRun() *PausedRun {
 	if !c.running {
 		return nil
 	}
-	consumed := c.q.Now().Sub(c.runResumedAt)
+	consumed := c.m.Eng.Now().Sub(c.runResumedAt)
 	c.Stats.BusyCycles += consumed
 	remaining := c.runRemaining - consumed
 	if remaining < 0 {
 		remaining = 0
 	}
-	c.q.Cancel(c.runEv)
+	c.m.Eng.Cancel(c.runEv)
 	paused := &PausedRun{Remaining: remaining, Done: c.runDone}
 	c.running = false
 	c.runEv = sim.EventID{}
@@ -324,7 +299,7 @@ func (c *CPU) Resume(p *PausedRun) {
 // (x86-like: IF is clear during handlers).
 func (c *CPU) Raise(v Vector) {
 	if c.maskCount > 0 || c.inHandler {
-		c.pending = append(c.pending, pendingIntr{vec: v, at: c.q.Now()})
+		c.pending = append(c.pending, pendingIntr{vec: v, at: c.m.Eng.Now()})
 		return
 	}
 	c.dispatch(v)
@@ -366,11 +341,11 @@ func (c *CPU) dispatch(v Vector) {
 	c.Stats.DispatchCycles += entry + exit
 
 	// Entry path, then handler body, then exit path, then resume.
-	c.q.After(sim.Time(entry), func() {
+	c.m.Eng.After(sim.Time(entry), func() {
 		ctx := &IntrContext{CPU: c, Vector: v}
 		h(ctx)
 		c.Stats.HandlerCycles += ctx.cost
-		c.q.After(sim.Time(ctx.cost+exit), func() {
+		c.m.Eng.After(sim.Time(ctx.cost+exit), func() {
 			c.inHandler = false
 			// Deliver pended interrupts before resuming, mirroring
 			// hardware that re-checks interrupt lines at iret; then
@@ -416,11 +391,11 @@ func (c *CPU) chainPendingThen(fin func()) {
 		exit = c.m.Model.HW.InterruptReturn
 	}
 	c.Stats.DispatchCycles += entry + exit
-	c.q.After(sim.Time(entry), func() {
+	c.m.Eng.After(sim.Time(entry), func() {
 		ctx := &IntrContext{CPU: c, Vector: p.vec}
 		h(ctx)
 		c.Stats.HandlerCycles += ctx.cost
-		c.q.After(sim.Time(ctx.cost+exit), func() {
+		c.m.Eng.After(sim.Time(ctx.cost+exit), func() {
 			c.inHandler = false
 			c.chainPendingThen(fin)
 		})
@@ -429,10 +404,8 @@ func (c *CPU) chainPendingThen(fin func()) {
 
 // SendIPI sends an inter-processor interrupt to dst. The wire event
 // always travels at the modeled latency; the fault hook (chaos) is
-// consulted at arrival, on the destination's shard — its decision
-// streams are keyed per destination CPU, so this keeps every consult on
-// the shard that owns the stream while preserving the effective
-// delivery time (base latency + injected delay).
+// consulted at arrival, so the effective delivery time is the base
+// latency plus the injected delay.
 func (c *CPU) SendIPI(dst *CPU, v Vector) {
 	c.Stats.IPIsSent++
 	lat := c.m.Model.HW.IPILatency
@@ -440,7 +413,7 @@ func (c *CPU) SendIPI(dst *CPU, v Vector) {
 		lat += c.m.Model.Coherence.RemoteSocket
 	}
 	src := c.ID
-	c.q.CrossAfter(dst.q, sim.Time(lat), func() { dst.arriveIPI(src, v) })
+	c.m.Eng.After(sim.Time(lat), func() { dst.arriveIPI(src, v) })
 }
 
 // arriveIPI completes an IPI on the destination CPU: consult the fault
@@ -454,7 +427,7 @@ func (c *CPU) arriveIPI(src int, v Vector) {
 			return
 		}
 		if extra > 0 {
-			c.q.After(sim.Time(extra), func() { c.Raise(v) })
+			c.m.Eng.After(sim.Time(extra), func() { c.Raise(v) })
 			return
 		}
 	}
@@ -477,6 +450,6 @@ func (c *CPU) BroadcastIPI(v Vector) {
 		}
 		i++
 		d := dst
-		c.q.CrossAfter(d.q, sim.Time(lat), func() { d.arriveIPI(src, v) })
+		c.m.Eng.After(sim.Time(lat), func() { d.arriveIPI(src, v) })
 	}
 }

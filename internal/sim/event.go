@@ -19,65 +19,10 @@ func (t Time) Sub(u Time) int64 { return int64(t) - int64(u) }
 // never names an event.
 type EventID struct{ slot, gen uint32 }
 
-// Queue is the scheduling interface of one event shard. On the
-// sequential Engine every CPU shares the single queue (the engine
-// itself); on a ShardedEngine each shard is its own queue and
-// cross-shard scheduling must go through CrossAfter with a delay of at
-// least the engine's lookahead.
-type Queue interface {
-	// Now returns the queue's current simulated time.
-	Now() Time
-	// At schedules fn at absolute time t on this queue.
-	At(t Time, fn func()) EventID
-	// After schedules fn d cycles from now on this queue.
-	After(d Time, fn func()) EventID
-	// CrossAfter schedules fn d cycles from now on dst. When dst is a
-	// different shard, d must be at least the engine's lookahead (the
-	// modeled cross-CPU latency floor that makes conservative windows
-	// safe); same-queue calls are equivalent to After.
-	CrossAfter(dst Queue, d Time, fn func()) EventID
-	// Cancel removes the event id names, releasing its Fn closure at
-	// once rather than at its fire time: long-horizon timers would
-	// otherwise pin their closures for the whole horizon. Cancelling a
-	// fired or cancelled event, or through a stale handle, is a no-op.
-	// Cancel must be called from the shard that scheduled the event.
-	Cancel(id EventID)
-	// Shard returns the queue's shard index.
-	Shard() int
-}
-
-// Sim is the discrete-event engine interface shared by the sequential
-// Engine and the conservative-window ShardedEngine. Both drive the same
-// canonical event order, so a workload that respects the shard-safety
-// contract (events touch only their own shard's state; cross-shard
-// effects only via CrossAfter) produces bit-identical results on either.
-type Sim interface {
-	Now() Time
-	// At/After schedule on shard 0 — the natural home of kernel-level
-	// activity for single-shard workloads (on the sequential engine they
-	// are the only queue). Shard-aware code uses Queue(i) instead.
-	At(t Time, fn func()) EventID
-	After(d Time, fn func()) EventID
-	Run()
-	RunUntil(deadline Time)
-	Halt()
-	Fired() uint64
-	Pending() int
-	// Shards returns the number of event shards (1 for Engine).
-	Shards() int
-	// Queue returns shard i's scheduling interface.
-	Queue(i int) Queue
-	// Lookahead returns the conservative window width (0 for Engine).
-	Lookahead() Time
-}
-
 // Engine is a single-queue discrete-event simulation loop: a clock plus
 // a monotone priority queue of events. It is single-threaded by design.
 // Events fire in (time, schedule order): same-time events fire in the
-// order they were scheduled. That is the canonical order the sharded
-// engine reconstructs from its (At, slot, minor) keys (see event), so
-// the two engines agree event for event. Engine implements both Sim (as
-// a 1-shard engine) and Queue (as its own only shard).
+// order they were scheduled.
 //
 // The queue is a radix heap. last is the time of the latest event taken
 // off the queue, and an event at time t waits in bucket
@@ -143,24 +88,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of live events still queued.
 func (e *Engine) Pending() int { return e.live }
 
-// Scheduled returns the number of events scheduled so far: every At,
-// After and CrossAfter call counts once. Events fire in (time, schedule
+// Scheduled returns the number of events scheduled so far: every At
+// and After call counts once. Events fire in (time, schedule
 // order), so two events scheduled for the same time while this count
 // moved by exactly one fire back to back, with nothing in between; a
 // caller may then fire them as one event.
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
-
-// Shards returns 1: the sequential engine is its own single shard.
-func (e *Engine) Shards() int { return 1 }
-
-// Queue returns the engine itself; every CPU shares the one queue.
-func (e *Engine) Queue(i int) Queue { return e }
-
-// Shard returns 0.
-func (e *Engine) Shard() int { return 0 }
-
-// Lookahead returns 0: a single queue needs no conservative window.
-func (e *Engine) Lookahead() Time { return 0 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now) panics: it would make the simulation acausal.
@@ -195,12 +128,6 @@ func (e *Engine) After(d Time, fn func()) EventID {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
-}
-
-// CrossAfter schedules fn on dst d cycles from now. On the sequential
-// engine every queue is the engine itself, so this is After.
-func (e *Engine) CrossAfter(dst Queue, d Time, fn func()) EventID {
-	return e.After(d, fn)
 }
 
 // Cancel turns the event into a tombstone: its Fn is released now, and

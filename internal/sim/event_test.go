@@ -191,3 +191,40 @@ func TestEngineCascade(t *testing.T) {
 		t.Fatalf("clock = %d, want 990", e.Now())
 	}
 }
+
+// TestCancelReleasesEagerly is the retention regression for the Cancel
+// bugfix: a cancelled event must leave the queue (and drop its Fn
+// closure) immediately, not at its fire time — a long-horizon timer that
+// is cancelled and re-armed every period would otherwise accumulate one
+// closure per period until the horizon.
+func TestCancelReleasesEagerly(t *testing.T) {
+	e := NewEngine()
+	const n = 1000
+	evs := make([]EventID, n)
+	for i := range evs {
+		big := make([]byte, 1<<10)
+		evs[i] = e.At(1_000_000_000, func() { _ = big })
+	}
+	if e.Pending() != n {
+		t.Fatalf("pending = %d, want %d", e.Pending(), n)
+	}
+	for _, ev := range evs {
+		e.Cancel(ev)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after cancelling all events, want 0 (cancelled events still counted)", e.Pending())
+	}
+	for _, ev := range evs {
+		if e.slab[ev.slot].fn != nil {
+			t.Fatal("cancelled event still pins its Fn closure")
+		}
+	}
+	// Double-cancel and cancel-after-fire stay no-ops.
+	ev := e.At(1_000_000_001, func() {})
+	e.Cancel(ev)
+	e.Cancel(ev)
+	e.Run()
+	if got := e.Now(); got != 0 {
+		t.Fatalf("clock moved to %d with every event cancelled", got)
+	}
+}

@@ -7,31 +7,27 @@ import (
 	"unsafe"
 )
 
-// This file checks both engines against a sorted-slice oracle: an
-// engine that keeps its pending events in one slice sorted by the
-// canonical (At, slot, minor) key and fires the head. Engine orders
-// same-time events by schedule sequence instead, and ShardedEngine by
-// the canonical key; running the same seeded scheduling programs on
-// all three checks that the two orders agree rather than assuming it.
+// This file checks Engine against a sorted-slice oracle: an engine that
+// keeps its pending events in one slice sorted by (time, schedule
+// sequence) and fires the head. Running the same seeded scheduling
+// programs on both checks that the radix heap keeps that order rather
+// than assuming it.
 
 // refEvent is one event of the oracle engine.
 type refEvent struct {
-	at          Time
-	slot, minor int64
-	exec        int64
-	fn          func()
-	eng         *refEngine
-	queued      bool
+	at     Time
+	seq    int64
+	exec   int64
+	fn     func()
+	eng    *refEngine
+	queued bool
 }
 
 func (a *refEvent) less(b *refEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.slot != b.slot {
-		return a.slot < b.slot
-	}
-	return a.minor < b.minor
+	return a.seq < b.seq
 }
 
 // Cancel removes a queued event; on a fired or cancelled one it is a
@@ -50,16 +46,13 @@ func (a *refEvent) Cancel() {
 	a.queued = false
 }
 
-// refEngine is the sorted-slice oracle. It assigns keys by the rules
-// Event documents: a root gets slot 2*F and the next root index, a child
-// gets slot 2*exec(parent)+1 and its parent's next child index.
+// refEngine is the sorted-slice oracle.
 type refEngine struct {
 	now    Time
 	q      []*refEvent
 	fired  int64
-	rootn  int64
+	seq    int64
 	cur    *refEvent
-	childn int64
 	halted bool
 }
 
@@ -67,14 +60,8 @@ func (r *refEngine) at(t Time, fn func()) *refEvent {
 	if t < r.now {
 		panic("oracle: scheduling in the past")
 	}
-	ev := &refEvent{at: t, fn: fn, eng: r, queued: true}
-	if r.cur != nil {
-		ev.slot, ev.minor = 2*r.cur.exec+1, r.childn
-		r.childn++
-	} else {
-		ev.slot, ev.minor = 2*r.fired, r.rootn
-		r.rootn++
-	}
+	ev := &refEvent{at: t, seq: r.seq, fn: fn, eng: r, queued: true}
+	r.seq++
 	i := sort.Search(len(r.q), func(i int) bool { return ev.less(r.q[i]) })
 	r.q = append(r.q, nil)
 	copy(r.q[i+1:], r.q[i:])
@@ -92,7 +79,7 @@ func (r *refEngine) step() bool {
 	r.now = ev.at
 	ev.exec = r.fired
 	r.fired++
-	r.cur, r.childn = ev, 0
+	r.cur = ev
 	ev.fn()
 	r.cur = nil
 	return true
@@ -114,97 +101,60 @@ func (r *refEngine) runUntil(d Time) {
 	}
 }
 
-// diffEngine is what a scheduling program drives: an engine under test
-// or the oracle. Logical CPUs map onto the engine's shards.
+// diffEngine is what a scheduling program drives: Engine or the oracle.
 type diffEngine interface {
 	now() Time
-	// root schedules fn at absolute time t on cpu's shard; only
-	// between runs.
-	root(cpu int, t Time, fn func()) canceler
-	// child schedules fn d cycles after the firing event, from cpu's
-	// shard onto dst's. Cross-CPU sends use d >= diffLookahead.
-	child(cpu, dst int, d Time, fn func()) canceler
+	// at schedules fn at absolute time t; only between runs.
+	at(t Time, fn func()) canceler
+	// after schedules fn d cycles after the firing event.
+	after(d Time, fn func()) canceler
 	run()
 	runUntil(Time)
 	halt()
 	fired() uint64
 	pending() int
-	// current returns a token for the event firing on cpu's shard;
-	// rank resolves it to the event's global execution rank once the
-	// run is over.
-	current(cpu int) any
-	rank(tok any) int64
+	// current returns the execution rank of the firing event.
+	current() int64
 }
 
 type canceler interface{ Cancel() }
 
-const diffLookahead = Time(10)
+// crossDelay is the least delay of a send to another logical CPU.
+const crossDelay = Time(10)
 
-// simDiff adapts Engine and ShardedEngine.
-type simDiff struct {
-	s    Sim
-	ncpu int
-}
+// engineDiff adapts Engine.
+type engineDiff struct{ e *Engine }
 
-// handle cancels an event through the queue that scheduled it.
+// handle cancels an event through its engine.
 type handle struct {
-	q  Queue
+	e  *Engine
 	id EventID
 }
 
-func (h handle) Cancel() { h.q.Cancel(h.id) }
+func (h handle) Cancel() { h.e.Cancel(h.id) }
 
-func (d simDiff) q(cpu int) Queue { return d.s.Queue(cpu * d.s.Shards() / d.ncpu) }
-func (d simDiff) now() Time       { return d.s.Now() }
-func (d simDiff) root(cpu int, t Time, fn func()) canceler {
-	return handle{d.q(cpu), d.q(cpu).At(t, fn)}
-}
-func (d simDiff) child(cpu, dst int, dt Time, fn func()) canceler {
-	q := d.q(cpu)
-	if cpu == dst {
-		return handle{q, q.After(dt, fn)}
-	}
-	return handle{q, q.CrossAfter(d.q(dst), dt, fn)}
-}
-func (d simDiff) run()            { d.s.Run() }
-func (d simDiff) runUntil(t Time) { d.s.RunUntil(t) }
-func (d simDiff) halt()           { d.s.Halt() }
-func (d simDiff) fired() uint64   { return d.s.Fired() }
-func (d simDiff) pending() int    { return d.s.Pending() }
+func (d engineDiff) now() Time                         { return d.e.Now() }
+func (d engineDiff) at(t Time, fn func()) canceler     { return handle{d.e, d.e.At(t, fn)} }
+func (d engineDiff) after(dt Time, fn func()) canceler { return handle{d.e, d.e.After(dt, fn)} }
+func (d engineDiff) run()                              { d.e.Run() }
+func (d engineDiff) runUntil(t Time)                   { d.e.RunUntil(t) }
+func (d engineDiff) halt()                             { d.e.Halt() }
+func (d engineDiff) fired() uint64                     { return d.e.Fired() }
+func (d engineDiff) pending() int                      { return d.e.Pending() }
+func (d engineDiff) current() int64                    { return int64(d.e.Fired()) - 1 }
 
-// current is the firing event itself on a shard, whose rank is final
-// after the window barrier, and the fire count on Engine, where the
-// firing event's rank is already final.
-func (d simDiff) current(cpu int) any {
-	if s, ok := d.q(cpu).(*Shard); ok {
-		return s.cur
-	}
-	return int64(d.s.Fired()) - 1
-}
-func (d simDiff) rank(tok any) int64 {
-	if ev, ok := tok.(*event); ok {
-		return ev.exec
-	}
-	return tok.(int64)
-}
-
-// refDiff adapts the oracle; it has one queue, so every send is local.
+// refDiff adapts the oracle.
 type refDiff struct{ r *refEngine }
 
-func (d refDiff) now() Time { return d.r.now }
-func (d refDiff) root(cpu int, t Time, fn func()) canceler {
-	return d.r.at(t, fn)
-}
-func (d refDiff) child(cpu, dst int, dt Time, fn func()) canceler {
-	return d.r.at(d.r.cur.at+dt, fn)
-}
-func (d refDiff) run()                { d.r.run() }
-func (d refDiff) runUntil(t Time)     { d.r.runUntil(t) }
-func (d refDiff) halt()               { d.r.halted = true }
-func (d refDiff) fired() uint64       { return uint64(d.r.fired) }
-func (d refDiff) pending() int        { return len(d.r.q) }
-func (d refDiff) current(cpu int) any { return d.r.cur }
-func (d refDiff) rank(tok any) int64  { return tok.(*refEvent).exec }
+func (d refDiff) now() Time                         { return d.r.now }
+func (d refDiff) at(t Time, fn func()) canceler     { return d.r.at(t, fn) }
+func (d refDiff) after(dt Time, fn func()) canceler { return d.r.at(d.r.cur.at+dt, fn) }
+func (d refDiff) run()                              { d.r.run() }
+func (d refDiff) runUntil(t Time)                   { d.r.runUntil(t) }
+func (d refDiff) halt()                             { d.r.halted = true }
+func (d refDiff) fired() uint64                     { return uint64(d.r.fired) }
+func (d refDiff) pending() int                      { return len(d.r.q) }
+func (d refDiff) current() int64                    { return d.r.cur.exec }
 
 // mix64 is the splitmix64 finalizer: event IDs and per-event decision
 // streams derive from it, so every engine makes the same decisions.
@@ -217,7 +167,7 @@ func mix64(x uint64) uint64 {
 
 // diffProgram is one seeded scheduling program over ncpu logical CPUs.
 // A handler touches only its own CPU's state, and cancels only events
-// its CPU scheduled onto itself, so it is shard-safe on ShardedEngine.
+// its CPU scheduled onto itself.
 type diffProgram struct {
 	eng   diffEngine
 	seed  uint64
@@ -229,8 +179,8 @@ type diffProgram struct {
 }
 
 type firing struct {
-	id  uint64
-	tok any // diffEngine.current at fire time
+	id   uint64
+	exec int64 // diffEngine.current at fire time
 }
 
 func newDiffProgram(eng diffEngine, ncpu int, seed uint64, halts bool) *diffProgram {
@@ -241,7 +191,7 @@ func newDiffProgram(eng diffEngine, ncpu int, seed uint64, halts bool) *diffProg
 // fire is the handler of event id on cpu, generation gen. Its decisions
 // are a pure function of (seed, id) and of its CPU's own history.
 func (p *diffProgram) fire(cpu int, id uint64, gen int) {
-	p.logs[cpu] = append(p.logs[cpu], firing{id, p.eng.current(cpu)})
+	p.logs[cpu] = append(p.logs[cpu], firing{id, p.eng.current()})
 	r := mix64(p.seed ^ id)
 	next := func(n uint64) uint64 {
 		r = mix64(r)
@@ -253,10 +203,10 @@ func (p *diffProgram) fire(cpu int, id uint64, gen int) {
 			dst, d := cpu, Time(next(40))
 			if next(10) < 3 {
 				dst = int(next(ncpu))
-				d = diffLookahead + Time(next(40))
+				d = crossDelay + Time(next(40))
 			}
 			cid := mix64(id*31 + k + 1)
-			h := p.eng.child(cpu, dst, d, func() { p.fire(dst, cid, gen+1) })
+			h := p.eng.after(d, func() { p.fire(dst, cid, gen+1) })
 			if dst == cpu {
 				p.local[cpu] = append(p.local[cpu], h)
 			}
@@ -286,7 +236,7 @@ func (p *diffProgram) run() {
 			cpu := int(next(uint64(len(p.logs))))
 			id := mix64(p.seed<<20 | rootID)
 			rootID++
-			h := p.eng.root(cpu, p.eng.now()+Time(next(100)), func() { p.fire(cpu, id, 0) })
+			h := p.eng.at(p.eng.now()+Time(next(100)), func() { p.fire(cpu, id, 0) })
 			p.roots = append(p.roots, h)
 		}
 		if len(p.roots) > 0 && next(3) == 0 {
@@ -319,7 +269,7 @@ func (p *diffProgram) order(t *testing.T) []uint64 {
 	var all []ranked
 	for _, l := range p.logs {
 		for _, f := range l {
-			all = append(all, ranked{p.eng.rank(f.tok), f.id})
+			all = append(all, ranked{f.exec, f.id})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].exec < all[j].exec })
@@ -358,9 +308,6 @@ func sameOrder(t *testing.T, name string, seed uint64, got, want *diffProgram, g
 // scheduling, Cancel (in handlers, after fire, of the firing event, of
 // roots between runs), RunUntil and Halt through Engine and through the
 // oracle: fire order, clock, fired and pending counts must agree.
-// Without Halt, the same programs also run on ShardedEngine at 1, 3 and
-// 8 shards. (Halt there takes effect at the window barrier, not after
-// the current event, so its stopping point is not the oracle's.)
 func TestHeapMatchesSortedOracle(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -370,16 +317,9 @@ func TestHeapMatchesSortedOracle(t *testing.T) {
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		for _, halts := range []bool{true, false} {
 			ref, refIDs := diffRun(t, refDiff{&refEngine{}}, seed, halts)
-			got, gotIDs := diffRun(t, simDiff{NewEngine(), 8}, seed, halts)
-			sameOrder(t, fmt.Sprintf("engine halts=%v", halts), seed, got, ref, gotIDs, refIDs)
+			got, gotIDs := diffRun(t, engineDiff{NewEngine()}, seed, halts)
+			sameOrder(t, fmt.Sprintf("halts=%v", halts), seed, got, ref, gotIDs, refIDs)
 			total += len(refIDs)
-			if halts {
-				continue
-			}
-			for _, shards := range []int{1, 3, 8} {
-				got, gotIDs := diffRun(t, simDiff{NewSharded(shards, diffLookahead), 8}, seed, false)
-				sameOrder(t, fmt.Sprintf("%d shards", shards), seed, got, ref, gotIDs, refIDs)
-			}
 		}
 	}
 	if total < 1000 {
@@ -387,36 +327,39 @@ func TestHeapMatchesSortedOracle(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveKeepsOrder cancels events at every position of a
-// shard's event heap, including the last slot and the root, and checks
-// the survivors still pop in canonical order with consistent indices.
+// TestHeapRemoveKeepsOrder cancels the event at every schedule position
+// of queues of 1 to 40 events, spread over few enough times that many
+// tie, and checks the survivors fire in (time, schedule order) and the
+// cancelled one never does.
 func TestHeapRemoveKeepsOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq int
+	}
 	for n := 1; n <= 40; n++ {
 		for cut := 0; cut < n; cut++ {
-			s := NewSharded(1, 1).shards[0]
+			e := NewEngine()
+			var fired []key
+			ids := make([]EventID, n)
 			for i := 0; i < n; i++ {
-				s.At(Time(mix64(uint64(n*100+i))%17), func() {})
+				k := key{Time(mix64(uint64(n*100+i)) % 17), i}
+				ids[i] = e.At(k.at, func() { fired = append(fired, k) })
 			}
-			victim := s.queue[cut]
-			s.Cancel(EventID{victim.ref, s.gens[victim.ref]})
-			if victim.index != -1 || victim.owner != nil {
-				t.Fatalf("n=%d cut=%d: cancelled event still indexed", n, cut)
+			e.Cancel(ids[cut])
+			if e.Pending() != n-1 {
+				t.Fatalf("n=%d cut=%d: pending %d after cancel, want %d", n, cut, e.Pending(), n-1)
 			}
-			for i, ev := range s.queue {
-				if int(ev.index) != i {
-					t.Fatalf("n=%d cut=%d: event at %d records index %d", n, cut, i, ev.index)
-				}
+			e.Run()
+			if len(fired) != n-1 {
+				t.Fatalf("n=%d cut=%d: %d events fired, want %d", n, cut, len(fired), n-1)
 			}
-			var prev *event
-			for len(s.queue) > 0 {
-				ev := s.queue.pop()
-				if ev == victim {
-					t.Fatalf("n=%d cut=%d: cancelled event popped", n, cut)
+			for i, k := range fired {
+				if k.seq == cut {
+					t.Fatalf("n=%d cut=%d: cancelled event fired", n, cut)
 				}
-				if prev != nil && ev.before(prev) {
-					t.Fatalf("n=%d cut=%d: pop order not canonical", n, cut)
+				if i > 0 && (k.at < fired[i-1].at || k.at == fired[i-1].at && k.seq < fired[i-1].seq) {
+					t.Fatalf("n=%d cut=%d: fire order %v not (time, schedule order)", n, cut, fired)
 				}
-				prev = ev
 			}
 		}
 	}
@@ -531,10 +474,13 @@ func TestEngineStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the sharded engine's event to one 64-byte
-// allocation class: every event it schedules allocates one.
+// TestEventSize pins the engine's per-event footprint: a queue entry
+// and a slab slot are 16 bytes each.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 64 {
-		t.Fatalf("event is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(qent{}); n > 16 {
+		t.Fatalf("queue entry is %d bytes, want <= 16", n)
+	}
+	if n := unsafe.Sizeof(slabEvent{}); n > 16 {
+		t.Fatalf("slab slot is %d bytes, want <= 16", n)
 	}
 }

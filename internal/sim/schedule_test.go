@@ -35,9 +35,9 @@ func (p *burstProgram) schedule(t Time, inHandler bool, gen int) {
 	fn := func() { p.fire(n, gen) }
 	var h canceler
 	if inHandler {
-		h = p.eng.child(0, 0, t-p.eng.now(), fn)
+		h = p.eng.after(t-p.eng.now(), fn)
 	} else {
-		h = p.eng.root(0, t, fn)
+		h = p.eng.at(t, fn)
 	}
 	p.at = append(p.at, t)
 	p.from = append(p.from, p.eng.now())
@@ -156,7 +156,7 @@ func TestEngineSameTimeRunsFireBackToBack(t *testing.T) {
 		ref := &burstProgram{eng: refDiff{&refEngine{}}, seed: seed, halts: halts}
 		ref.run()
 		e := NewEngine()
-		got := &burstProgram{eng: simDiff{e, 1}, seed: seed, halts: halts, scheduled: e.Scheduled}
+		got := &burstProgram{eng: engineDiff{e}, seed: seed, halts: halts, scheduled: e.Scheduled}
 		got.run()
 		if got.miscount != "" {
 			t.Fatalf("seed %d: %s", seed, got.miscount)
