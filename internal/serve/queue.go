@@ -14,7 +14,7 @@ import (
 )
 
 // Options sizes a Server. The zero Options is usable: default pool
-// width, sequential engine, 4 workers, a 64-deep queue, no cache.
+// width, 4 workers, a 64-deep queue, no cache.
 type Options struct {
 	// Parallel bounds concurrent experiment cells across ALL jobs — the
 	// shared exp.Pool every job's cells go through (0 = exp default).
