@@ -3,7 +3,7 @@ GO ?= go
 # Minimum per-package statement coverage (percent) for the cover gate.
 COVER_FLOOR ?= 60
 
-.PHONY: build vet detvet lint test short race digests bench bench-mem bench-machine bench-cache bench-interp-fused benchsmoke cover all check
+.PHONY: build vet detvet lint test short race digests bench bench-mem bench-machine bench-cache bench-interp-fused cover all check
 
 build:
 	$(GO) build ./...
@@ -74,12 +74,6 @@ bench-cache:
 bench-interp-fused:
 	$(GO) run ./cmd/benchdiff -o BENCH_interp.json
 
-# One run of every CARAT kernel on both execution engines plus a 10k-op
-# allocator differential trace, requiring bit-identical results; no
-# timing, so it is cheap enough for check.
-benchsmoke:
-	$(GO) run ./cmd/benchdiff -quick
-
 # Per-package coverage gate over the internal packages: fails if any
 # package tests below $(COVER_FLOOR)% of statements (or has no tests at
 # all). Uses -short so it stays cheap enough for check.
@@ -95,4 +89,4 @@ all:
 	$(GO) run ./cmd/interweave all
 
 # Standard local gate.
-check: build vet lint race digests cover benchsmoke
+check: build vet lint race digests cover

@@ -5,9 +5,6 @@
 // Modes:
 //
 //	benchdiff -o BENCH_interp.json        # full run: bench fast + reference, write JSON
-//	benchdiff -quick                      # CI smoke: one run per kernel per engine,
-//	                                      # verify bit-identical results, write nothing;
-//	                                      # also runs a 10k-op allocator differential trace
 //	benchdiff -mem -o BENCH_mem.json      # allocator benches: intrusive Buddy vs
 //	                                      # ReferenceBuddy, plus contended magazines vs mutex
 //	benchdiff -machine                    # event-engine scaling curve at
@@ -21,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
 	"time"
@@ -174,78 +170,6 @@ func measureAllocs(call func() error) (allocs, bytes int64, err error) {
 	return int64(m1.Mallocs-m0.Mallocs) / n, int64(m1.TotalAlloc-m0.TotalAlloc) / n, nil
 }
 
-// quickCheck runs each kernel once per engine and requires bit-identical
-// return values, Stats, and final heaps — a fast equivalence smoke for
-// `make check`, with no timing thresholds.
-func quickCheck() error {
-	for _, k := range workloads.CARATSuite() {
-		run := func(reference, optimize, fused bool) (uint64, interp.Stats, interface{}, error) {
-			m := k.Build()
-			if optimize {
-				if _, err := passes.Optimize(m); err != nil {
-					return 0, interp.Stats{}, nil, err
-				}
-			}
-			ip, err := interp.New(m)
-			if err != nil {
-				return 0, interp.Stats{}, nil, err
-			}
-			ip.NoFusion = !fused
-			var ret uint64
-			if reference {
-				ret, err = ip.ReferenceCall(k.Entry)
-			} else {
-				ret, err = ip.Call(k.Entry)
-			}
-			return ret, ip.Stats, ip.Heap.Snapshot(), err
-		}
-		fr, fs, fh, ferr := run(false, false, false)
-		rr, rs, rh, rerr := run(true, false, false)
-		if ferr != nil || rerr != nil {
-			return fmt.Errorf("%s: fast err %v, reference err %v", k.Name, ferr, rerr)
-		}
-		if fr != rr || fs != rs || !reflect.DeepEqual(fh, rh) {
-			return fmt.Errorf("%s: engines diverge (ret %d vs %d)", k.Name, fr, rr)
-		}
-		if k.Want != 0 && fr != k.Want {
-			return fmt.Errorf("%s: checksum %d, want %d", k.Name, fr, k.Want)
-		}
-		// The fused fast path must reproduce the reference run exactly:
-		// same return, same Stats (steps, cycles, every counter), same
-		// final heap.
-		ur, us, uh, uerr := run(false, false, true)
-		if uerr != nil {
-			return fmt.Errorf("%s: fused err %v", k.Name, uerr)
-		}
-		if ur != rr || us != rs || !reflect.DeepEqual(uh, rh) {
-			return fmt.Errorf("%s: fused engine diverges (ret %d vs %d)", k.Name, ur, rr)
-		}
-		// The optimized module must stay bit-identical across engines
-		// and preserve the pristine checksum.
-		ofr, ofs, ofh, oferr := run(false, true, false)
-		orr, ors, orh, orerr := run(true, true, false)
-		if oferr != nil || orerr != nil {
-			return fmt.Errorf("%s: optimized fast err %v, reference err %v", k.Name, oferr, orerr)
-		}
-		if ofr != orr || ofs != ors || !reflect.DeepEqual(ofh, orh) {
-			return fmt.Errorf("%s: optimized engines diverge (ret %d vs %d)", k.Name, ofr, orr)
-		}
-		if ofr != fr {
-			return fmt.Errorf("%s: optimizer changed checksum %d -> %d", k.Name, fr, ofr)
-		}
-		oufr, oufs, oufh, ouferr := run(false, true, true)
-		if ouferr != nil {
-			return fmt.Errorf("%s: opt-fused err %v", k.Name, ouferr)
-		}
-		if oufr != orr || oufs != ors || !reflect.DeepEqual(oufh, orh) {
-			return fmt.Errorf("%s: opt-fused engine diverges (ret %d vs %d)", k.Name, oufr, orr)
-		}
-		fmt.Printf("ok  %-14s ret=%d steps=%d cycles=%d opt-cycles=%d (fused verified)\n",
-			k.Name, fr, fs.Steps, fs.Cycles, ofs.Cycles)
-	}
-	return nil
-}
-
 // geomean returns the geometric-mean ratio base[k]/meas[k] over the
 // kernels present in both maps.
 func geomean(base, meas map[string]entry) float64 {
@@ -269,31 +193,12 @@ func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
 func main() {
 	out := flag.String("o", "", "output file (default BENCH_interp.json, or BENCH_mem.json with -mem)")
-	quick := flag.Bool("quick", false, "equivalence smoke only; measure nothing, write nothing")
 	memMode := flag.Bool("mem", false, "benchmark the memory allocator instead of the interpreter")
 	machineMode := flag.Bool("machine", false,
 		"benchmark the event engine on Fig 3 at 64-1024 simulated CPUs instead of the interpreter")
 	cacheMode := flag.Bool("cache", false,
 		"benchmark the content-addressed result cache (cold/warm/restart/coalesced legs) instead of the interpreter")
-	chaosSeed := flag.Uint64("chaos-seed", 11,
-		"seed for the fault-injected allocator differential run by -quick")
 	flag.Parse()
-
-	if *quick {
-		if err := quickCheck(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
-		}
-		if err := quickCheckMem(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
-		}
-		if err := quickCheckChaos(*chaosSeed); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *memMode {
 		if *out == "" {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -328,122 +327,5 @@ func runMem(out string) error {
 		return err
 	}
 	fmt.Println("wrote", out)
-	return nil
-}
-
-// quickCheckMem is the allocator leg of -quick: a deterministic 10k-op
-// trace through both engines, requiring identical addresses, errors, and
-// stats — the same property the fuzzer explores, as a CI smoke.
-func quickCheckMem() error {
-	fast, err := mem.NewBuddy(0x4000, 1<<20, 6)
-	if err != nil {
-		return err
-	}
-	ref, err := mem.NewReferenceBuddy(0x4000, 1<<20, 6)
-	if err != nil {
-		return err
-	}
-	rng := sim.NewRNG(7)
-	var live []mem.Addr
-	for op := 0; op < 10_000; op++ {
-		if rng.Intn(2) == 0 || len(live) == 0 {
-			n := uint64(rng.Intn(8192) + 1)
-			fa, fe := fast.Alloc(n)
-			ra, re := ref.Alloc(n)
-			if fe != re || fa != ra {
-				return fmt.Errorf("mem op %d: Alloc(%d) fast=(%#x,%v) reference=(%#x,%v)", op, n, fa, fe, ra, re)
-			}
-			if fe == nil {
-				live = append(live, fa)
-			}
-		} else {
-			i := rng.Intn(len(live))
-			if fe, re := fast.Free(live[i]), ref.Free(live[i]); fe != nil || re != nil {
-				return fmt.Errorf("mem op %d: Free fast=%v reference=%v", op, fe, re)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	if fast.Stats() != ref.Stats() {
-		return fmt.Errorf("mem: stats diverge after trace")
-	}
-	if err := fast.CheckInvariants(); err != nil {
-		return fmt.Errorf("mem: fast invariants: %w", err)
-	}
-	if err := ref.CheckInvariants(); err != nil {
-		return fmt.Errorf("mem: reference invariants: %w", err)
-	}
-	fmt.Printf("ok  mem            10000-op differential trace, stats identical\n")
-	return nil
-}
-
-// quickCheckChaos is the fault-injected allocator leg of -quick: the
-// same differential trace, but with each engine driven by an identical
-// chaos fault schedule (two plans, same seed, same site, so both
-// engines draw the same per-call decisions). Both engines must fail on
-// exactly the same operations with the same recorded fault, produce
-// identical addresses everywhere else, keep their invariants at every
-// firing, and emit identical fault traces.
-func quickCheckChaos(seed uint64) error {
-	fast, err := mem.NewBuddy(0x4000, 1<<20, 6)
-	if err != nil {
-		return err
-	}
-	ref, err := mem.NewReferenceBuddy(0x4000, 1<<20, 6)
-	if err != nil {
-		return err
-	}
-	cfg := chaos.DefaultConfig()
-	cfg.AllocFailProb = 0.05
-	planF := chaos.NewPlan(seed, cfg)
-	planR := chaos.NewPlan(seed, cfg)
-	fast.Inject = planF.AllocInjector("benchdiff/alloc", mem.ErrOutOfMemory)
-	ref.Inject = planR.AllocInjector("benchdiff/alloc", mem.ErrOutOfMemory)
-	planF.OnInvariant("buddy-fast", fast.CheckInvariants)
-	planR.OnInvariant("buddy-reference", ref.CheckInvariants)
-
-	rng := sim.NewRNG(seed ^ 0xc4a05)
-	var live []mem.Addr
-	injected := 0
-	for op := 0; op < 10_000; op++ {
-		if rng.Intn(2) == 0 || len(live) == 0 {
-			n := uint64(rng.Intn(8192) + 1)
-			fa, fe := fast.Alloc(n)
-			ra, re := ref.Alloc(n)
-			ff, fInj := chaos.AsFault(fe)
-			rf, rInj := chaos.AsFault(re)
-			if fInj != rInj || (fInj && ff.Fault != rf.Fault) {
-				return fmt.Errorf("chaos op %d: fault schedules diverge (fast %v, reference %v)", op, fe, re)
-			}
-			if fInj {
-				injected++
-				continue
-			}
-			if fe != re || fa != ra {
-				return fmt.Errorf("chaos op %d: Alloc(%d) fast=(%#x,%v) reference=(%#x,%v)", op, n, fa, fe, ra, re)
-			}
-			if fe == nil {
-				live = append(live, fa)
-			}
-		} else {
-			i := rng.Intn(len(live))
-			if fe, re := fast.Free(live[i]), ref.Free(live[i]); fe != nil || re != nil {
-				return fmt.Errorf("chaos op %d: Free fast=%v reference=%v", op, fe, re)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	if fast.Stats() != ref.Stats() {
-		return fmt.Errorf("chaos: stats diverge after fault-injected trace")
-	}
-	if ts := planF.TraceString(); ts != planR.TraceString() {
-		return fmt.Errorf("chaos: fault traces diverge between engines")
-	}
-	if v := append(planF.Violations(), planR.Violations()...); len(v) > 0 {
-		return fmt.Errorf("chaos: %d invariant violation(s), first: %v", len(v), v[0])
-	}
-	fmt.Printf("ok  chaos          10000-op trace under seed %d: %d injected faults, engines identical\n", seed, injected)
 	return nil
 }

@@ -64,23 +64,28 @@ func main() {
 	if cmd == "cache" {
 		os.Exit(runCache(os.Args[2:]))
 	}
+	// The registry (internal/core) owns experiment dispatch and result
+	// addressing; the CLI's job is filling one RunConfig from the flags
+	// and printing tables. Result flags bind straight into cfg, whose
+	// defaults are the registry's.
+	cfg := core.DefaultRunConfig(cmd)
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	overheads := fs.Bool("overheads", false, "fig3: also print scheduling overheads")
-	granularity := fs.Bool("granularity", false, "fig4: also print granularity floors")
-	mobility := fs.Bool("mobility", false, "carat: also print heap compaction demo")
-	memstats := fs.Bool("memstats", false, "carat: also print heap allocator statistics")
-	epcc := fs.Bool("epcc", false, "fig6: also print EPCC sync microbenchmarks")
-	sweep := fs.Bool("sweep", false, "fig7: also print scale/disaggregation sweep")
-	ablate := fs.Bool("ablate", false, "fig7: also print per-class ablation")
-	cpus := fs.Int("cpus", 16, "CPU count for CPU-parameterized experiments")
-	seed := fs.Uint64("seed", 42, "simulation seed")
+	fs.BoolVar(&cfg.Overheads, "overheads", false, "fig3: also print scheduling overheads")
+	fs.BoolVar(&cfg.Granularity, "granularity", false, "fig4: also print granularity floors")
+	fs.BoolVar(&cfg.Mobility, "mobility", false, "carat: also print heap compaction demo")
+	fs.BoolVar(&cfg.MemStats, "memstats", false, "carat: also print heap allocator statistics")
+	fs.BoolVar(&cfg.EPCC, "epcc", false, "fig6: also print EPCC sync microbenchmarks")
+	fs.BoolVar(&cfg.Sweep, "sweep", false, "fig7: also print scale/disaggregation sweep")
+	fs.BoolVar(&cfg.Ablate, "ablate", false, "fig7: also print per-class ablation")
+	fs.IntVar(&cfg.CPUs, "cpus", cfg.CPUs, "CPU count for CPU-parameterized experiments")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
+	fs.Uint64Var(&cfg.ChaosSeed, "chaos-seed", 0,
+		"arm the fault-injection harness with this seed (0 = off); same seed replays the same faults")
+	fs.IntVar(&cfg.Domains, "domains", 0,
+		"fig3: steal domains per run (0 = one machine-wide domain; the -sweep table uses one per 32 CPUs from 256 up)")
 	jsonOut := fs.Bool("json", false, "emit tables as JSON instead of aligned text")
 	parallel := fs.Int("parallel", 0,
 		"max concurrent experiment cells (0 = $INTERWEAVE_PARALLEL or GOMAXPROCS, 1 = sequential)")
-	chaosSeed := fs.Uint64("chaos-seed", 0,
-		"arm the fault-injection harness with this seed (0 = off); same seed replays the same faults")
-	domains := fs.Int("domains", 0,
-		"fig3: steal domains per run (0 = one machine-wide domain; the -sweep table uses one per 32 CPUs from 256 up)")
 	useCache := fs.Bool("cache", false,
 		"memoize results in the content-addressed cache (disk spill at -cache-dir); output stays byte-identical")
 	cacheDir := fs.String("cache-dir", os.Getenv(cache.EnvDir),
@@ -94,32 +99,9 @@ func main() {
 		resultCache = cache.New(cache.Config{Dir: *cacheDir})
 	}
 
-	// The registry (internal/core) owns experiment dispatch and result
-	// addressing; the CLI's job is translating flags into a RunConfig
-	// and printing tables. `all` regenerates everything with every
-	// optional table on, trimming the sweep axes to the classic small-N
-	// points (SmallAxes): the 256–1024 CPU/core points take minutes
-	// each and belong to the explicit `fig3 -sweep` / `fig7 -sweep`
-	// invocations.
 	runner := &core.Runner{Parallel: *parallel, Cache: resultCache}
-	config := func(name string) core.RunConfig {
-		cfg := core.DefaultRunConfig(name)
-		cfg.CPUs = *cpus
-		cfg.Seed = *seed
-		cfg.ChaosSeed = *chaosSeed
-		cfg.Domains = *domains
-		cfg.Overheads = *overheads
-		cfg.Granularity = *granularity
-		cfg.Mobility = *mobility
-		cfg.MemStats = *memstats
-		cfg.EPCC = *epcc
-		cfg.Sweep = *sweep
-		cfg.Ablate = *ablate
-		cfg.SmallAxes = cmd == "all"
-		return cfg
-	}
-	run := func(name string) ([]*core.Table, error) {
-		tables, _, err := runner.Run(context.Background(), config(name), nil)
+	run := func(cfg core.RunConfig) ([]*core.Table, error) {
+		tables, _, err := runner.Run(context.Background(), cfg, nil)
 		return tables, err
 	}
 
@@ -136,7 +118,7 @@ func main() {
 		}
 		if fe, ok := chaos.AsFault(err); ok {
 			fmt.Fprintf(os.Stderr, "chaos: experiment failed by injected fault %s\n", fe.Fault)
-			fmt.Fprintf(os.Stderr, "chaos: replay with -chaos-seed %d (same seed, same fault trace)\n", *chaosSeed)
+			fmt.Fprintf(os.Stderr, "chaos: replay with -chaos-seed %d (same seed, same fault trace)\n", cfg.ChaosSeed)
 			os.Exit(3)
 		}
 		fmt.Fprintln(os.Stderr, err)
@@ -162,15 +144,20 @@ func main() {
 	}
 
 	if cmd == "all" {
-		*overheads, *granularity, *mobility, *epcc, *sweep, *ablate =
-			true, true, true, true, true, true
-		// One goroutine per experiment on the same bounded pool the
+		// `all` regenerates everything with every optional table on,
+		// trimming the sweep axes to the classic small-N points: the
+		// 256–1024 CPU/core points take minutes each and belong to the
+		// explicit `fig3 -sweep` / `fig7 -sweep` invocations. One
+		// goroutine per experiment on the same bounded pool the
 		// per-experiment cells use; tables buffer per experiment and
 		// print in canonical order once everything finished.
+		all := cfg.WithAll()
 		ids := core.ExperimentIDs()
 		results, err := exp.Map(exp.New(*parallel), len(ids),
 			func(i int) ([]*core.Table, error) {
-				return run(ids[i])
+				c := all
+				c.Experiment = ids[i]
+				return run(c)
 			})
 		if err != nil {
 			fail(err)
@@ -181,7 +168,7 @@ func main() {
 		report()
 		return
 	}
-	tables, err := run(cmd)
+	tables, err := run(cfg)
 	if err != nil {
 		fail(err)
 	}

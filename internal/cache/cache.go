@@ -38,14 +38,10 @@ func (s Source) String() string {
 	return fmt.Sprintf("source(%d)", uint8(s))
 }
 
-// Config sizes a Cache. The zero Config is usable: 16 shards, 64 MiB
-// in-memory budget, no disk spill.
+// Config sizes a Cache. The zero Config is usable: 64 MiB in-memory
+// budget, no disk spill.
 type Config struct {
-	// Shards is the in-memory LRU shard count, rounded up to a power of
-	// two. 0 means 16.
-	Shards int
-	// MemBudget is the total in-memory byte budget across all shards.
-	// 0 means 64 MiB.
+	// MemBudget is the in-memory byte budget. 0 means 64 MiB.
 	MemBudget int64
 	// Dir is the disk-spill directory. Empty disables spill. The
 	// interweave CLI defaults it from $INTERWEAVE_CACHE_DIR.
@@ -77,7 +73,7 @@ func (s Stats) String() string {
 		s.Entries, s.BytesInMem, s.Evictions, s.SpillWrite, s.SpillErr)
 }
 
-// Cache composes the three tiers: sharded LRU over disk spill, with a
+// Cache composes the three tiers: an LRU over disk spill, with a
 // singleflight group coalescing duplicate in-flight computes.
 type Cache struct {
 	mem    *memLRU
@@ -90,16 +86,12 @@ type Cache struct {
 
 // New builds a cache from cfg (see Config for zero-value defaults).
 func New(cfg Config) *Cache {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 16
-	}
 	budget := cfg.MemBudget
 	if budget <= 0 {
 		budget = 64 << 20
 	}
 	return &Cache{
-		mem:  newMemLRU(shards, budget),
+		mem:  newMemLRU(budget),
 		disk: newDiskStore(cfg.Dir),
 	}
 }
@@ -208,7 +200,8 @@ func (c *Cache) lead(ctx context.Context, k Key, fc *flightCall, compute func() 
 	return v, SourceComputed, err
 }
 
-// Stats snapshots the cache's counters. Taken shard by shard, so under
+// Stats snapshots the cache's counters. The LRU's counters are read
+// under its lock and the other tiers' atomically, one by one, so under
 // concurrent traffic the totals are approximate.
 func (c *Cache) Stats() Stats {
 	var st Stats

@@ -58,11 +58,31 @@ func TestCacheSpillAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestCacheOneBudget pins that the memory tier has one budget: a value
+// of half the budget is admitted and served from memory, and the next
+// such value evicts the least recent one.
+func TestCacheOneBudget(t *testing.T) {
+	t.Parallel()
+	c := New(Config{MemBudget: 1 << 10})
+	a, b := tkey("half-a"), tkey("half-b")
+	c.Put(a, make([]byte, 512))
+	if v, ok := c.Get(a); !ok || len(v) != 512 {
+		t.Fatalf("half-budget value not served from memory: ok=%v len=%d", ok, len(v))
+	}
+	c.Put(b, make([]byte, 513))
+	if _, ok := c.Get(a); ok {
+		t.Fatal("least recent value survived a put over the budget")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.BytesInMem != 513 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestCacheMemEvictionFallsBackToDisk pins the two tiers composing: an
 // entry evicted from memory for budget is still served from disk.
 func TestCacheMemEvictionFallsBackToDisk(t *testing.T) {
 	t.Parallel()
-	c := New(Config{Shards: 1, MemBudget: 64, Dir: t.TempDir()})
+	c := New(Config{MemBudget: 64, Dir: t.TempDir()})
 	k := tkey("evicted")
 	c.Put(k, []byte("survivor"))
 	for i := 0; i < 8; i++ {
@@ -202,11 +222,12 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 }
 
 // TestGetOrComputeConcurrentMixedKeys is the race-detector workload:
-// many goroutines over a small key space with eviction pressure, disk
-// spill, and coalescing all active at once.
+// many goroutines over a small key space with eviction pressure (seven
+// 4-byte values against a 16-byte budget), disk spill, and coalescing
+// all active at once.
 func TestGetOrComputeConcurrentMixedKeys(t *testing.T) {
 	t.Parallel()
-	c := New(Config{Shards: 4, MemBudget: 1 << 10, Dir: t.TempDir()})
+	c := New(Config{MemBudget: 16, Dir: t.TempDir()})
 	const G, rounds, keys = 8, 50, 7
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -228,8 +249,8 @@ func TestGetOrComputeConcurrentMixedKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Computes > keys*G {
-		t.Fatalf("computes exploded: %+v", st)
+	if st := c.Stats(); st.Computes > keys*G || st.Evictions == 0 {
+		t.Fatalf("computes exploded or nothing evicted: %+v", st)
 	}
 }
 

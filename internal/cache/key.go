@@ -5,12 +5,11 @@
 // config is a complete address for the result. The package provides
 //
 //   - canonical keys: Enc serializes configs into a tagged,
-//     length-prefixed byte form hashed with SHA-256 into a Key (FNV-1a
-//     picks the LRU shard);
-//   - a sharded in-memory LRU (2^k shards, per-shard mutex, intrusive
-//     list, byte-budgeted eviction) with disk spill (length-prefixed,
-//     checksummed entries under $INTERWEAVE_CACHE_DIR; a corrupt or
-//     truncated entry is a miss, never an error);
+//     length-prefixed byte form hashed with SHA-256 into a Key;
+//   - an in-memory LRU (one mutex, intrusive list, byte-budgeted
+//     eviction) with disk spill (length-prefixed, checksummed entries
+//     under $INTERWEAVE_CACHE_DIR; a corrupt or truncated entry is a
+//     miss, never an error);
 //   - request coalescing: a panic-safe singleflight so duplicate
 //     in-flight keys compute once and fan the bytes out.
 //
@@ -38,15 +37,6 @@ func (k Key) IsZero() bool { return k == Key{} }
 
 // String renders the key as lowercase hex (the on-disk entry name).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// shard maps the key onto one of n shards (n a power of two) via
-// FNV-1a, so shard choice is independent of the SHA-256 prefix order
-// entries happen to be inserted in.
-func (k Key) shard(n int) int {
-	h := fnv.New64a()
-	h.Write(k[:])
-	return int(h.Sum64() & uint64(n-1))
-}
 
 // Enc builds a canonical byte form incrementally and hashes it into a
 // Key. Every field is written as

@@ -72,27 +72,6 @@ func TestEncIncremental(t *testing.T) {
 	}
 }
 
-// TestKeyShardStable pins shard selection: in range, stable, and spread
-// across more than one shard for distinct keys.
-func TestKeyShardStable(t *testing.T) {
-	t.Parallel()
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		k := NewEnc().Int("i", i).Sum()
-		s := k.shard(8)
-		if s < 0 || s >= 8 {
-			t.Fatalf("shard out of range: %d", s)
-		}
-		if s != k.shard(8) {
-			t.Fatal("shard selection unstable")
-		}
-		seen[s] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("all keys landed on one shard")
-	}
-}
-
 func TestKeyZeroAndString(t *testing.T) {
 	t.Parallel()
 	var z Key

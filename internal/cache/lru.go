@@ -2,19 +2,12 @@ package cache
 
 import "sync"
 
-// memLRU is the sharded in-memory tier: 2^k shards, each an
-// independently locked map + intrusive doubly-linked recency list with
-// its own byte budget, so concurrent cells on different shards never
-// contend. Values are stored and returned by reference; callers must
-// treat the byte slices as immutable.
+// memLRU is the in-memory tier: one mutex over a map and an intrusive
+// doubly-linked recency list, with one byte budget. The list is
+// circular around the sentinel head: head.next is most recent,
+// head.prev least recent. Values are stored and returned by reference;
+// callers must treat the byte slices as immutable.
 type memLRU struct {
-	shards []lruShard
-}
-
-// lruShard is one lock domain of the LRU. The recency list is intrusive
-// (entries carry their own prev/next) and circular around the sentinel
-// head: head.next is most recent, head.prev least recent.
-type lruShard struct {
 	mu      sync.Mutex
 	entries map[Key]*lruEntry
 	head    lruEntry // sentinel
@@ -30,100 +23,80 @@ type lruEntry struct {
 	prev, next *lruEntry
 }
 
-// newMemLRU builds an LRU with the given shard count (rounded up to a
-// power of two) and total byte budget split evenly across shards.
-func newMemLRU(shards int, budget int64) *memLRU {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	m := &memLRU{shards: make([]lruShard, n)}
-	per := budget / int64(n)
-	if per < 1 {
-		per = 1
-	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.entries = make(map[Key]*lruEntry)
-		s.budget = per
-		s.head.prev = &s.head
-		s.head.next = &s.head
-	}
+// newMemLRU builds an LRU with the given byte budget.
+func newMemLRU(budget int64) *memLRU {
+	m := &memLRU{entries: make(map[Key]*lruEntry), budget: budget}
+	m.head.prev = &m.head
+	m.head.next = &m.head
 	return m
 }
 
-func (s *lruShard) unlink(e *lruEntry) {
+func (m *memLRU) unlink(e *lruEntry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 }
 
-func (s *lruShard) pushFront(e *lruEntry) {
-	e.prev = &s.head
-	e.next = s.head.next
+func (m *memLRU) pushFront(e *lruEntry) {
+	e.prev = &m.head
+	e.next = m.head.next
 	e.next.prev = e
-	s.head.next = e
+	m.head.next = e
 }
 
 // get returns the value for k and promotes it to most-recent.
 func (m *memLRU) get(k Key) ([]byte, bool) {
-	s := &m.shards[k.shard(len(m.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[k]
 	if !ok {
-		s.misses++
+		m.misses++
 		return nil, false
 	}
-	s.hits++
-	s.unlink(e)
-	s.pushFront(e)
+	m.hits++
+	m.unlink(e)
+	m.pushFront(e)
 	return e.val, true
 }
 
 // put inserts (or refreshes) k→v at most-recent and evicts from the
-// least-recent end until the shard is back under budget. A value larger
-// than the whole shard budget is not cached at all: admitting it would
-// evict the entire shard to hold one entry that can never be joined by
-// another.
+// least-recent end until the LRU is back under budget. A value larger
+// than the whole budget is not cached at all: admitting it would evict
+// every entry to hold one that could never be joined by another.
 func (m *memLRU) put(k Key, v []byte) {
-	s := &m.shards[k.shard(len(m.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int64(len(v)) > s.budget {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if int64(len(v)) > m.budget {
 		return
 	}
-	if e, ok := s.entries[k]; ok {
-		s.bytes += int64(len(v)) - int64(len(e.val))
+	if e, ok := m.entries[k]; ok {
+		m.bytes += int64(len(v)) - int64(len(e.val))
 		e.val = v
-		s.unlink(e)
-		s.pushFront(e)
+		m.unlink(e)
+		m.pushFront(e)
 	} else {
 		e = &lruEntry{key: k, val: v}
-		s.entries[k] = e
-		s.pushFront(e)
-		s.bytes += int64(len(v))
-		s.puts++
+		m.entries[k] = e
+		m.pushFront(e)
+		m.bytes += int64(len(v))
+		m.puts++
 	}
-	for s.bytes > s.budget {
-		last := s.head.prev
-		s.unlink(last)
-		delete(s.entries, last.key)
-		s.bytes -= int64(len(last.val))
-		s.evictions++
+	for m.bytes > m.budget {
+		last := m.head.prev
+		m.unlink(last)
+		delete(m.entries, last.key)
+		m.bytes -= int64(len(last.val))
+		m.evictions++
 	}
 }
 
-// stats accumulates every shard's counters into st.
+// stats accumulates the LRU's counters into st.
 func (m *memLRU) stats(st *Stats) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Puts += s.puts
-		st.Evictions += s.evictions
-		st.BytesInMem += s.bytes
-		st.Entries += len(s.entries)
-		s.mu.Unlock()
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st.Hits += m.hits
+	st.Misses += m.misses
+	st.Puts += m.puts
+	st.Evictions += m.evictions
+	st.BytesInMem += m.bytes
+	st.Entries += len(m.entries)
 }

@@ -5,17 +5,13 @@ import (
 	"testing"
 )
 
-// oneShardLRU builds a single-shard LRU so eviction order is observable
-// without shard hashing in the way.
-func oneShardLRU(budget int64) *memLRU { return newMemLRU(1, budget) }
-
 func tkey(s string) Key { return NewEnc().Str("k", s).Sum() }
 
 // TestLRUEvictionOrder pins least-recently-used eviction: touching an
 // entry protects it, the coldest entry goes first.
 func TestLRUEvictionOrder(t *testing.T) {
 	t.Parallel()
-	m := oneShardLRU(30) // room for three 10-byte values
+	m := newMemLRU(30) // room for three 10-byte values
 	v := make([]byte, 10)
 	m.put(tkey("a"), v)
 	m.put(tkey("b"), v)
@@ -38,7 +34,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // budget, and that eviction counts are reported.
 func TestLRUByteBudget(t *testing.T) {
 	t.Parallel()
-	m := oneShardLRU(100)
+	m := newMemLRU(100)
 	for i := 0; i < 50; i++ {
 		m.put(tkey(fmt.Sprintf("k%d", i)), make([]byte, 9))
 	}
@@ -56,10 +52,10 @@ func TestLRUByteBudget(t *testing.T) {
 }
 
 // TestLRUOversizeValueNotCached pins the admission rule: a value larger
-// than the shard budget is refused rather than evicting everything.
+// than the whole budget is refused rather than evicting everything.
 func TestLRUOversizeValueNotCached(t *testing.T) {
 	t.Parallel()
-	m := oneShardLRU(64)
+	m := newMemLRU(64)
 	m.put(tkey("small"), make([]byte, 8))
 	m.put(tkey("huge"), make([]byte, 65))
 	if _, ok := m.get(tkey("huge")); ok {
@@ -74,7 +70,7 @@ func TestLRUOversizeValueNotCached(t *testing.T) {
 // byte accounting instead of duplicating the entry.
 func TestLRURefresh(t *testing.T) {
 	t.Parallel()
-	m := oneShardLRU(100)
+	m := newMemLRU(100)
 	m.put(tkey("a"), make([]byte, 10))
 	m.put(tkey("a"), make([]byte, 30))
 	var st Stats
@@ -88,16 +84,5 @@ func TestLRURefresh(t *testing.T) {
 	v, ok := m.get(tkey("a"))
 	if !ok || len(v) != 30 {
 		t.Fatalf("refreshed value not returned: ok=%v len=%d", ok, len(v))
-	}
-}
-
-// TestLRUShardRounding pins that shard counts round up to a power of
-// two (the mask in Key.shard requires it).
-func TestLRUShardRounding(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}} {
-		if got := len(newMemLRU(tc.in, 1<<20).shards); got != tc.want {
-			t.Errorf("newMemLRU(%d) shards = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }

@@ -109,26 +109,42 @@ func faultString(err error) (string, error) {
 // fault injection plus hard exhaustion, with the allocator's structural
 // invariants checked at every firing. Organic out-of-memory (the zone
 // really is full) is tolerated; anything else escaping Alloc/Free is a
-// harness failure.
+// harness failure. ReferenceBuddy runs the same operations in lockstep
+// under its own plan from the same seed (identical per-site streams):
+// both engines must fail on the same operations with the same fault,
+// return the same addresses everywhere else, end with the same stats
+// and record the same fault trace.
 func scenarioBuddy(seed uint64) (string, *chaos.Plan, error) {
 	cfg := chaos.DefaultConfig()
 	cfg.AllocFailProb = 0.05
 	cfg.AllocBudget = 700
 	plan := chaos.NewPlan(seed, cfg)
+	refPlan := chaos.NewPlan(seed, cfg)
 
 	b, err := mem.NewBuddy(0, 1<<20, 6)
 	if err != nil {
 		return "", plan, err
 	}
+	ref, err := mem.NewReferenceBuddy(0, 1<<20, 6)
+	if err != nil {
+		return "", plan, err
+	}
 	b.Inject = plan.AllocInjector("buddy/alloc", mem.ErrOutOfMemory)
+	ref.Inject = refPlan.AllocInjector("buddy/alloc", mem.ErrOutOfMemory)
 	plan.OnInvariant("buddy-structure", b.CheckInvariants)
+	refPlan.OnInvariant("buddy-structure", ref.CheckInvariants)
 
 	rng := sim.NewRNG(seed ^ 0xb0ddd)
 	var live []mem.Addr
 	injected, organic := 0, 0
 	for op := 0; op < 1000; op++ {
 		if len(live) == 0 || rng.Float64() < 0.6 {
-			a, aerr := b.Alloc(1 + rng.Uint64()%8192)
+			n := 1 + rng.Uint64()%8192
+			a, aerr := b.Alloc(n)
+			ra, rerr := ref.Alloc(n)
+			if a != ra || fmt.Sprint(aerr) != fmt.Sprint(rerr) {
+				return "", plan, fmt.Errorf("op %d: Alloc(%d) fast=(%#x, %v) reference=(%#x, %v)", op, n, a, aerr, ra, rerr)
+			}
 			if aerr != nil {
 				if _, ok := chaos.AsFault(aerr); ok {
 					injected++
@@ -142,21 +158,31 @@ func scenarioBuddy(seed uint64) (string, *chaos.Plan, error) {
 			live = append(live, a)
 		} else {
 			i := int(rng.Uint64() % uint64(len(live)))
-			if ferr := b.Free(live[i]); ferr != nil {
-				return "", plan, fmt.Errorf("op %d: free of live block failed: %w", op, ferr)
+			if ferr, rerr := b.Free(live[i]), ref.Free(live[i]); ferr != nil || rerr != nil {
+				return "", plan, fmt.Errorf("op %d: free of live block failed: fast %v, reference %v", op, ferr, rerr)
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
 	}
 	for _, a := range live {
-		if ferr := b.Free(a); ferr != nil {
-			return "", plan, fmt.Errorf("teardown free failed: %w", ferr)
+		if ferr, rerr := b.Free(a), ref.Free(a); ferr != nil || rerr != nil {
+			return "", plan, fmt.Errorf("teardown free failed: fast %v, reference %v", ferr, rerr)
 		}
 	}
 	plan.CheckNow("teardown")
+	refPlan.CheckNow("teardown")
 	if b.LiveAllocs() != 0 {
 		return "", plan, fmt.Errorf("leak: %d live allocs after teardown", b.LiveAllocs())
+	}
+	if fs, rs := b.Stats(), ref.Stats(); fs != rs {
+		return "", plan, fmt.Errorf("stats diverge: fast %+v, reference %+v", fs, rs)
+	}
+	if ft, rt := plan.TraceString(), refPlan.TraceString(); ft != rt {
+		return "", plan, fmt.Errorf("fault traces diverge:\n--- fast\n%s--- reference\n%s", ft, rt)
+	}
+	if v := refPlan.Violations(); len(v) > 0 {
+		return "", plan, fmt.Errorf("reference invariant violation: %v", v[0])
 	}
 	out := fmt.Sprintf("stats=%+v injected=%d organic=%d largest=%d",
 		b.Stats(), injected, organic, b.LargestFree())

@@ -136,13 +136,12 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Stack is the interweaving builder: it fixes a platform model,
-// topology, and seed, and constructs the simulated machine the layered
-// components run on.
-type Stack struct {
-	Model model.Model
-	Topo  machine.Topology
-	Seed  uint64
+// Exec is a stack's execution context: the knobs that decide how its
+// experiment cells run, never what they compute. No field of Exec
+// reaches RunConfig.Key, and tables are byte-identical at every
+// setting, so the split between Exec and Stack's own fields is the
+// split between execution knobs and result coordinates.
+type Exec struct {
 	// Parallel bounds how many independent experiment cells (sweep
 	// points, substrates, benchmarks) run concurrently: 0 means
 	// exp.DefaultWorkers() ($INTERWEAVE_PARALLEL or GOMAXPROCS), 1
@@ -150,6 +149,50 @@ type Stack struct {
 	// setting: each cell builds its own machine and RNG from the seed,
 	// and rows are assembled in canonical order.
 	Parallel int
+	// Pool, when non-nil, is the worker pool every driver admits its
+	// cells through, instead of a fresh exp.New(Parallel) per driver
+	// call. A long-running service sets one shared pool on every stack
+	// it builds, so total cell concurrency across all concurrent jobs
+	// stays bounded.
+	Pool *exp.Pool
+	// Ctx, when non-nil, cancels the stack's drivers between cells:
+	// cells that have not started when Ctx ends are skipped and the
+	// driver fails with Ctx's error. Cells already running always run
+	// to completion. Nil means never cancelled.
+	Ctx context.Context
+	// Observe, when non-nil, receives a CellEvent as each experiment
+	// cell completes. At Parallel 1 the sequence is deterministic (cells
+	// complete in index order); wider pools report completion order.
+	Observe func(CellEvent)
+}
+
+// ctx returns the context, never nil.
+func (x *Exec) ctx() context.Context {
+	if x.Ctx != nil {
+		return x.Ctx
+	}
+	return context.Background()
+}
+
+// pool returns the worker pool for experiment cells: the shared Pool
+// when one is set, else a fresh pool of width Parallel.
+func (x *Exec) pool() *exp.Pool {
+	if x.Pool != nil {
+		return x.Pool
+	}
+	return exp.New(x.Parallel)
+}
+
+// Stack is the interweaving builder: it fixes a platform model,
+// topology, and seed, and constructs the simulated machine the layered
+// components run on. Its own fields are result coordinates; how its
+// cells run is the embedded Exec.
+type Stack struct {
+	Exec
+
+	Model model.Model
+	Topo  machine.Topology
+	Seed  uint64
 	// Shards is inert: Build ignores it and always builds the one
 	// sequential sim.Engine.
 	//
@@ -168,27 +211,13 @@ type Stack struct {
 	// byte-identical between two runs with the same -chaos-seed.
 	ChaosSeed uint64
 	// ChaosConfig overrides the fault rates a nonzero ChaosSeed arms
-	// (nil means chaos.DefaultConfig()). It is a result coordinate:
-	// RunConfig.Key folds the effective config into every armed key.
+	// (nil means chaos.DefaultConfig()). RunConfig.Key folds the
+	// effective rates into every armed key.
 	ChaosConfig *chaos.Config
-	// Pool, when non-nil, is the worker pool every driver admits its
-	// cells through, instead of a fresh exp.New(Parallel) per driver
-	// call. A long-running service sets one shared pool on every stack
-	// it builds, so total cell concurrency across all concurrent jobs
-	// stays bounded.
-	Pool *exp.Pool
-	// Ctx, when non-nil, cancels the stack's drivers between cells:
-	// cells that have not started when Ctx ends are skipped and the
-	// driver fails with Ctx's error. Cells already running always run
-	// to completion. Nil means never cancelled.
-	Ctx context.Context
-	// Observe, when non-nil, receives a CellEvent as each experiment
-	// cell completes. At Parallel 1 the sequence is deterministic (cells
-	// complete in index order); wider pools report completion order.
-	Observe func(CellEvent)
 
 	// coherenceRuns, when non-nil, shares Fig. 7 memory-system runs
 	// between the drivers and cells this stack runs (see coherenceStats).
+	// It is a memo keyed by result coordinates, not a knob.
 	coherenceRuns *coherenceRuns
 }
 
@@ -200,47 +229,33 @@ type CellEvent struct {
 	Of     int    // total cells in the driver invocation
 }
 
-// ctx returns the stack's context, never nil.
-func (s *Stack) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
-}
-
-// chaosConfig returns the fault rates a nonzero ChaosSeed arms.
-func (s *Stack) chaosConfig() chaos.Config {
-	if s.ChaosConfig != nil {
-		return *s.ChaosConfig
+// chaosRates returns the fault rates a nonzero chaos seed arms: c when
+// set, else chaos.DefaultConfig().
+func chaosRates(c *chaos.Config) chaos.Config {
+	if c != nil {
+		return *c
 	}
 	return chaos.DefaultConfig()
 }
 
-// pool returns the worker pool for this stack's experiment cells: the
-// shared Pool when one is set, else a fresh pool of width Parallel.
-func (s *Stack) pool() *exp.Pool {
-	if s.Pool != nil {
-		return s.Pool
-	}
-	return exp.New(s.Parallel)
-}
-
-// runCells evaluates n independent experiment cells on s's pool and
-// returns the results in index order, panicking on any cell failure
-// (the drivers' error discipline throughout this package). driver is
-// the driver id reported in each cell's Observe event. When the
-// stack's Ctx ends, cells that have not started are skipped and the
+// runCells evaluates n independent experiment cells on s's execution
+// context and returns the results in index order, panicking on any
+// cell failure (the drivers' error discipline throughout this package).
+// driver is the driver id reported in each cell's Observe event. When
+// the context ends, cells that have not started are skipped and the
 // cancellation surfaces through the driver's panic as a *exp.CellError
 // chain.
 func runCells[T any](s *Stack, driver string, n int, fn func(i int) T) []T {
-	out, err := exp.Map(s.pool(), n, func(i int) (T, error) {
-		if err := s.ctx().Err(); err != nil {
+	x := &s.Exec
+	ctx := x.ctx()
+	out, err := exp.Map(x.pool(), n, func(i int) (T, error) {
+		if err := ctx.Err(); err != nil {
 			var zero T
 			return zero, err
 		}
 		v := fn(i)
-		if s.Observe != nil {
-			s.Observe(CellEvent{Driver: driver, Cell: i, Of: n})
+		if x.Observe != nil {
+			x.Observe(CellEvent{Driver: driver, Cell: i, Of: n})
 		}
 		return v, nil
 	})
@@ -279,7 +294,7 @@ func ServerStack() *Stack {
 }
 
 // WithCPUs derives a stack on a single-socket topology of the given CPU
-// count. Topology is part of the machine's construction-time config —
+// count, with the same execution context and coordinates. Topology is part of the machine's construction-time config —
 // Build sizes every per-CPU structure from it and the machine exposes it
 // read-only afterwards — so sweeps derive a fresh stack per point
 // instead of mutating one that has already built machines.
@@ -294,7 +309,7 @@ func (s *Stack) Build() (*sim.Engine, *machine.Machine) {
 	eng := sim.NewEngine()
 	m := machine.New(eng, s.Model, s.Topo, s.Seed)
 	if s.ChaosSeed != 0 {
-		ArmChaos(m, chaos.NewPlan(s.ChaosSeed, s.chaosConfig()))
+		ArmChaos(m, chaos.NewPlan(s.ChaosSeed, chaosRates(s.ChaosConfig)))
 	}
 	return eng, m
 }

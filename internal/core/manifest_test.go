@@ -35,14 +35,12 @@ type tableDigest struct {
 	Digest string `json:"digest"`
 }
 
-// allConfig is experiment id as `interweave all` runs it: every optional
-// table the CLI turns on, sweep axes trimmed to the small-N points.
+// allConfig is experiment id as `interweave all` runs it (WithAll, the
+// helper the CLI uses) at the given seeds.
 func allConfig(id string, seed, chaosSeed uint64) RunConfig {
 	cfg := DefaultRunConfig(id)
 	cfg.Seed, cfg.ChaosSeed = seed, chaosSeed
-	cfg.Overheads, cfg.Granularity, cfg.Mobility = true, true, true
-	cfg.EPCC, cfg.Sweep, cfg.Ablate, cfg.SmallAxes = true, true, true, true
-	return cfg
+	return cfg.WithAll()
 }
 
 // digestManifest regenerates the manifest: every experiment of `all`

@@ -16,8 +16,9 @@ import (
 // through one door. A RunConfig is the complete serializable
 // description of an invocation (what to run and every knob that shapes
 // its output); a Runner carries the execution-side resources (pool
-// width, result cache) that deliberately do NOT shape output. The split mirrors the cache-key rule from PR 9: RunConfig
-// fields are result coordinates, Runner fields are execution knobs.
+// width, result cache) that deliberately do NOT shape output. RunConfig
+// fields are result coordinates; Runner fields are execution knobs, and
+// Run hands them to every stack as one Exec.
 
 // ExperimentOrder is the canonical experiment order (`interweave all`).
 var experimentOrder = []string{
@@ -97,6 +98,15 @@ func DefaultRunConfig(experiment string) RunConfig {
 	return RunConfig{Experiment: experiment, CPUs: 16, Seed: 42}
 }
 
+// WithAll returns cfg as `interweave all` runs it: every sub-report the
+// suite prints turned on and the sweep axes trimmed to the small-N
+// points. MemStats is left as cfg has it; `all` does not print it.
+func (cfg RunConfig) WithAll() RunConfig {
+	cfg.Overheads, cfg.Granularity, cfg.Mobility = true, true, true
+	cfg.EPCC, cfg.Sweep, cfg.Ablate, cfg.SmallAxes = true, true, true, true
+	return cfg
+}
+
 // ConfigError is a RunConfig validation failure with a stable
 // machine-readable code — the experiment service returns it verbatim
 // in its JSON error bodies, so the codes are API surface: they may be
@@ -172,14 +182,6 @@ func (cfg RunConfig) Validate() error {
 	return nil
 }
 
-// chaosConfig returns the fault rates cfg arms.
-func (cfg RunConfig) chaosConfig() chaos.Config {
-	if cfg.Chaos != nil {
-		return *cfg.Chaos
-	}
-	return chaos.DefaultConfig()
-}
-
 // Key canonicalizes the whole invocation: experiment ID plus every
 // knob that shapes its output, under the version salt (which already
 // covers code-side inputs: cost tables, kernel modules, platform
@@ -193,7 +195,7 @@ func (cfg RunConfig) Key() cache.Key {
 	e.U64("seed", cfg.Seed)
 	e.U64("chaos-seed", cfg.ChaosSeed)
 	if cfg.ChaosSeed != 0 {
-		e.Str("chaos-config", fmt.Sprintf("%+v", cfg.chaosConfig()))
+		e.Str("chaos-config", fmt.Sprintf("%+v", chaosRates(cfg.Chaos)))
 	}
 	e.Int("domains", cfg.Domains)
 	e.Bool("overheads", cfg.Overheads)
@@ -217,13 +219,14 @@ type Runner struct {
 	// RunConfig.Key (see CachedTablesCtx).
 	Cache *cache.Cache
 	// Pool, when non-nil, is the shared admission-control pool every
-	// run's cells go through (see Stack.Pool). Nil builds a fresh pool
-	// of width Parallel per driver call, the CLI's behavior.
+	// run's cells go through (see Exec.Pool). Nil builds a fresh pool
+	// of width Parallel per driver call, the CLI's behavior; a set Pool
+	// makes Parallel unused.
 	Pool *exp.Pool
 }
 
 // Run regenerates cfg's tables. observe, when non-nil, receives a
-// CellEvent as each experiment cell completes (see Stack.Observe).
+// CellEvent as each experiment cell completes (see Exec.Observe).
 // The returned source is the tier that served the whole table set
 // (computed, mem, disk, or coalesced behind a concurrent duplicate).
 //
@@ -255,23 +258,19 @@ func (r *Runner) Run(ctx context.Context, cfg RunConfig, observe func(CellEvent)
 		}
 		panic(rec)
 	}()
+	x := Exec{Parallel: r.Parallel, Pool: r.Pool, Ctx: ctx, Observe: observe}
 	return CachedTablesCtx(ctx, r.Cache, cfg.Key(), func() []*Table {
-		return cfg.generate(r, ctx, observe)
+		return cfg.generate(x)
 	})
 }
 
 // generate dispatches to the experiment's drivers — the registry
-// proper. Every stack a case builds goes through stack, so seed,
-// chaos, pool, context, and observer reach every driver.
-func (cfg RunConfig) generate(r *Runner, ctx context.Context, observe func(CellEvent)) []*Table {
+// proper. Every stack a case builds goes through stack, so the
+// execution context and the result coordinates reach every driver.
+func (cfg RunConfig) generate(x Exec) []*Table {
 	stack := func(s *Stack) *Stack {
-		s.Seed = cfg.Seed
-		s.Parallel = r.Parallel
-		s.ChaosSeed = cfg.ChaosSeed
-		s.ChaosConfig = cfg.Chaos
-		s.Pool = r.Pool
-		s.Ctx = ctx
-		s.Observe = observe
+		s.Exec = x
+		s.Seed, s.ChaosSeed, s.ChaosConfig = cfg.Seed, cfg.ChaosSeed, cfg.Chaos
 		return s
 	}
 	var tables []*Table

@@ -361,3 +361,31 @@ func TestRunAllocationsPerStep(t *testing.T) {
 		}
 	}
 }
+
+// TestDomainReportAtIPILatency pins domainDone's report delay: in
+// domain mode each finished domain notifies the coordinator one IPI
+// latency after its last item, and the last report stops the substrate.
+// On the Nautilus IPI and polling substrates nothing else is pending
+// once the substrate stops, so the engine drains exactly one IPI
+// latency after the last domain's completion, at any latency.
+func TestDomainReportAtIPILatency(t *testing.T) {
+	t.Parallel()
+	for _, sub := range []Substrate{SubstrateNautilusIPI, SubstrateLinuxPolling} {
+		for _, lat := range []int64{600, 1777} {
+			mdl := model.Default()
+			mdl.HW.IPILatency = lat
+			m := machine.New(sim.NewEngine(), mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16}, 42)
+			cfg := DefaultConfig()
+			cfg.Substrate = sub
+			cfg.PeriodCycles = 20_000
+			cfg.Seed = 42
+			cfg.Domains = 4
+			rt := New(m, cfg)
+			rt.Run(200_000, 100, 64)
+			if got := int64(m.Eng.Now()) - int64(rt.DoneAt()); got != lat {
+				t.Errorf("%s, IPI latency %d: substrate stopped %d cycles after the last domain finished, want %d",
+					sub, lat, got, lat)
+			}
+		}
+	}
+}

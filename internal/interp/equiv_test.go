@@ -10,17 +10,20 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/passes"
 	"repro/internal/workloads"
 )
 
-// runBoth executes entry on two fresh interpreters — fast path and
-// reference — and requires identical results, Stats, and final heaps.
-func runBoth(t *testing.T, m *ir.Module, entry string, args ...uint64) (uint64, error) {
+// runBoth executes entry on two fresh interpreters — fast path (fused
+// unless noFusion) and reference — and requires identical results,
+// Stats, and final heaps.
+func runBoth(t *testing.T, m *ir.Module, noFusion bool, entry string, args ...uint64) (uint64, error) {
 	t.Helper()
 	fast, err := interp.New(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast.NoFusion = noFusion
 	ref, err := interp.New(m)
 	if err != nil {
 		t.Fatal(err)
@@ -42,16 +45,33 @@ func runBoth(t *testing.T, m *ir.Module, entry string, args ...uint64) (uint64, 
 	return fr, ferr
 }
 
+// TestFastMatchesReferenceOnKernels runs every CARAT kernel, as built
+// and after the standard optimization pipeline, on the fused and the
+// unfused fast path against the reference engine. The optimized module
+// must also keep the pristine checksum.
 func TestFastMatchesReferenceOnKernels(t *testing.T) {
 	for _, k := range workloads.CARATSuite() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			got, err := runBoth(t, k.Build(), k.Entry)
+			got, err := runBoth(t, k.Build(), false, k.Entry)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if k.Want != 0 && got != k.Want {
 				t.Fatalf("checksum = %d, want %d", got, k.Want)
+			}
+			m := k.Build()
+			if _, err := passes.Optimize(m); err != nil {
+				t.Fatal(err)
+			}
+			for _, noFusion := range []bool{false, true} {
+				opt, err := runBoth(t, m, noFusion, k.Entry)
+				if err != nil {
+					t.Fatalf("optimized, NoFusion=%v: %v", noFusion, err)
+				}
+				if opt != got {
+					t.Fatalf("optimized, NoFusion=%v: checksum %d, unoptimized %d", noFusion, opt, got)
+				}
 			}
 		})
 	}
@@ -221,7 +241,7 @@ func TestPooledFramesSurviveDeepCalls(t *testing.T) {
 	y := b.Call("fib", b.Sub(n, two))
 	b.Ret(b.Add(x, y))
 
-	got, err := runBoth(t, m, "fib", 18)
+	got, err := runBoth(t, m, false, "fib", 18)
 	if err != nil {
 		t.Fatal(err)
 	}

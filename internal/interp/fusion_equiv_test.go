@@ -233,8 +233,8 @@ func TestKernelStepBudgetAcrossFusedPairs(t *testing.T) {
 
 // TestNoFusionEquivalence pins that disabling fusion changes nothing
 // observable: NoFusion fast path == reference on the whole kernel
-// suite, and the all-patterns module returns the same value fused,
-// unfused, and interpreted.
+// suite (return, Stats and final heap), and the all-patterns module
+// returns the same value fused, unfused, and interpreted.
 func TestNoFusionEquivalence(t *testing.T) {
 	for _, k := range workloads.CARATSuite() {
 		m := k.Build()
@@ -245,6 +245,9 @@ func TestNoFusionEquivalence(t *testing.T) {
 		rr, rerr := ref.ReferenceCall(k.Entry)
 		if ferr != nil || rerr != nil || fr != rr || fast.Stats != ref.Stats {
 			t.Fatalf("%s: NoFusion fast=(%d,%v) ref=(%d,%v)", k.Name, fr, ferr, rr, rerr)
+		}
+		if !reflect.DeepEqual(fast.Heap.Snapshot(), ref.Heap.Snapshot()) {
+			t.Fatalf("%s: NoFusion final heap diverges from the reference", k.Name)
 		}
 		if fast.Program().FusedPairs() != 0 {
 			t.Fatalf("%s: NoFusion program still has %d fused pairs", k.Name, fast.Program().FusedPairs())

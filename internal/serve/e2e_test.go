@@ -245,13 +245,13 @@ func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 // running job parks deterministically at its first cell. Returns the
 // release function.
 func jamPool(s *Server) func() {
-	n := s.pool.Workers()
+	n := s.runner.Pool.Workers()
 	for i := 0; i < n; i++ {
-		s.pool.Acquire()
+		s.runner.Pool.Acquire()
 	}
 	return func() {
 		for i := 0; i < n; i++ {
-			s.pool.Release()
+			s.runner.Pool.Release()
 		}
 	}
 }
@@ -384,7 +384,7 @@ func TestCancelMidRunReleasesSlotsAndCache(t *testing.T) {
 	// Slots all returned: the pool admits a full complement again.
 	release2 := jamPool(s)
 	release2()
-	if ps := s.pool.Stats(); ps.Active != 0 {
+	if ps := s.runner.Pool.Stats(); ps.Active != 0 {
 		t.Fatalf("pool stats after cancel = %+v, want idle", ps)
 	}
 

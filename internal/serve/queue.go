@@ -38,7 +38,6 @@ type Options struct {
 // it to routes, and tests drive either layer.
 type Server struct {
 	runner *core.Runner
-	pool   *exp.Pool
 	store  *store
 	queue  chan *Job
 	qcap   int
@@ -67,18 +66,12 @@ func New(o Options) *Server {
 	if depth <= 0 {
 		depth = 64
 	}
-	pool := exp.New(o.Parallel)
 	s := &Server{
-		runner: &core.Runner{
-			Parallel: o.Parallel,
-			Cache:    o.Cache,
-			Pool:     pool,
-		},
-		pool:  pool,
-		store: newStore(),
-		queue: make(chan *Job, depth),
-		qcap:  depth,
-		now:   time.Now, // detvet:ok — event timestamps, not results
+		runner: &core.Runner{Cache: o.Cache, Pool: exp.New(o.Parallel)},
+		store:  newStore(),
+		queue:  make(chan *Job, depth),
+		qcap:   depth,
+		now:    time.Now, // detvet:ok — event timestamps, not results
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {

@@ -45,7 +45,7 @@ type CacheStatsWire struct {
 
 // Stats snapshots the service.
 func (s *Server) Stats() StatsSnapshot {
-	ps := s.pool.Stats()
+	ps := s.runner.Pool.Stats()
 	snap := StatsSnapshot{
 		Jobs:  s.store.counts(),
 		Queue: QueueStats{Depth: len(s.queue), Capacity: s.qcap},
