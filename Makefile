@@ -63,8 +63,8 @@ bench-machine:
 	$(GO) run ./cmd/benchdiff -machine -o BENCH_machine.json
 
 # Result-cache benches: the experiment suite uncached vs cold vs warm
-# (memory) vs warm (disk restart), plus the coalesced duplicate-caller
-# leg; writes BENCH_cache.json and enforces the >=5x warm speedup.
+# (memory) vs warm (disk restart); writes BENCH_cache.json and enforces
+# the >=5x warm speedup.
 bench-cache:
 	$(GO) run ./cmd/benchdiff -cache -o BENCH_cache.json
 

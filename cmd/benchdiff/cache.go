@@ -4,10 +4,9 @@ package main
 // end on the experiment suite: an uncached reference run, a cold run
 // populating a fresh cache, a warm run served from memory, a warm run
 // through a fresh Cache over the same spill directory (a simulated
-// process restart), and a coalescing leg proving K duplicate
-// submissions of one key compute exactly once. Every cached leg's
-// output must be byte-identical to the uncached reference; the tracked
-// claims are that identity and the warm-vs-cold speedup.
+// process restart). Every cached leg's output must be byte-identical to
+// the uncached reference; the tracked claims are that identity and the
+// warm-vs-cold speedup.
 
 import (
 	"context"
@@ -16,7 +15,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -58,63 +56,24 @@ func runCacheSuite(c *cache.Cache) (string, time.Duration, error) {
 	return b.String(), time.Since(start), nil
 }
 
-// coalescedLeg submits K duplicate computations of one RunConfig key
-// and reports the compute count (the exactly-once claim) and the wall
-// time for all K callers.
-func coalescedLeg() (callers int, computes uint64, wall time.Duration, err error) {
-	const K = 32
-	c := cache.New(cache.Config{})
-	cfg := core.DefaultRunConfig("carat")
-	cfg.MemStats = true
-	key := cfg.Key()
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = c.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
-				// A real compute: one full MemStats regeneration, uncached.
-				return []byte(core.NewStack(1).MemStats().JSON()), nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	wall = time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, 0, e
-		}
-	}
-	st := c.Stats()
-	if st.Computes != 1 {
-		return 0, 0, 0, fmt.Errorf("coalesced leg: %d computes for %d duplicate callers, want exactly 1", st.Computes, K)
-	}
-	return K, st.Computes, wall, nil
-}
-
 type cacheLeg struct {
 	WallMs    float64 `json:"wall_ms"`
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
 	SpillHits uint64  `json:"spill_hits"`
-	Computes  uint64  `json:"computes"`
+	Puts      uint64  `json:"puts"`
 }
 
 type cacheReport struct {
-	Uncached          cacheLeg `json:"uncached"`
-	Cold              cacheLeg `json:"cold"`
-	WarmMem           cacheLeg `json:"warm_mem"`
-	WarmDisk          cacheLeg `json:"warm_disk"`
-	SpeedupWarmMem    float64  `json:"speedup_warm_mem_vs_cold"`
-	SpeedupWarmDisk   float64  `json:"speedup_warm_disk_vs_cold"`
-	CoalescedCallers  int      `json:"coalesced_callers"`
-	CoalescedComputes uint64   `json:"coalesced_computes"`
-	CoalescedWallMs   float64  `json:"coalesced_wall_ms"`
-	GOMAXPROCS        int      `json:"gomaxprocs"`
-	CPU               string   `json:"cpu,omitempty"`
-	Note              string   `json:"note"`
+	Uncached        cacheLeg `json:"uncached"`
+	Cold            cacheLeg `json:"cold"`
+	WarmMem         cacheLeg `json:"warm_mem"`
+	WarmDisk        cacheLeg `json:"warm_disk"`
+	SpeedupWarmMem  float64  `json:"speedup_warm_mem_vs_cold"`
+	SpeedupWarmDisk float64  `json:"speedup_warm_disk_vs_cold"`
+	GOMAXPROCS      int      `json:"gomaxprocs"`
+	CPU             string   `json:"cpu,omitempty"`
+	Note            string   `json:"note"`
 }
 
 // legStats converts a Stats delta into the recorded leg counters.
@@ -124,7 +83,7 @@ func legStats(wall time.Duration, before, after cache.Stats) cacheLeg {
 		Hits:      after.Hits - before.Hits,
 		Misses:    after.Misses - before.Misses,
 		SpillHits: after.SpillHits - before.SpillHits,
-		Computes:  after.Computes - before.Computes,
+		Puts:      after.Puts - before.Puts,
 	}
 }
 
@@ -178,26 +137,18 @@ func runCacheBench(out string) error {
 	}
 	fmt.Printf(" %7.0f ms\n", float64(diskT.Microseconds())/1e3)
 
-	callers, computes, coWall, err := coalescedLeg()
-	if err != nil {
-		return err
-	}
-
 	rep := cacheReport{
-		Uncached:          cacheLeg{WallMs: round2(float64(baseT.Microseconds()) / 1e3)},
-		Cold:              legStats(coldT, cache.Stats{}, coldSt),
-		WarmMem:           legStats(warmT, coldSt, warmSt),
-		WarmDisk:          legStats(diskT, cache.Stats{}, diskSt),
-		SpeedupWarmMem:    round2(float64(coldT) / float64(warmT)),
-		SpeedupWarmDisk:   round2(float64(coldT) / float64(diskT)),
-		CoalescedCallers:  callers,
-		CoalescedComputes: computes,
-		CoalescedWallMs:   round2(float64(coWall.Microseconds()) / 1e3),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Note: "wall-clock ms are machine-dependent; hit, miss and compute counts are per " +
-			"table set (one cache entry per RunConfig); the tracked claims are byte-identical " +
-			"output on every cached leg, warm-vs-cold speedup >= 5x, and exactly one compute " +
-			"for the coalesced duplicate callers",
+		Uncached:        cacheLeg{WallMs: round2(float64(baseT.Microseconds()) / 1e3)},
+		Cold:            legStats(coldT, cache.Stats{}, coldSt),
+		WarmMem:         legStats(warmT, coldSt, warmSt),
+		WarmDisk:        legStats(diskT, cache.Stats{}, diskSt),
+		SpeedupWarmMem:  round2(float64(coldT) / float64(warmT)),
+		SpeedupWarmDisk: round2(float64(coldT) / float64(diskT)),
+		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		Note: "wall-clock ms are machine-dependent; hit, miss and put counts are per " +
+			"table set (one cache entry per RunConfig); puts count sets admitted to memory, computed " +
+			"ones and, on warm_disk, ones promoted from the spill; the tracked claims are " +
+			"byte-identical output on every cached leg and warm-vs-cold speedup >= 5x",
 	}
 	// Carry the host CPU tag forward from an existing file.
 	if prev, err := os.ReadFile(out); err == nil {
@@ -206,8 +157,8 @@ func runCacheBench(out string) error {
 			rep.CPU = old.CPU
 		}
 	}
-	fmt.Printf("cache speedup warm-mem %.2fx, warm-disk %.2fx; coalesced %d callers -> %d compute in %.1f ms\n",
-		rep.SpeedupWarmMem, rep.SpeedupWarmDisk, callers, computes, rep.CoalescedWallMs)
+	fmt.Printf("cache speedup warm-mem %.2fx, warm-disk %.2fx\n",
+		rep.SpeedupWarmMem, rep.SpeedupWarmDisk)
 	if rep.SpeedupWarmMem < 5 {
 		return fmt.Errorf("cache bench: warm-vs-cold speedup %.2fx below the 5x claim", rep.SpeedupWarmMem)
 	}

@@ -9,7 +9,7 @@
 //	                                      # ReferenceBuddy, plus contended magazines vs mutex
 //	benchdiff -machine                    # event-engine scaling curve at
 //	                                      # 64-1024 simulated CPUs -> BENCH_machine.json
-//	benchdiff -cache -o BENCH_cache.json  # result-cache cold/warm/restart/coalesced legs
+//	benchdiff -cache -o BENCH_cache.json  # result-cache cold/warm/restart legs
 package main
 
 import (
@@ -197,7 +197,7 @@ func main() {
 	machineMode := flag.Bool("machine", false,
 		"benchmark the event engine on Fig 3 at 64-1024 simulated CPUs instead of the interpreter")
 	cacheMode := flag.Bool("cache", false,
-		"benchmark the content-addressed result cache (cold/warm/restart/coalesced legs) instead of the interpreter")
+		"benchmark the content-addressed result cache (cold/warm/restart legs) instead of the interpreter")
 	flag.Parse()
 
 	if *memMode {

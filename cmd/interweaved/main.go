@@ -12,15 +12,18 @@
 //	POST   /v1/jobs/batch        submit many; per-item status in order
 //	GET    /v1/jobs/{id}         job status
 //	GET    /v1/jobs/{id}/result  rendered tables, byte-identical to the
-//	                             interweave CLI (X-Result-Digest header)
+//	                             interweave CLI (X-Result-Digest header),
+//	                             read from the result cache; 410 once
+//	                             evicted (resubmit to recompute)
 //	GET    /v1/jobs/{id}/events  NDJSON progress (cells as they complete)
 //	DELETE /v1/jobs/{id}         cancel
 //	GET    /v1/stats             queue / pool / cache / job counters
 //
 // A job's ID is a prefix of its config's content-address cache key, so
-// duplicate submissions coalesce onto one compute: a live or finished
-// job with that ID absorbs them at the job tier, and the result cache
-// serves or coalesces the whole table set below it. A client that does
+// duplicate submissions join one compute: a live or finished job with
+// that ID absorbs them. A job keeps only metadata; its result lives
+// once, in the result cache, and the registry keeps a bounded number
+// of finished jobs. A client that does
 // not finish its request headers within readHeaderTimeout, or idles on
 // a keep-alive connection past idleTimeout, is disconnected.
 // SIGINT/SIGTERM drain gracefully: intake stops, queued and running

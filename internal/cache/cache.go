@@ -1,26 +1,22 @@
 package cache
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 )
 
-// Source classifies where GetOrComputeCtx found a value: the experiment
+// Source classifies where a table set came from: the experiment
 // service reports it for every finished job (terminal event and
 // X-Result-Source header), so a client can see which tier served it.
 type Source uint8
 
 const (
-	// SourceComputed: this caller was the flight leader and ran compute.
+	// SourceComputed: the caller missed and ran the compute itself.
 	SourceComputed Source = iota
 	// SourceMem: served from the in-memory LRU.
 	SourceMem
 	// SourceDisk: served from the disk spill (and promoted to memory).
 	SourceDisk
-	// SourceCoalesced: served by another caller's in-flight compute.
-	SourceCoalesced
 )
 
 // String renders the source as its event-stream token.
@@ -32,8 +28,6 @@ func (s Source) String() string {
 		return "mem"
 	case SourceDisk:
 		return "disk"
-	case SourceCoalesced:
-		return "coalesced"
 	}
 	return fmt.Sprintf("source(%d)", uint8(s))
 }
@@ -58,8 +52,6 @@ type Stats struct {
 	SpillErr   uint64 // best-effort disk writes that failed
 	Puts       uint64 // new entries admitted to memory
 	Evictions  uint64 // entries evicted for byte budget
-	Computes   uint64 // leader computes run via GetOrComputeCtx
-	Coalesced  uint64 // waiters served by another caller's compute
 	BytesInMem int64  // resident value bytes
 	Entries    int    // resident entries
 }
@@ -67,21 +59,18 @@ type Stats struct {
 // String renders the snapshot as the -cache-stats report line set.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"cache: %d hits, %d misses (%d served from disk), %d computes, %d coalesced\n"+
+		"cache: %d hits, %d misses (%d served from disk), %d puts\n"+
 			"cache: memory %d entries / %d bytes, %d evictions; disk %d writes, %d write errors",
-		s.Hits, s.Misses, s.SpillHits, s.Computes, s.Coalesced,
+		s.Hits, s.Misses, s.SpillHits, s.Puts,
 		s.Entries, s.BytesInMem, s.Evictions, s.SpillWrite, s.SpillErr)
 }
 
-// Cache composes the three tiers: an LRU over disk spill, with a
-// singleflight group coalescing duplicate in-flight computes.
+// Cache composes the two tiers: an LRU over disk spill.
 type Cache struct {
-	mem    *memLRU
-	disk   *diskStore
-	flight flightGroup
+	mem  *memLRU
+	disk *diskStore
 
 	spillHits, spillReads, spillWrite, spillErr atomic.Uint64
-	computes, coalesced                         atomic.Uint64
 }
 
 // New builds a cache from cfg (see Config for zero-value defaults).
@@ -96,15 +85,10 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Get looks k up in memory, then on disk; a disk hit is promoted into
-// memory. The returned bytes are shared — callers must not mutate them.
-func (c *Cache) Get(k Key) ([]byte, bool) {
-	v, _, ok := c.getSrc(k)
-	return v, ok
-}
-
-// getSrc is Get with the tier that served the value.
-func (c *Cache) getSrc(k Key) ([]byte, Source, bool) {
+// Get looks k up in memory, then on disk, and reports the tier that
+// served it; a disk hit is promoted into memory. The returned bytes
+// are shared — callers must not mutate them.
+func (c *Cache) Get(k Key) ([]byte, Source, bool) {
 	if v, ok := c.mem.get(k); ok {
 		return v, SourceMem, true
 	}
@@ -133,75 +117,8 @@ func (c *Cache) Put(k Key, v []byte) {
 	}
 }
 
-// GetOrComputeCtx returns the cached bytes for k and the tier that
-// served them, computing and storing them on a miss. Duplicate
-// in-flight keys coalesce: one caller (the leader) runs compute, the
-// rest wait for its result.
-//
-// ctx governs this caller's waiting only, never a running compute: a
-// leader whose compute has started runs it to completion and stores
-// the result, so cancellation can never leave a partial entry in the
-// cache (complete results are cached, abandoned ones simply are not).
-// A leader that observes cancellation *before* computing retires the
-// flight with ErrLeaderCancelled; waiters whose own context is still
-// live then retry the key instead of inheriting the cancellation.
-//
-// A compute error or panic is never cached; the flight entry is retired
-// so the next caller retries. A leader's panic propagates on the
-// leader's goroutine only; its waiters receive an error wrapping
-// ErrLeaderPanic.
-func (c *Cache) GetOrComputeCtx(ctx context.Context, k Key, compute func() ([]byte, error)) ([]byte, Source, error) {
-	for {
-		if v, src, ok := c.getSrc(k); ok {
-			return v, src, nil
-		}
-		fc, leader := c.flight.join(k)
-		if !leader {
-			c.coalesced.Add(1)
-			v, err := fc.waitCtx(ctx)
-			if errors.Is(err, ErrLeaderCancelled) && ctx.Err() == nil {
-				continue // the key is untried, not failed; run our own flight
-			}
-			return v, SourceCoalesced, err
-		}
-		return c.lead(ctx, k, fc, compute)
-	}
-}
-
-// lead runs the leader side of one flight: the compute, the store, and
-// the flight's retirement (on success, failure, panic, or pre-compute
-// cancellation).
-func (c *Cache) lead(ctx context.Context, k Key, fc *flightCall, compute func() ([]byte, error)) ([]byte, Source, error) {
-	// Between the caller's miss and its join, another leader may have
-	// finished and populated the cache; re-check before computing.
-	if v, src, ok := c.getSrc(k); ok {
-		c.flight.finish(k, fc, v, nil)
-		return v, src, nil
-	}
-	// Cancelled before the compute started: retire the flight without
-	// touching the cache.
-	if err := ctx.Err(); err != nil {
-		c.flight.finish(k, fc, nil, fmt.Errorf("%w: %w", ErrLeaderCancelled, err))
-		return nil, SourceComputed, err
-	}
-	finished := false
-	defer func() {
-		if !finished { // compute panicked: release waiters, then unwind
-			c.flight.finish(k, fc, nil, ErrLeaderPanic)
-		}
-	}()
-	c.computes.Add(1)
-	v, err := compute()
-	finished = true
-	if err == nil {
-		c.Put(k, v)
-	}
-	c.flight.finish(k, fc, v, err)
-	return v, SourceComputed, err
-}
-
 // Stats snapshots the cache's counters. The LRU's counters are read
-// under its lock and the other tiers' atomically, one by one, so under
+// under its lock and the disk tier's atomically, one by one, so under
 // concurrent traffic the totals are approximate.
 func (c *Cache) Stats() Stats {
 	var st Stats
@@ -209,8 +126,6 @@ func (c *Cache) Stats() Stats {
 	st.SpillReads = c.spillReads.Load()
 	st.SpillWrite = c.spillWrite.Load()
 	st.SpillErr = c.spillErr.Load()
-	st.Computes = c.computes.Load()
-	st.Coalesced = c.coalesced.Load()
 	c.mem.stats(&st)
 	return st
 }

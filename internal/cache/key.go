@@ -9,9 +9,11 @@
 //   - an in-memory LRU (one mutex, intrusive list, byte-budgeted
 //     eviction) with disk spill (length-prefixed, checksummed entries
 //     under $INTERWEAVE_CACHE_DIR; a corrupt or truncated entry is a
-//     miss, never an error);
-//   - request coalescing: a panic-safe singleflight so duplicate
-//     in-flight keys compute once and fan the bytes out.
+//     miss, never an error).
+//
+// Duplicate requests are absorbed above the cache, by the caller that
+// owns them (the experiment service's job registry), so the cache has
+// no coalescing tier of its own.
 //
 // Determinism discipline: nothing here reads the wall clock, uses global
 // randomness, or ranges over a map in a key or value path; cached bytes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -175,6 +176,41 @@ func TestCachedTablesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCachedTablesFaultStoresNothing pins the retry rule: a generator
+// that panics with an injected chaos fault leaves nothing in the cache,
+// the next call on the key recomputes, and only a completed table set
+// is stored and served after that.
+func TestCachedTablesFaultStoresNothing(t *testing.T) {
+	t.Parallel()
+	c := cache.New(cache.Config{})
+	key := cache.NewEnc().Str("test", "fault-stores-nothing").Sum()
+	fault := &chaos.FaultError{Fault: chaos.Fault{Site: "test", Kind: chaos.AllocFail}, Err: errors.New("boom")}
+	func() {
+		defer func() {
+			if r := recover(); r != fault {
+				t.Fatalf("recovered %v, want the injected fault", r)
+			}
+		}()
+		CachedTablesCtx(context.Background(), c, key, func() []*Table { panic(fault) })
+		t.Fatal("faulting generator returned")
+	}()
+	if st := c.Stats(); st.Puts != 0 || st.Entries != 0 {
+		t.Fatalf("faulted compute stored something: %+v", st)
+	}
+	want := &Table{ID: "t", Header: []string{"a"}, Rows: [][]string{{"1"}}}
+	runs := 0
+	gen := func() []*Table { runs++; return []*Table{want} }
+	for _, src := range []cache.Source{cache.SourceComputed, cache.SourceMem} {
+		ts, got, err := CachedTablesCtx(context.Background(), c, key, gen)
+		if err != nil || got != src || len(ts) != 1 || ts[0].Digest() != want.Digest() {
+			t.Fatalf("after fault: src %v (want %v), err %v, tables %v", got, src, err, ts)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("generator ran %d times after the fault, want 1", runs)
+	}
+}
+
 // TestChaosKeysNeverAlias pins the fault-injection isolation rule:
 // chaos-seeded configs derive different keys than clean ones (and than
 // each other, and than the same seed at other rates), so a
@@ -215,7 +251,7 @@ func TestChaosKeysNeverAlias(t *testing.T) {
 	if st2.Hits != st.Hits {
 		t.Fatalf("chaos-armed run hit clean entries: %+v -> %+v", st, st2)
 	}
-	if st2.Computes <= st.Computes {
+	if st2.Puts <= st.Puts {
 		t.Fatal("chaos-armed run computed nothing (keys aliased)")
 	}
 }

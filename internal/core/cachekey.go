@@ -134,31 +134,44 @@ func decodeTables(b []byte) ([]*Table, bool) {
 	return p.Tables, true
 }
 
+// LookupTables reads key's table set from c: one Get, then the digest
+// check of decodeTables. A miss, or an entry that fails the check, is
+// reported as not found; the caller decides whether to recompute. The
+// source is the tier that served the set (mem or disk).
+func LookupTables(c *cache.Cache, key cache.Key) ([]*Table, cache.Source, bool) {
+	buf, src, ok := c.Get(key)
+	if !ok {
+		return nil, src, false
+	}
+	ts, ok := decodeTables(buf)
+	return ts, src, ok
+}
+
 // CachedTablesCtx memoizes an entire driver invocation — the whole
-// []*Table a RunConfig produces — under key. It is the result cache's
-// only tier: Runner.Run goes through it, so duplicate concurrent jobs
-// coalesce onto one compute and a queued duplicate can be cancelled
-// without disturbing the leader. Each table's Digest is stored
-// alongside and re-verified on a hit; a mismatch (however a stored
-// entry decayed into validity) is treated as a miss and recomputed. A
-// nil cache or zero key just runs gen.
+// []*Table a RunConfig produces — under key: get, then on a miss
+// generate and put. Runner.Run goes through it. Each table's Digest is
+// stored alongside and re-verified on a hit; a mismatch (however a
+// stored entry decayed into validity) is treated as a miss and
+// recomputed. A nil cache or zero key just runs gen.
+//
+// Duplicate concurrent calls on one key each compute: the cache does
+// not coalesce them. Its callers absorb duplicates above it (the
+// experiment service's job registry joins equal submissions before
+// they reach Runner.Run).
 //
 // The returned source is the tier that served the table set. The error
-// is a cancellation or a coalesced-leader failure; gen itself still
-// panics on driver faults (the package's discipline), which the
-// caller's recover sees on the leader's goroutine.
+// is ctx's, when it ended before gen started; gen itself panics on
+// driver faults and cancellation (the package's discipline), so a
+// table set it did not finish is never stored.
 func CachedTablesCtx(ctx context.Context, c *cache.Cache, key cache.Key, gen func() []*Table) ([]*Table, cache.Source, error) {
 	if c == nil || key.IsZero() {
 		return gen(), cache.SourceComputed, nil
 	}
-	buf, src, err := c.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		return encodeTables(gen()), nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	if ts, ok := decodeTables(buf); ok {
+	if ts, src, ok := LookupTables(c, key); ok {
 		return ts, src, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, cache.SourceComputed, err
 	}
 	ts := gen()
 	c.Put(key, encodeTables(ts))

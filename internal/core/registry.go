@@ -228,7 +228,7 @@ type Runner struct {
 // Run regenerates cfg's tables. observe, when non-nil, receives a
 // CellEvent as each experiment cell completes (see Exec.Observe).
 // The returned source is the tier that served the whole table set
-// (computed, mem, disk, or coalesced behind a concurrent duplicate).
+// (computed, mem or disk).
 //
 // Unlike the drivers (which panic on cell failure), Run returns the
 // two expected failure classes as errors: an injected chaos fault

@@ -177,9 +177,9 @@ func TestResultByteIdentity(t *testing.T) {
 }
 
 // TestDuplicateSubmissionsComputeOnce: N concurrent clients submitting
-// the same config coalesce onto one job and one compute — exactly one
-// 202, the rest 200 with deduplicated=true, identical result bytes,
-// and the cache's compute counter advancing by a single run's worth.
+// the same config join one job and one compute — exactly one 202, the
+// rest 200 with deduplicated=true, identical result bytes, and the
+// cache storing a single table set.
 func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 	c := cache.New(cache.Config{})
 	s := New(Options{Workers: 4, Cache: c})
@@ -226,9 +226,9 @@ func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 	if st, _, _, _, _, _ := j.snapshot(); st != StateDone {
 		t.Fatalf("job state %s, want done", st)
 	}
-	// One driver-tier compute total: the whole batch cost one run.
-	if got := c.Stats().Computes; got != 1 {
-		t.Errorf("cache computes = %d, want 1 (duplicates must coalesce)", got)
+	// One compute total: the whole batch cost one run and one put.
+	if got := c.Stats().Puts; got != 1 {
+		t.Errorf("cache puts = %d, want 1 (duplicates must join one job)", got)
 	}
 	if counts := s.store.counts(); counts[StateDone] != 1 || len(s.store.all()) != 1 {
 		t.Errorf("store counts = %v, want exactly one done job", counts)
@@ -409,6 +409,67 @@ func TestCancelMidRunReleasesSlotsAndCache(t *testing.T) {
 	_, body, _ := getResult(t, ts, st2.ID)
 	if want := directRun(t, st2.Config.RunConfig()); !bytes.Equal(body, want) {
 		t.Error("post-cancel result differs from direct run")
+	}
+}
+
+// TestResubmitDuringCancelIsFresh: a submission that arrives after a
+// DELETE but before the cancelled job has unwound must not join the
+// doomed job. It gets a fresh job under the same ID (202), which runs
+// to done with the CLI's bytes while the old one ends cancelled.
+func TestResubmitDuringCancelIsFresh(t *testing.T) {
+	s := New(Options{Parallel: 1, Workers: 1})
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	release := jamPool(s)
+	released := false
+	defer func() {
+		if !released {
+			release()
+		}
+	}()
+	body := `{"experiment": "carat", "seed": 9}`
+	code, st := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	old, _ := s.Job(st.ID)
+	waitRunning(t, old)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE: %v status %d", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	// The old job is still parked at its first cell: not yet cancelled.
+	code2, st2 := postJob(t, ts, body)
+	if code2 != http.StatusAccepted || st2.Deduplicated || st2.ID != st.ID {
+		t.Fatalf("resubmit during cancel: status %d dedup %v id %s, want a fresh 202 under %s",
+			code2, st2.Deduplicated, st2.ID, st.ID)
+	}
+	release()
+	released = true
+
+	select {
+	case <-old.done:
+	case <-time.After(10 * time.Minute):
+		t.Fatal("cancelled job never finished")
+	}
+	if got, _, _, _, _, _ := old.snapshot(); got != StateCancelled {
+		t.Fatalf("old job state %s, want cancelled", got)
+	}
+	j := awaitJob(t, s, st2.ID)
+	if j == old {
+		t.Fatal("registry still holds the cancelled job")
+	}
+	if got, _, _, _, code, msg := j.snapshot(); got != StateDone {
+		t.Fatalf("fresh job state %s (%s: %s), want done", got, code, msg)
+	}
+	_, out, _ := getResult(t, ts, st2.ID)
+	if want := directRun(t, st2.Config.RunConfig()); !bytes.Equal(out, want) {
+		t.Error("fresh job's result differs from direct run")
 	}
 }
 

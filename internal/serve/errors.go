@@ -7,9 +7,10 @@
 //
 // The service adds nothing to the result path: jobs run through the
 // same core.Runner (shared exp.Pool, shared cache.Cache) the CLI uses,
-// so concurrent duplicate submissions coalesce onto one compute at the
-// job and table-set tiers, and a daemon-served result is byte-identical
-// to the CLI's.
+// concurrent duplicate submissions join one job and one compute, and a
+// daemon-served result is byte-identical to the CLI's. A job keeps
+// only metadata; its result lives once, in the cache, and GET /result
+// reads it from there.
 package serve
 
 import (
@@ -39,6 +40,10 @@ const (
 	// CodeJobFailed: the result was requested for a job that failed or
 	// was cancelled.
 	CodeJobFailed = "job_failed"
+	// CodeResultEvicted: the job finished, but its result has since
+	// left the cache (HTTP 410). The job is forgotten; resubmit the
+	// config to recompute it under the same ID.
+	CodeResultEvicted = "result_evicted"
 	// CodeChaosFault: the job was killed by an injected chaos fault
 	// (replayable: resubmit with the same chaos_seed).
 	CodeChaosFault = "chaos_fault"

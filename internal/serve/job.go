@@ -35,7 +35,7 @@ func (s State) terminal() bool {
 //	cell       one experiment cell completed (driver, cell i of n;
 //	           source is always "computed")
 //	done       terminal success (table count, result digest, and the
-//	           tier that served the table set: computed/mem/disk/coalesced)
+//	           tier that served the table set: computed/mem/disk)
 //	failed     terminal failure (error code + message)
 //	cancelled  terminal cancellation
 //
@@ -54,46 +54,45 @@ type Event struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Job is one submitted experiment invocation. All mutable fields are
-// guarded by mu; event appends and state changes broadcast on cond so
-// streaming handlers can follow along, and done closes at the terminal
-// transition for select-based waits.
+// Job is one submitted experiment invocation: metadata only. Its
+// result lives once, in the result cache under key; GET /result reads
+// it from there. All mutable fields are guarded by mu; event appends
+// and state changes broadcast on cond so streaming handlers can follow
+// along, and done closes at the terminal transition for select-based
+// waits.
 type Job struct {
 	ID     string
 	Config core.RunConfig
+	key    cache.Key // Config's full content address (ID is its prefix)
 
-	// ctx governs the job's waiting (queue time, unstarted cells,
-	// coalesced parking) — cancelling it never aborts a running cell,
-	// and a partial table set is never cached (see internal/cache).
+	// ctx governs the job's waiting (queue time, unstarted cells) —
+	// cancelling it never aborts a running cell, and a partial table
+	// set is never cached (see core.CachedTablesCtx).
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	state  State
+	mu    sync.Mutex
+	cond  *sync.Cond
+	state State
+	// events is the progress log. Once the job is terminal its last
+	// event holds the outcome status reports: table count, digest and
+	// source on success, code and message on failure.
 	events []Event
-	result []byte // rendered tables, byte-identical to the CLI
-	digest string // 16-hex-digit fingerprint over the table digests
-	tables int
-	source cache.Source
-	code   string // terminal failure code
-	errMsg string
 	done   chan struct{}
-
-	submitted time.Time
 }
 
 // newJob builds a queued job and records its first event.
 func newJob(cfg core.RunConfig, now func() time.Time) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
+	key := cfg.Key()
 	j := &Job{
-		ID:        JobID(cfg),
-		Config:    cfg,
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		done:      make(chan struct{}),
-		submitted: now(),
+		ID:     key.String()[:16],
+		Config: cfg,
+		key:    key,
+		ctx:    ctx,
+		cancel: cancel,
+		state:  StateQueued,
+		done:   make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.append(Event{Type: "queued", Job: j.ID, Time: stamp(now())})
@@ -103,8 +102,7 @@ func newJob(cfg core.RunConfig, now func() time.Time) *Job {
 // stamp renders an event timestamp.
 func stamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
 
-// append records ev and wakes streamers. Callers may hold mu (the
-// terminal setters do); append only needs it held once.
+// append records ev and wakes streamers.
 func (j *Job) append(ev Event) {
 	j.mu.Lock()
 	j.appendLocked(ev)
@@ -113,17 +111,6 @@ func (j *Job) append(ev Event) {
 
 func (j *Job) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
-	j.cond.Broadcast()
-}
-
-// appendTerminalLocked records the terminal event. Nothing follows it,
-// and the store keeps the job for the daemon's lifetime, so the log is
-// stored at its exact length rather than with append's growth slack.
-func (j *Job) appendTerminalLocked(ev Event) {
-	evs := make([]Event, len(j.events)+1)
-	copy(evs, j.events)
-	evs[len(j.events)] = ev
-	j.events = evs
 	j.cond.Broadcast()
 }
 
@@ -146,65 +133,42 @@ func (j *Job) cellEvent(ev core.CellEvent, now time.Time) {
 	})
 }
 
-// setDone records terminal success: the rendered result (the exact
-// bytes the CLI would print — Table.String() + "\n" per table, stored
-// at exact size), its digest, and the tier that served the table set.
-func (j *Job) setDone(tables []*core.Table, src cache.Source, now time.Time) {
-	rendered := make([]string, len(tables))
-	n := 0
+// resultDigest fingerprints a table set: the 16-hex-digit digest a
+// done job records and GET /result re-checks (X-Result-Digest).
+func resultDigest(tables []*core.Table) string {
 	e := cache.NewEnc()
 	for i, t := range tables {
-		rendered[i] = t.String()
-		n += len(rendered[i]) + 1
 		e.U64(fmt.Sprintf("table-%d", i), t.Digest())
 	}
-	buf := make([]byte, 0, n)
-	for _, s := range rendered {
-		buf = append(buf, s...)
-		buf = append(buf, '\n')
+	return fmt.Sprintf("%016x", e.Fingerprint())
+}
+
+// finish records the terminal event ev (whose Type names the end
+// state) and releases every waiter. Nothing follows the terminal
+// event, so the log is stored at its exact length rather than with
+// append's growth slack. Only store.finish calls it.
+func (j *Job) finish(ev Event) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state = State(ev.Type)
+	evs := make([]Event, len(j.events)+1)
+	copy(evs, j.events)
+	evs[len(j.events)] = ev
+	j.events = evs
+	j.cond.Broadcast()
+	close(j.done)
+}
+
+// snapshot returns the fields a status response needs, consistently:
+// the outcome fields come from the terminal event.
+func (j *Job) snapshot() (state State, tables int, digest, src, code, errMsg string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.state.terminal() {
+		return j.state, 0, "", "", "", ""
 	}
-	digest := fmt.Sprintf("%016x", e.Fingerprint())
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateDone
-	j.result = buf
-	j.digest = digest
-	j.tables = len(tables)
-	j.source = src
-	j.appendTerminalLocked(Event{
-		Type: "done", Job: j.ID, Time: stamp(now),
-		Tables: len(tables), Digest: digest, Source: src.String(),
-	})
-	close(j.done)
-}
-
-// setFailed records terminal failure under a stable code.
-func (j *Job) setFailed(code, msg string, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateFailed
-	j.code = code
-	j.errMsg = msg
-	j.appendTerminalLocked(Event{Type: "failed", Job: j.ID, Time: stamp(now), Code: code, Error: msg})
-	close(j.done)
-}
-
-// setCancelled records terminal cancellation.
-func (j *Job) setCancelled(now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateCancelled
-	j.code = CodeCancelled
-	j.appendTerminalLocked(Event{Type: "cancelled", Job: j.ID, Time: stamp(now), Code: CodeCancelled})
-	close(j.done)
-}
-
-// snapshot returns the fields a status response needs, consistently.
-func (j *Job) snapshot() (state State, tables int, digest string, src cache.Source, code, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.tables, j.digest, j.source, j.code, j.errMsg
+	ev := j.events[len(j.events)-1]
+	return j.state, ev.Tables, ev.Digest, ev.Source, ev.Code, ev.Error
 }
 
 // eventsFrom returns events[i:] once it is non-empty or the job is
@@ -240,13 +204,25 @@ func (j *Job) wake() {
 	j.mu.Unlock()
 }
 
-// store is the job registry: ID → job, plus state counts for /v1/stats.
+// maxTerminalJobs bounds how many finished jobs the registry keeps.
+// Live jobs are bounded already, by the queue depth plus the workers;
+// a finished job is metadata only (its result is in the cache), and
+// past this many the oldest finished job is forgotten: its ID answers
+// 404 and a resubmission is a fresh job.
+const maxTerminalJobs = 1024
+
+// store is the job registry: ID → job, plus the finished jobs in the
+// order they finished, oldest first, for the bound.
 type store struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []*Job
+	limit    int // terminal jobs kept: maxTerminalJobs, lowered by tests
 }
 
-func newStore() *store { return &store{jobs: make(map[string]*Job)} }
+func newStore() *store {
+	return &store{jobs: make(map[string]*Job), limit: maxTerminalJobs}
+}
 
 // get returns the job with the given ID.
 func (s *store) get(id string) (*Job, bool) {
@@ -267,23 +243,58 @@ func (s *store) all() []*Job {
 	return jobs
 }
 
-// upsert resolves a submission against the registry under one lock:
-// an existing job in a live or succeeded state is returned as-is
-// (deduplication — the submission coalesces onto it); a failed or
-// cancelled predecessor is replaced by a fresh job built with make.
-// The bool reports whether the returned job is new (needs enqueueing).
+// upsert resolves a submission against the registry under one lock.
+// An existing job that is done, or live and not cancelled, is returned
+// as-is (deduplication: the submission joins it). A failed or
+// cancelled predecessor is replaced by a fresh job built with make,
+// and so is one whose cancellation is still unwinding: joining it
+// would hand the submission a job that is about to end cancelled. The
+// bool reports whether the returned job is new (needs enqueueing).
 func (s *store) upsert(id string, make func() *Job) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
 		st, _, _, _, _, _ := j.snapshot()
-		if st != StateFailed && st != StateCancelled {
+		if st == StateDone || (!st.terminal() && j.ctx.Err() == nil) {
 			return j, false
 		}
 	}
 	j := make()
 	s.jobs[id] = j
 	return j, true
+}
+
+// finish is every job's one terminal transition: it records ev on j
+// and, if j is still the registered job for its ID, enqueues it among
+// the finished and forgets the oldest finished jobs past the limit.
+// Both happen under the registry lock, so counts never sees more than
+// limit terminal jobs. Entries for jobs replaced or dropped since they
+// finished still count toward the limit until they age out.
+func (s *store) finish(j *Job, ev Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.finish(ev)
+	if s.jobs[j.ID] != j {
+		return // replaced while its cancellation unwound
+	}
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.limit {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		if s.jobs[old.ID] == old {
+			delete(s.jobs, old.ID)
+		}
+	}
+}
+
+// drop forgets j if it is still the registered job for its ID.
+func (s *store) drop(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[j.ID] == j {
+		delete(s.jobs, j.ID)
+	}
 }
 
 // counts tallies jobs by state.

@@ -14,7 +14,7 @@ import (
 )
 
 // Options sizes a Server. The zero Options is usable: default pool
-// width, 4 workers, a 64-deep queue, no cache.
+// width, 4 workers, a 64-deep queue, a memory-only result cache.
 type Options struct {
 	// Parallel bounds concurrent experiment cells across ALL jobs — the
 	// shared exp.Pool every job's cells go through (0 = exp default).
@@ -27,9 +27,9 @@ type Options struct {
 	// arriving with the queue full is rejected with 429 + Retry-After,
 	// never blocked — backpressure must not tie up HTTP handlers.
 	QueueDepth int
-	// Cache, when non-nil, memoizes whole table sets under their
-	// RunConfig key and coalesces duplicate in-flight computes across
-	// jobs.
+	// Cache holds every job's result: whole table sets under their
+	// RunConfig key, which GET /result reads. Nil means a memory-only
+	// cache.New(cache.Config{}).
 	Cache *cache.Cache
 }
 
@@ -66,8 +66,12 @@ func New(o Options) *Server {
 	if depth <= 0 {
 		depth = 64
 	}
+	c := o.Cache
+	if c == nil {
+		c = cache.New(cache.Config{})
+	}
 	s := &Server{
-		runner: &core.Runner{Cache: o.Cache, Pool: exp.New(o.Parallel)},
+		runner: &core.Runner{Cache: c, Pool: exp.New(o.Parallel)},
 		store:  newStore(),
 		queue:  make(chan *Job, depth),
 		qcap:   depth,
@@ -85,8 +89,8 @@ func New(o Options) *Server {
 // queue. Outcomes:
 //
 //   - an equal submission is live or done: that job is returned
-//     (deduplicated = true) — N concurrent clients coalesce onto one
-//     compute;
+//     (deduplicated = true) — N concurrent clients join one job and
+//     one compute;
 //   - the daemon is draining: ErrShuttingDown;
 //   - the queue is full: ErrQueueFull (HTTP 429 + Retry-After);
 //   - otherwise the job is enqueued.
@@ -102,7 +106,7 @@ func (s *Server) Submit(cfg core.RunConfig) (*Job, bool, error) {
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
 	if s.draining.Load() {
-		job.setCancelled(s.now())
+		s.finish(job, cancelledEvent)
 		return nil, false, ErrShuttingDown
 	}
 	select {
@@ -111,7 +115,7 @@ func (s *Server) Submit(cfg core.RunConfig) (*Job, bool, error) {
 	default:
 		// Roll the admission back so a later retry can enqueue: a
 		// cancelled job does not shadow its ID (see store.upsert).
-		job.setCancelled(s.now())
+		s.finish(job, cancelledEvent)
 		return nil, false, ErrQueueFull
 	}
 }
@@ -127,7 +131,7 @@ func (s *Server) Job(id string) (*Job, bool) { return s.store.get(id) }
 
 // Cancel cancels the job with the given ID. Cancellation is a request:
 // a queued job dies before running; a running job stops at its next
-// cancellation point (cells not yet started, coalesced waits). Cells
+// cancellation point (cells not yet started). Cells
 // already running complete, and a table set with skipped cells is never
 // stored, so the cache is never contaminated by a cancelled job.
 func (s *Server) Cancel(id string) (*Job, bool) {
@@ -179,7 +183,7 @@ func (s *Server) worker() {
 // registry's outcomes into job states and stable failure codes.
 func (s *Server) run(job *Job) {
 	if job.ctx.Err() != nil {
-		job.setCancelled(s.now())
+		s.finish(job, cancelledEvent)
 		return
 	}
 	job.setRunning(s.now())
@@ -187,9 +191,10 @@ func (s *Server) run(job *Job) {
 	tables, src, err := s.runner.Run(job.ctx, job.Config, observe)
 	switch {
 	case err == nil:
-		job.setDone(tables, src, s.now())
+		s.finish(job, Event{Type: string(StateDone),
+			Tables: len(tables), Digest: resultDigest(tables), Source: src.String()})
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.setCancelled(s.now())
+		s.finish(job, cancelledEvent)
 	default:
 		code := CodeInternal
 		if _, isFault := chaos.AsFault(err); isFault {
@@ -200,6 +205,16 @@ func (s *Server) run(job *Job) {
 				code = cerr.Code
 			}
 		}
-		job.setFailed(code, err.Error(), s.now())
+		s.finish(job, Event{Type: string(StateFailed), Code: code, Error: err.Error()})
 	}
+}
+
+// cancelledEvent is the terminal event of a cancelled job.
+var cancelledEvent = Event{Type: string(StateCancelled), Code: CodeCancelled}
+
+// finish ends job with ev, stamped now. Every terminal transition goes
+// through it, and through store.finish, which bounds the registry.
+func (s *Server) finish(job *Job, ev Event) {
+	ev.Job, ev.Time = job.ID, stamp(s.now())
+	s.store.finish(job, ev)
 }

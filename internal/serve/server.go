@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -14,7 +16,7 @@ type JobStatus struct {
 	State  State     `json:"state"`
 	Config JobConfig `json:"config"`
 	// Deduplicated is set on submission responses when the submission
-	// coalesced onto an already-live or already-done job.
+	// joined an already-live or already-done job.
 	Deduplicated bool `json:"deduplicated,omitempty"`
 	// Terminal-success fields.
 	Tables int    `json:"tables,omitempty"`
@@ -39,7 +41,7 @@ func status(j *Job, dedup bool) JobStatus {
 	if st == StateDone {
 		out.Tables = tables
 		out.Digest = digest
-		out.Source = src.String()
+		out.Source = src
 	}
 	return out
 }
@@ -49,7 +51,8 @@ func status(j *Job, dedup bool) JobStatus {
 //	POST   /v1/jobs           submit one job
 //	POST   /v1/jobs/batch     submit many (per-item results)
 //	GET    /v1/jobs/{id}      job status
-//	GET    /v1/jobs/{id}/result  rendered tables (text; X-Result-Digest)
+//	GET    /v1/jobs/{id}/result  rendered tables (text; X-Result-Digest),
+//	                             read from the result cache (410 once evicted)
 //	GET    /v1/jobs/{id}/events  NDJSON progress stream
 //	DELETE /v1/jobs/{id}      cancel
 //	GET    /v1/stats          queue/pool/cache/job counters
@@ -229,6 +232,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status(job, false))
 }
 
+// handleResult serves a done job's tables from the result cache, the
+// one place results live. The set is rendered as the CLI prints it and
+// served only if its fingerprint equals the digest recorded when the
+// job finished. A set that has left the cache answers 410 and the job
+// is forgotten, so resubmitting the config queues a fresh job (through
+// admission and dedup); no handler ever runs a simulation.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -239,14 +248,28 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	st, _, digest, src, code, errMsg := job.snapshot()
 	switch {
 	case st == StateDone:
-		job.mu.Lock()
-		body := job.result
-		job.mu.Unlock()
+		tables, _, ok := core.LookupTables(s.runner.Cache, job.key)
+		if !ok {
+			s.store.drop(job)
+			writeError(w, http.StatusGone, CodeResultEvicted,
+				fmt.Sprintf("job %s: result evicted from the cache; resubmit the config to recompute it", job.ID))
+			return
+		}
+		if got := resultDigest(tables); got != digest {
+			writeError(w, http.StatusInternalServerError, CodeInternal,
+				fmt.Sprintf("job %s: cached result digest %s, recorded %s", job.ID, got, digest))
+			return
+		}
+		var body strings.Builder
+		for _, t := range tables {
+			body.WriteString(t.String())
+			body.WriteByte('\n')
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Result-Digest", digest)
-		w.Header().Set("X-Result-Source", src.String())
+		w.Header().Set("X-Result-Source", src)
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
+		_, _ = io.WriteString(w, body.String())
 	case st.terminal():
 		writeError(w, http.StatusConflict, CodeJobFailed,
 			fmt.Sprintf("job %s %s (%s): %s", job.ID, st, code, errMsg))

@@ -3,8 +3,8 @@ package serve
 import "net/http"
 
 // StatsSnapshot is the body of GET /v1/stats: job counts by state, the
-// admission queue, the shared cell pool, and (when caching) the result
-// cache's counters. The mirrors exist to give the wire stable
+// admission queue, the shared cell pool, and the result cache's
+// counters. The mirrors exist to give the wire stable
 // snake_case names independent of the internal struct fields.
 type StatsSnapshot struct {
 	Jobs     map[State]int   `json:"jobs"`
@@ -37,8 +37,6 @@ type CacheStatsWire struct {
 	SpillErr   uint64 `json:"spill_errors"`
 	Puts       uint64 `json:"puts"`
 	Evictions  uint64 `json:"evictions"`
-	Computes   uint64 `json:"computes"`
-	Coalesced  uint64 `json:"coalesced"`
 	BytesInMem int64  `json:"bytes_in_mem"`
 	Entries    int    `json:"entries"`
 }
@@ -46,24 +44,21 @@ type CacheStatsWire struct {
 // Stats snapshots the service.
 func (s *Server) Stats() StatsSnapshot {
 	ps := s.runner.Pool.Stats()
+	cs := s.runner.Cache.Stats()
 	snap := StatsSnapshot{
 		Jobs:  s.store.counts(),
 		Queue: QueueStats{Depth: len(s.queue), Capacity: s.qcap},
 		Pool: PoolStatsWire{
 			Workers: ps.Workers, Active: ps.Active, Cells: ps.Cells,
 		},
-		Draining: s.draining.Load(),
-	}
-	if c := s.runner.Cache; c != nil {
-		cs := c.Stats()
-		snap.Cache = &CacheStatsWire{
+		Cache: &CacheStatsWire{
 			Hits: cs.Hits, Misses: cs.Misses,
 			SpillHits: cs.SpillHits, SpillReads: cs.SpillReads,
 			SpillWrite: cs.SpillWrite, SpillErr: cs.SpillErr,
 			Puts: cs.Puts, Evictions: cs.Evictions,
-			Computes: cs.Computes, Coalesced: cs.Coalesced,
 			BytesInMem: cs.BytesInMem, Entries: cs.Entries,
-		}
+		},
+		Draining: s.draining.Load(),
 	}
 	return snap
 }
