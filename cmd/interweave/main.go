@@ -147,10 +147,12 @@ func main() {
 		// `all` regenerates everything with every optional table on,
 		// trimming the sweep axes to the classic small-N points: the
 		// 256–1024 CPU/core points take minutes each and belong to the
-		// explicit `fig3 -sweep` / `fig7 -sweep` invocations. One
-		// goroutine per experiment on the same bounded pool the
-		// per-experiment cells use; tables buffer per experiment and
-		// print in canonical order once everything finished.
+		// explicit `fig3 -sweep` / `fig7 -sweep` invocations. The
+		// experiments run on an outer pool of width -parallel; the
+		// runner has no shared Pool, so each driver call inside them
+		// builds its own exp.New(*parallel) for its cells. Tables
+		// buffer per experiment and print in canonical order once
+		// everything finished.
 		all := cfg.WithAll()
 		ids := core.ExperimentIDs()
 		results, err := exp.Map(exp.New(*parallel), len(ids),

@@ -42,18 +42,19 @@ type Config struct {
 	Dir string
 }
 
-// Stats is a point-in-time snapshot of cache activity.
+// Stats is a point-in-time snapshot of cache activity. The JSON tags
+// are its wire form in the experiment service's stats body.
 type Stats struct {
-	Hits       uint64 // in-memory LRU hits
-	Misses     uint64 // in-memory LRU misses
-	SpillHits  uint64 // misses served from disk (and promoted)
-	SpillReads uint64 // disk lookups attempted after a memory miss
-	SpillWrite uint64 // entries written to disk
-	SpillErr   uint64 // best-effort disk writes that failed
-	Puts       uint64 // new entries admitted to memory
-	Evictions  uint64 // entries evicted for byte budget
-	BytesInMem int64  // resident value bytes
-	Entries    int    // resident entries
+	Hits       uint64 `json:"hits"`         // in-memory LRU hits
+	Misses     uint64 `json:"misses"`       // in-memory LRU misses
+	SpillHits  uint64 `json:"spill_hits"`   // misses served from disk (and promoted)
+	SpillReads uint64 `json:"spill_reads"`  // disk lookups attempted after a memory miss
+	SpillWrite uint64 `json:"spill_writes"` // entries written to disk
+	SpillErr   uint64 `json:"spill_errors"` // best-effort disk writes that failed
+	Puts       uint64 `json:"puts"`         // new entries admitted to memory
+	Evictions  uint64 `json:"evictions"`    // entries evicted for byte budget
+	BytesInMem int64  `json:"bytes_in_mem"` // resident value bytes
+	Entries    int    `json:"entries"`      // resident entries
 }
 
 // String renders the snapshot as the -cache-stats report line set.

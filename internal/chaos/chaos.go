@@ -125,29 +125,63 @@ func (v Violation) String() string {
 }
 
 // Config sets per-kind fault rates and bounds. Zero values disable the
-// corresponding fault kind, so Config{} is a no-fault plan.
+// corresponding fault kind, so Config{} is a no-fault plan. The JSON
+// tags are the experiment service's wire form of a chaos plan.
 type Config struct {
 	// AllocFailProb is the per-allocation probability of transient
 	// failure at each alloc site.
-	AllocFailProb float64
+	AllocFailProb float64 `json:"alloc_fail_prob,omitempty"`
 	// AllocBudget, when non-zero, models hard exhaustion: after this
 	// many allocation consults at a site, every later allocation there
 	// fails. This is the stressor for the paper's no-fault memory-model
 	// claim (§III): layers above must degrade, not corrupt.
-	AllocBudget uint64
+	AllocBudget uint64 `json:"alloc_budget,omitempty"`
 	// IPIDropProb / IPIDelayProb / IPIDelayMax perturb IPI delivery.
-	IPIDropProb  float64
-	IPIDelayProb float64
-	IPIDelayMax  int64
+	IPIDropProb  float64 `json:"ipi_drop_prob,omitempty"`
+	IPIDelayProb float64 `json:"ipi_delay_prob,omitempty"`
+	IPIDelayMax  int64   `json:"ipi_delay_max,omitempty"`
 	// TimerJitterProb / TimerJitterMax stretch LAPIC timer expiries.
-	TimerJitterProb float64
-	TimerJitterMax  int64
+	TimerJitterProb float64 `json:"timer_jitter_prob,omitempty"`
+	TimerJitterMax  int64   `json:"timer_jitter_max,omitempty"`
 	// WakeDelayProb / WakeDelayMax defer idle-CPU event-wake dispatches.
-	WakeDelayProb float64
-	WakeDelayMax  int64
+	WakeDelayProb float64 `json:"wake_delay_prob,omitempty"`
+	WakeDelayMax  int64   `json:"wake_delay_max,omitempty"`
 	// MaxSteps, when non-zero, is the interpreter step budget a plan
 	// imposes (see Plan.StepBudget).
-	MaxSteps int64
+	MaxSteps int64 `json:"max_steps,omitempty"`
+}
+
+// Validate checks c's ranges: every probability in [0, 1], every
+// bound non-negative. Errors name the field by its JSON name.
+func (c Config) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"alloc_fail_prob", c.AllocFailProb},
+		{"ipi_drop_prob", c.IPIDropProb},
+		{"ipi_delay_prob", c.IPIDelayProb},
+		{"timer_jitter_prob", c.TimerJitterProb},
+		{"wake_delay_prob", c.WakeDelayProb},
+	} {
+		if p.v < 0 || p.v > 1 {
+			return fmt.Errorf("chaos %s %v outside [0, 1]", p.name, p.v)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		v    int64
+	}{
+		{"ipi_delay_max", c.IPIDelayMax},
+		{"timer_jitter_max", c.TimerJitterMax},
+		{"wake_delay_max", c.WakeDelayMax},
+		{"max_steps", c.MaxSteps},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("chaos %s %d negative", d.name, d.v)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns moderate fault rates: frequent enough that a

@@ -292,3 +292,28 @@ func TestCPUAllocSubsites(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate: probabilities must lie in [0, 1] and bounds must
+// be non-negative; errors name the field by its JSON name, and every
+// probability is checked before any bound.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []chaos.Config{{}, chaos.DefaultConfig(), {AllocFailProb: 1, AllocBudget: 9, MaxSteps: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg  chaos.Config
+		want string
+	}{
+		{chaos.Config{IPIDropProb: 1.5}, "chaos ipi_drop_prob 1.5 outside [0, 1]"},
+		{chaos.Config{AllocFailProb: -0.1}, "chaos alloc_fail_prob -0.1 outside [0, 1]"},
+		{chaos.Config{TimerJitterMax: -3}, "chaos timer_jitter_max -3 negative"},
+		{chaos.Config{MaxSteps: -1, WakeDelayProb: 2}, "chaos wake_delay_prob 2 outside [0, 1]"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: got %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}

@@ -59,37 +59,41 @@ const MaxDomains = 256
 // output. Its canonical Key is a complete content address for the
 // result — two RunConfigs with equal Keys produce byte-identical
 // tables — which is why the experiment service uses the Key as the job
-// ID.
+// ID. The JSON tags are the service's wire form: optional fields
+// marshal away when zero, while cpus and seed are always written
+// because their defaults are nonzero (a decoder starts from
+// DefaultRunConfig, so an omitted field keeps its default and an
+// explicit 0 reaches Validate).
 type RunConfig struct {
 	// Experiment is the registered experiment ID (see ExperimentIDs).
-	Experiment string
+	Experiment string `json:"experiment"`
 	// CPUs parameterizes the CPU-count experiments (nautilus, riscv,
 	// tasks, fig6 -epcc). Defaults are applied by DefaultRunConfig, not
 	// here: the zero value is invalid.
-	CPUs int
+	CPUs int `json:"cpus"`
 	// Seed is the simulation seed every cell derives randomness from.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// ChaosSeed, when nonzero, arms the deterministic fault-injection
 	// harness; same seed, same faults, byte-identical output.
-	ChaosSeed uint64
+	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
 	// Chaos overrides the armed fault rates (nil = chaos.DefaultConfig
 	// when ChaosSeed is nonzero). Setting it without a ChaosSeed is a
 	// validation error: rates without a seed arm nothing.
-	Chaos *chaos.Config
+	Chaos *chaos.Config `json:"chaos,omitempty"`
 	// Domains is fig3's steal-domain count (0 = auto).
-	Domains int
+	Domains int `json:"domains,omitempty"`
 	// Optional sub-reports, mirroring the CLI flags of the same names.
-	Overheads   bool // fig3: scheduling overheads
-	Granularity bool // fig4: granularity floors
-	Mobility    bool // carat: heap compaction demo
-	MemStats    bool // carat: heap allocator statistics
-	EPCC        bool // fig6: EPCC sync microbenchmarks
-	Sweep       bool // fig3/fig7: scale sweeps
-	Ablate      bool // fig7: per-class ablation
+	Overheads   bool `json:"overheads,omitempty"`   // fig3: scheduling overheads
+	Granularity bool `json:"granularity,omitempty"` // fig4: granularity floors
+	Mobility    bool `json:"mobility,omitempty"`    // carat: heap compaction demo
+	MemStats    bool `json:"memstats,omitempty"`    // carat: heap allocator statistics
+	EPCC        bool `json:"epcc,omitempty"`        // fig6: EPCC sync microbenchmarks
+	Sweep       bool `json:"sweep,omitempty"`       // fig3/fig7: scale sweeps
+	Ablate      bool `json:"ablate,omitempty"`      // fig7: per-class ablation
 	// SmallAxes trims the sweep axes to the classic small-N points
 	// (what `interweave all` does: the 256-1024 CPU points take minutes
 	// and belong to explicit sweep invocations).
-	SmallAxes bool
+	SmallAxes bool `json:"small_axes,omitempty"`
 }
 
 // DefaultRunConfig returns the CLI-default invocation of an
@@ -148,35 +152,8 @@ func (cfg RunConfig) Validate() error {
 			return &ConfigError{CodeBadChaosPlan,
 				"chaos rates given without a nonzero chaos seed; they would arm nothing"}
 		}
-		c := cfg.Chaos
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{
-			{"alloc_fail_prob", c.AllocFailProb},
-			{"ipi_drop_prob", c.IPIDropProb},
-			{"ipi_delay_prob", c.IPIDelayProb},
-			{"timer_jitter_prob", c.TimerJitterProb},
-			{"wake_delay_prob", c.WakeDelayProb},
-		} {
-			if p.v < 0 || p.v > 1 {
-				return &ConfigError{CodeBadChaosPlan,
-					fmt.Sprintf("chaos %s %v outside [0, 1]", p.name, p.v)}
-			}
-		}
-		for _, d := range []struct {
-			name string
-			v    int64
-		}{
-			{"ipi_delay_max", c.IPIDelayMax},
-			{"timer_jitter_max", c.TimerJitterMax},
-			{"wake_delay_max", c.WakeDelayMax},
-			{"max_steps", c.MaxSteps},
-		} {
-			if d.v < 0 {
-				return &ConfigError{CodeBadChaosPlan,
-					fmt.Sprintf("chaos %s %d negative", d.name, d.v)}
-			}
+		if err := cfg.Chaos.Validate(); err != nil {
+			return &ConfigError{CodeBadChaosPlan, err.Error()}
 		}
 	}
 	return nil

@@ -60,11 +60,12 @@ type Pool struct {
 
 // PoolStats is a point-in-time snapshot of pool activity — the
 // admission-control counters a long-running service reports. Taken
-// field by field, so concurrent traffic makes it approximate.
+// field by field, so concurrent traffic makes it approximate. The JSON
+// tags are its wire form in the experiment service's stats body.
 type PoolStats struct {
-	Workers int    // concurrency bound
-	Active  int    // worker slots currently held
-	Cells   uint64 // cells started since the pool was created
+	Workers int    `json:"workers"` // concurrency bound
+	Active  int    `json:"active"`  // worker slots currently held
+	Cells   uint64 `json:"cells"`   // cells started since the pool was created
 }
 
 // Stats snapshots the pool's counters.

@@ -6,129 +6,21 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/chaos"
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
-// maxBodyBytes caps request bodies. A JobConfig is a few hundred bytes;
-// a batch of them is a few KiB. 1 MiB is generous headroom, not a knob.
+// maxBodyBytes caps request bodies. A job config is a few hundred
+// bytes; a batch of them is a few KiB. 1 MiB is generous headroom, not
+// a knob.
 const maxBodyBytes = 1 << 20
 
-// JobConfig is the wire form of core.RunConfig: the complete
-// serializable description of one experiment invocation. Optional
-// fields marshal away when zero, so the canonical wire form of a
-// default invocation is just {"experiment": "..."}.
+// WireConfig returns cfg unchanged: core.RunConfig is its own wire form.
 //
-// CPUs and Seed are pointers because their defaults (16 and 42) are
-// nonzero: an omitted field means "the default", an explicit 0 is
-// preserved long enough for validation to reject it.
-type JobConfig struct {
-	Experiment  string     `json:"experiment"`
-	CPUs        *int       `json:"cpus,omitempty"`
-	Seed        *uint64    `json:"seed,omitempty"`
-	ChaosSeed   uint64     `json:"chaos_seed,omitempty"`
-	Chaos       *ChaosPlan `json:"chaos,omitempty"`
-	Domains     int        `json:"domains,omitempty"`
-	Overheads   bool       `json:"overheads,omitempty"`
-	Granularity bool       `json:"granularity,omitempty"`
-	Mobility    bool       `json:"mobility,omitempty"`
-	MemStats    bool       `json:"memstats,omitempty"`
-	EPCC        bool       `json:"epcc,omitempty"`
-	Sweep       bool       `json:"sweep,omitempty"`
-	Ablate      bool       `json:"ablate,omitempty"`
-	SmallAxes   bool       `json:"small_axes,omitempty"`
-}
-
-// ChaosPlan is the wire form of chaos.Config: the fault rates a
-// chaos-armed job runs under. Submitting one without a nonzero
-// chaos_seed is a validation error (bad_chaos_plan).
-type ChaosPlan struct {
-	AllocFailProb   float64 `json:"alloc_fail_prob,omitempty"`
-	AllocBudget     uint64  `json:"alloc_budget,omitempty"`
-	IPIDropProb     float64 `json:"ipi_drop_prob,omitempty"`
-	IPIDelayProb    float64 `json:"ipi_delay_prob,omitempty"`
-	IPIDelayMax     int64   `json:"ipi_delay_max,omitempty"`
-	TimerJitterProb float64 `json:"timer_jitter_prob,omitempty"`
-	TimerJitterMax  int64   `json:"timer_jitter_max,omitempty"`
-	WakeDelayProb   float64 `json:"wake_delay_prob,omitempty"`
-	WakeDelayMax    int64   `json:"wake_delay_max,omitempty"`
-	MaxSteps        int64   `json:"max_steps,omitempty"`
-}
-
-// RunConfig lowers the wire form onto the registry's RunConfig,
-// applying the registry defaults for omitted fields. It does not
-// validate; callers follow with Validate (DecodeJobConfig does both).
-func (jc JobConfig) RunConfig() core.RunConfig {
-	cfg := core.DefaultRunConfig(jc.Experiment)
-	if jc.CPUs != nil {
-		cfg.CPUs = *jc.CPUs
-	}
-	if jc.Seed != nil {
-		cfg.Seed = *jc.Seed
-	}
-	cfg.ChaosSeed = jc.ChaosSeed
-	if jc.Chaos != nil {
-		cfg.Chaos = &chaos.Config{
-			AllocFailProb:   jc.Chaos.AllocFailProb,
-			AllocBudget:     jc.Chaos.AllocBudget,
-			IPIDropProb:     jc.Chaos.IPIDropProb,
-			IPIDelayProb:    jc.Chaos.IPIDelayProb,
-			IPIDelayMax:     jc.Chaos.IPIDelayMax,
-			TimerJitterProb: jc.Chaos.TimerJitterProb,
-			TimerJitterMax:  jc.Chaos.TimerJitterMax,
-			WakeDelayProb:   jc.Chaos.WakeDelayProb,
-			WakeDelayMax:    jc.Chaos.WakeDelayMax,
-			MaxSteps:        jc.Chaos.MaxSteps,
-		}
-	}
-	cfg.Domains = jc.Domains
-	cfg.Overheads = jc.Overheads
-	cfg.Granularity = jc.Granularity
-	cfg.Mobility = jc.Mobility
-	cfg.MemStats = jc.MemStats
-	cfg.EPCC = jc.EPCC
-	cfg.Sweep = jc.Sweep
-	cfg.Ablate = jc.Ablate
-	cfg.SmallAxes = jc.SmallAxes
-	return cfg
-}
-
-// WireConfig renders a RunConfig back to its canonical wire form — the
-// JobConfig whose RunConfig() is field-identical (and therefore
-// Key-identical) to cfg. Job status responses echo this form, and the
-// decode fuzzer round-trips through it.
-func WireConfig(cfg core.RunConfig) JobConfig {
-	jc := JobConfig{
-		Experiment: cfg.Experiment,
-		CPUs:       &cfg.CPUs,
-		Seed:       &cfg.Seed,
-		ChaosSeed:  cfg.ChaosSeed,
-		Domains:    cfg.Domains,
-	}
-	if cfg.Chaos != nil {
-		jc.Chaos = &ChaosPlan{
-			AllocFailProb:   cfg.Chaos.AllocFailProb,
-			AllocBudget:     cfg.Chaos.AllocBudget,
-			IPIDropProb:     cfg.Chaos.IPIDropProb,
-			IPIDelayProb:    cfg.Chaos.IPIDelayProb,
-			IPIDelayMax:     cfg.Chaos.IPIDelayMax,
-			TimerJitterProb: cfg.Chaos.TimerJitterProb,
-			TimerJitterMax:  cfg.Chaos.TimerJitterMax,
-			WakeDelayProb:   cfg.Chaos.WakeDelayProb,
-			WakeDelayMax:    cfg.Chaos.WakeDelayMax,
-			MaxSteps:        cfg.Chaos.MaxSteps,
-		}
-	}
-	jc.Overheads = cfg.Overheads
-	jc.Granularity = cfg.Granularity
-	jc.Mobility = cfg.Mobility
-	jc.MemStats = cfg.MemStats
-	jc.EPCC = cfg.EPCC
-	jc.Sweep = cfg.Sweep
-	jc.Ablate = cfg.Ablate
-	jc.SmallAxes = cfg.SmallAxes
-	return jc
-}
+// Deprecated: marshal the core.RunConfig directly. The function remains
+// only because the frozen benchmark harness (perfbench/serve.go) still
+// calls it; delete it with the next change allowed to touch perfbench/.
+func WireConfig(cfg core.RunConfig) core.RunConfig { return cfg }
 
 // decodeStrict decodes exactly one JSON document from r into v:
 // unknown fields, wrong types, and trailing data all fail.
@@ -146,17 +38,16 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// DecodeJobConfig reads one JobConfig from r (strict: unknown fields
-// and trailing garbage are bad_json), lowers it onto the registry, and
-// validates. The returned error is always a *core.ConfigError, so its
-// Code goes straight into the JSON error body.
+// DecodeJobConfig reads one job config from r (strict: unknown fields,
+// wrong types and trailing garbage are bad_json) on top of the
+// registry defaults, and validates it. The returned error is always a
+// *core.ConfigError, so its Code goes straight into the JSON error body.
 func DecodeJobConfig(r io.Reader) (core.RunConfig, error) {
-	var jc JobConfig
-	if err := decodeStrict(r, &jc); err != nil {
+	cfg := core.DefaultRunConfig("")
+	if err := decodeStrict(r, &cfg); err != nil {
 		return core.RunConfig{}, &core.ConfigError{
 			Code: CodeBadJSON, Msg: fmt.Sprintf("bad job config: %v", err)}
 	}
-	cfg := jc.RunConfig()
 	if err := cfg.Validate(); err != nil {
 		var cerr *core.ConfigError
 		if errors.As(err, &cerr) {
@@ -167,11 +58,11 @@ func DecodeJobConfig(r io.Reader) (core.RunConfig, error) {
 	return cfg, nil
 }
 
-// JobID derives the job identifier from a validated config: the first
-// 16 hex digits (64 bits) of the config's content-address key. The ID
+// JobID derives the job identifier from a config's content-address
+// key (core.RunConfig.Key): its first 16 hex digits (64 bits). The ID
 // is therefore a cache-key prefix — equal IDs mean equal configs mean
 // byte-identical results, which is what makes job-level deduplication
 // sound.
-func JobID(cfg core.RunConfig) string {
-	return cfg.Key().String()[:16]
+func JobID(key cache.Key) string {
+	return key.String()[:16]
 }

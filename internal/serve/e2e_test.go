@@ -132,7 +132,7 @@ func TestResultByteIdentity(t *testing.T) {
 
 	var batch BatchRequest
 	for _, id := range ids {
-		batch.Jobs = append(batch.Jobs, JobConfig{Experiment: id})
+		batch.Jobs = append(batch.Jobs, json.RawMessage(fmt.Sprintf(`{"experiment": %q}`, id)))
 	}
 	raw, _ := json.Marshal(batch)
 	resp, err := http.Post(ts.URL+"/v1/jobs/batch", "application/json", bytes.NewReader(raw))
@@ -157,8 +157,8 @@ func TestResultByteIdentity(t *testing.T) {
 	for i, id := range ids {
 		jobID := br.Items[i].Job.ID
 		j := awaitJob(t, s, jobID)
-		if st, _, _, _, code, msg := j.snapshot(); st != StateDone {
-			t.Errorf("%s: state %s (%s: %s), want done", id, st, code, msg)
+		if st, ev := j.snapshot(); st != StateDone {
+			t.Errorf("%s: state %s (%s: %s), want done", id, st, ev.Code, ev.Error)
 			continue
 		}
 		code, body, hdr := getResult(t, ts, jobID)
@@ -223,7 +223,7 @@ func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 	}
 
 	j := awaitJob(t, s, jobs[0].ID)
-	if st, _, _, _, _, _ := j.snapshot(); st != StateDone {
+	if st, _ := j.snapshot(); st != StateDone {
 		t.Fatalf("job state %s, want done", st)
 	}
 	// One compute total: the whole batch cost one run and one put.
@@ -236,7 +236,7 @@ func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 
 	// Every client reads the same bytes.
 	_, first, _ := getResult(t, ts, jobs[0].ID)
-	if want := directRun(t, jobs[0].Config.RunConfig()); !bytes.Equal(first, want) {
+	if want := directRun(t, jobs[0].Config); !bytes.Equal(first, want) {
 		t.Errorf("deduplicated result differs from direct run")
 	}
 }
@@ -261,7 +261,7 @@ func waitRunning(t *testing.T, j *Job) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if st, _, _, _, _, _ := j.snapshot(); st == StateRunning {
+		if st, _ := j.snapshot(); st == StateRunning {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -342,8 +342,8 @@ func TestBackpressure429NeverDeadlocks(t *testing.T) {
 	}
 	for _, id := range []string{a.ID, cID} {
 		j := awaitJob(t, s, id)
-		if st, _, _, _, code, msg := j.snapshot(); st != StateDone {
-			t.Errorf("job %s: state %s (%s: %s)", id, st, code, msg)
+		if st, ev := j.snapshot(); st != StateDone {
+			t.Errorf("job %s: state %s (%s: %s)", id, st, ev.Code, ev.Error)
 		}
 	}
 }
@@ -377,8 +377,8 @@ func TestCancelMidRunReleasesSlotsAndCache(t *testing.T) {
 
 	release() // the parked cell wakes, sees the dead context, and bails
 	awaitJob(t, s, st.ID)
-	if got, _, _, _, code, _ := j.snapshot(); got != StateCancelled || code != CodeCancelled {
-		t.Fatalf("state %s code %s, want cancelled", got, code)
+	if got, ev := j.snapshot(); got != StateCancelled || ev.Code != CodeCancelled {
+		t.Fatalf("state %s code %s, want cancelled", got, ev.Code)
 	}
 
 	// Slots all returned: the pool admits a full complement again.
@@ -403,11 +403,11 @@ func TestCancelMidRunReleasesSlotsAndCache(t *testing.T) {
 		t.Fatalf("resubmit ID %s != %s", st2.ID, st.ID)
 	}
 	j2 := awaitJob(t, s, st2.ID)
-	if got, _, _, _, code, msg := j2.snapshot(); got != StateDone {
-		t.Fatalf("resubmit state %s (%s: %s), want done", got, code, msg)
+	if got, ev := j2.snapshot(); got != StateDone {
+		t.Fatalf("resubmit state %s (%s: %s), want done", got, ev.Code, ev.Error)
 	}
 	_, body, _ := getResult(t, ts, st2.ID)
-	if want := directRun(t, st2.Config.RunConfig()); !bytes.Equal(body, want) {
+	if want := directRun(t, st2.Config); !bytes.Equal(body, want) {
 		t.Error("post-cancel result differs from direct run")
 	}
 }
@@ -457,18 +457,18 @@ func TestResubmitDuringCancelIsFresh(t *testing.T) {
 	case <-time.After(10 * time.Minute):
 		t.Fatal("cancelled job never finished")
 	}
-	if got, _, _, _, _, _ := old.snapshot(); got != StateCancelled {
+	if got, _ := old.snapshot(); got != StateCancelled {
 		t.Fatalf("old job state %s, want cancelled", got)
 	}
 	j := awaitJob(t, s, st2.ID)
 	if j == old {
 		t.Fatal("registry still holds the cancelled job")
 	}
-	if got, _, _, _, code, msg := j.snapshot(); got != StateDone {
-		t.Fatalf("fresh job state %s (%s: %s), want done", got, code, msg)
+	if got, ev := j.snapshot(); got != StateDone {
+		t.Fatalf("fresh job state %s (%s: %s), want done", got, ev.Code, ev.Error)
 	}
 	_, out, _ := getResult(t, ts, st2.ID)
-	if want := directRun(t, st2.Config.RunConfig()); !bytes.Equal(out, want) {
+	if want := directRun(t, st2.Config); !bytes.Equal(out, want) {
 		t.Error("fresh job's result differs from direct run")
 	}
 }
@@ -509,8 +509,8 @@ func TestGracefulShutdownDrainsAndLeaksNoGoroutines(t *testing.T) {
 	// Drained, not cancelled.
 	for _, id := range ids {
 		j, _ := s.Job(id)
-		if st, _, _, _, code, msg := j.snapshot(); st != StateDone {
-			t.Errorf("job %s after drain: %s (%s: %s), want done", id, st, code, msg)
+		if st, ev := j.snapshot(); st != StateDone {
+			t.Errorf("job %s after drain: %s (%s: %s), want done", id, st, ev.Code, ev.Error)
 		}
 	}
 
@@ -567,8 +567,8 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 			t.Fatalf("chaos submit: status %d", code)
 		}
 		j := awaitJob(t, s, st.ID)
-		state, _, digest, _, ecode, errMsg := j.snapshot()
-		out := outcome{state: state, digest: digest, code: ecode, errMsg: errMsg}
+		state, ev := j.snapshot()
+		out := outcome{state: state, digest: ev.Digest, code: ev.Code, errMsg: ev.Error}
 		if state == StateDone {
 			_, out.body, _ = getResult(t, ts, st.ID)
 		}

@@ -16,8 +16,8 @@ import (
 //     front door);
 //   - a rejected input yields a *core.ConfigError with a non-empty
 //     stable code (the HTTP layer serializes it blindly);
-//   - an accepted config round-trips: rendered to its canonical wire
-//     form (WireConfig) and decoded again, it produces the identical
+//   - an accepted config round-trips: marshalled (core.RunConfig is
+//     its own wire form) and decoded again, it produces the identical
 //     content-address key — the job ID, the dedup identity, and the
 //     cache address all survive a wire round trip.
 //
@@ -48,13 +48,13 @@ func FuzzDecodeJobConfig(f *testing.F) {
 			return
 		}
 		key := cfg.Key()
-		id := JobID(cfg)
+		id := JobID(key)
 		if len(id) != 16 {
 			t.Fatalf("job ID %q not a 16-hex-digit key prefix", id)
 		}
 
 		// Canonical wire round trip preserves the key exactly.
-		wire, merr := json.Marshal(WireConfig(cfg))
+		wire, merr := json.Marshal(cfg)
 		if merr != nil {
 			t.Fatalf("marshal canonical wire form: %v", merr)
 		}

@@ -81,12 +81,12 @@ type Job struct {
 	done   chan struct{}
 }
 
-// newJob builds a queued job and records its first event.
-func newJob(cfg core.RunConfig, now func() time.Time) *Job {
+// newJob builds a queued job for cfg, whose Key is key, and records
+// its first event.
+func newJob(cfg core.RunConfig, key cache.Key, now func() time.Time) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	key := cfg.Key()
 	j := &Job{
-		ID:     key.String()[:16],
+		ID:     JobID(key),
 		Config: cfg,
 		key:    key,
 		ctx:    ctx,
@@ -159,16 +159,16 @@ func (j *Job) finish(ev Event) {
 	close(j.done)
 }
 
-// snapshot returns the fields a status response needs, consistently:
-// the outcome fields come from the terminal event.
-func (j *Job) snapshot() (state State, tables int, digest, src, code, errMsg string) {
+// snapshot returns the job's state and, once it is terminal, the
+// terminal event that holds its outcome (the zero Event before then),
+// read consistently under one lock.
+func (j *Job) snapshot() (State, Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.state.terminal() {
-		return j.state, 0, "", "", "", ""
+		return j.state, Event{}
 	}
-	ev := j.events[len(j.events)-1]
-	return j.state, ev.Tables, ev.Digest, ev.Source, ev.Code, ev.Error
+	return j.state, j.events[len(j.events)-1]
 }
 
 // eventsFrom returns events[i:] once it is non-empty or the job is
@@ -254,7 +254,7 @@ func (s *store) upsert(id string, make func() *Job) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
-		st, _, _, _, _, _ := j.snapshot()
+		st, _ := j.snapshot()
 		if st == StateDone || (!st.terminal() && j.ctx.Err() == nil) {
 			return j, false
 		}
@@ -303,7 +303,7 @@ func (s *store) counts() map[State]int {
 	defer s.mu.Unlock()
 	c := make(map[State]int, 5)
 	for _, j := range s.jobs { // detvet:ok — commutative tally, order-free
-		st, _, _, _, _, _ := j.snapshot()
+		st, _ := j.snapshot()
 		c[st]++
 	}
 	return c

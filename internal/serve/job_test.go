@@ -20,7 +20,7 @@ func TestTerminalStatesStoreExactSizes(t *testing.T) {
 		{Type: string(StateFailed), Code: CodeInternal, Error: "boom"},
 		cancelledEvent,
 	} {
-		j := newJob(cfg, now)
+		j := newJob(cfg, cfg.Key(), now)
 		j.setRunning(now())
 		for i := 0; i < 3; i++ {
 			j.cellEvent(core.CellEvent{Driver: "virtine", Cell: i, Of: 3}, now())

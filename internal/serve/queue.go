@@ -98,8 +98,8 @@ func (s *Server) Submit(cfg core.RunConfig) (*Job, bool, error) {
 	if s.draining.Load() {
 		return nil, false, ErrShuttingDown
 	}
-	id := JobID(cfg)
-	job, fresh := s.store.upsert(id, func() *Job { return newJob(cfg, s.now) })
+	key := cfg.Key()
+	job, fresh := s.store.upsert(JobID(key), func() *Job { return newJob(cfg, key, s.now) })
 	if !fresh {
 		return job, true, nil
 	}

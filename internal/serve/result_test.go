@@ -32,8 +32,8 @@ func runDone(t *testing.T, s *Server, ts *httptest.Server, body string) JobStatu
 	if code != http.StatusAccepted {
 		t.Fatalf("submit %s: status %d", body, code)
 	}
-	if got, _, _, _, ecode, msg := awaitJob(t, s, st.ID).snapshot(); got != StateDone {
-		t.Fatalf("%s: state %s (%s: %s), want done", body, got, ecode, msg)
+	if got, ev := awaitJob(t, s, st.ID).snapshot(); got != StateDone {
+		t.Fatalf("%s: state %s (%s: %s), want done", body, got, ev.Code, ev.Error)
 	}
 	return st
 }
@@ -139,7 +139,7 @@ func TestResultReadsCache(t *testing.T) {
 	defer ts.Close()
 
 	st := runDone(t, s, ts, `{"experiment": "blending", "seed": 3}`)
-	_, _, digest, src, _, _ := awaitJob(t, s, st.ID).snapshot()
+	_, done := awaitJob(t, s, st.ID).snapshot()
 	hits := c.Stats().Hits
 	code, _, hdr := getResult(t, ts, st.ID)
 	if code != http.StatusOK {
@@ -148,9 +148,9 @@ func TestResultReadsCache(t *testing.T) {
 	if got := c.Stats().Hits; got != hits+1 {
 		t.Errorf("cache hits %d -> %d, want one hit per /result", hits, got)
 	}
-	if hdr.Get("X-Result-Digest") != digest || hdr.Get("X-Result-Source") != src || src != cache.SourceComputed.String() {
+	if hdr.Get("X-Result-Digest") != done.Digest || hdr.Get("X-Result-Source") != done.Source || done.Source != cache.SourceComputed.String() {
 		t.Errorf("headers digest %q source %q, want %q %q",
-			hdr.Get("X-Result-Digest"), hdr.Get("X-Result-Source"), digest, src)
+			hdr.Get("X-Result-Digest"), hdr.Get("X-Result-Source"), done.Digest, done.Source)
 	}
 
 	// Store another config's (valid) table set under this job's key.

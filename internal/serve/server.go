@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,9 +14,9 @@ import (
 
 // JobStatus is the JSON body of POST /v1/jobs and GET /v1/jobs/{id}.
 type JobStatus struct {
-	ID     string    `json:"id"`
-	State  State     `json:"state"`
-	Config JobConfig `json:"config"`
+	ID     string         `json:"id"`
+	State  State          `json:"state"`
+	Config core.RunConfig `json:"config"`
 	// Deduplicated is set on submission responses when the submission
 	// joined an already-live or already-done job.
 	Deduplicated bool `json:"deduplicated,omitempty"`
@@ -29,19 +31,19 @@ type JobStatus struct {
 
 // status renders a job's current status body.
 func status(j *Job, dedup bool) JobStatus {
-	st, tables, digest, src, code, errMsg := j.snapshot()
+	st, ev := j.snapshot()
 	out := JobStatus{
 		ID:           j.ID,
 		State:        st,
-		Config:       WireConfig(j.Config),
+		Config:       j.Config,
 		Deduplicated: dedup,
-		Code:         code,
-		Error:        errMsg,
+		Code:         ev.Code,
+		Error:        ev.Error,
 	}
 	if st == StateDone {
-		out.Tables = tables
-		out.Digest = digest
-		out.Source = src
+		out.Tables = ev.Tables
+		out.Digest = ev.Digest
+		out.Source = ev.Source
 	}
 	return out
 }
@@ -172,7 +174,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // BatchRequest is the body of POST /v1/jobs/batch: raw configs so each
 // item decodes — and fails — independently.
 type BatchRequest struct {
-	Jobs []JobConfig `json:"jobs"`
+	Jobs []json.RawMessage `json:"jobs"`
 }
 
 // BatchItem is one per-item outcome: exactly one of Job or Error set.
@@ -195,9 +197,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Items: make([]BatchItem, 0, len(req.Jobs))}
-	for _, jc := range req.Jobs {
-		cfg := jc.RunConfig()
-		if err := cfg.Validate(); err != nil {
+	for _, raw := range req.Jobs {
+		cfg, err := DecodeJobConfig(bytes.NewReader(raw))
+		if err != nil {
 			var cerr *core.ConfigError
 			errors.As(err, &cerr)
 			resp.Items = append(resp.Items, BatchItem{
@@ -245,7 +247,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
-	st, _, digest, src, code, errMsg := job.snapshot()
+	st, ev := job.snapshot()
 	switch {
 	case st == StateDone:
 		tables, _, ok := core.LookupTables(s.runner.Cache, job.key)
@@ -255,9 +257,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("job %s: result evicted from the cache; resubmit the config to recompute it", job.ID))
 			return
 		}
-		if got := resultDigest(tables); got != digest {
+		if got := resultDigest(tables); got != ev.Digest {
 			writeError(w, http.StatusInternalServerError, CodeInternal,
-				fmt.Sprintf("job %s: cached result digest %s, recorded %s", job.ID, got, digest))
+				fmt.Sprintf("job %s: cached result digest %s, recorded %s", job.ID, got, ev.Digest))
 			return
 		}
 		var body strings.Builder
@@ -266,13 +268,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			body.WriteByte('\n')
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("X-Result-Digest", digest)
-		w.Header().Set("X-Result-Source", src)
+		w.Header().Set("X-Result-Digest", ev.Digest)
+		w.Header().Set("X-Result-Source", ev.Source)
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.WriteString(w, body.String())
 	case st.terminal():
 		writeError(w, http.StatusConflict, CodeJobFailed,
-			fmt.Sprintf("job %s %s (%s): %s", job.ID, st, code, errMsg))
+			fmt.Sprintf("job %s %s (%s): %s", job.ID, st, ev.Code, ev.Error))
 	default:
 		writeError(w, http.StatusConflict, CodeJobNotDone,
 			fmt.Sprintf("job %s is %s; poll status or follow events", job.ID, st))

@@ -143,7 +143,9 @@ func TestResultBeforeDone(t *testing.T) {
 
 // TestBatchPerItemErrors: a batch mixing valid and invalid configs
 // reports each item's own outcome in request order — one bad item
-// neither fails the envelope nor its siblings.
+// neither fails the envelope nor its siblings. That holds for items
+// malformed at the JSON level too (a wrong type, an unknown field, not
+// an object): each decodes on its own, to its own 400 bad_json.
 func TestBatchPerItemErrors(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer shutdown(t, s)
@@ -154,7 +156,10 @@ func TestBatchPerItemErrors(t *testing.T) {
 		{"experiment": "blending", "seed": 21},
 		{"experiment": "fig99"},
 		{"experiment": "consistency", "seed": 21},
-		{"experiment": "nautilus", "cpus": 4096}
+		{"experiment": "nautilus", "cpus": 4096},
+		{"experiment": "fig4", "cpus": "many"},
+		{"experiment": "fig4", "cpu_count": 4},
+		7
 	]}`
 	resp, err := http.Post(ts.URL+"/v1/jobs/batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -168,12 +173,14 @@ func TestBatchPerItemErrors(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Items) != 4 {
-		t.Fatalf("%d items, want 4", len(br.Items))
-	}
 	wantStatus := []int{http.StatusAccepted, http.StatusBadRequest,
-		http.StatusAccepted, http.StatusBadRequest}
-	wantCode := []string{"", core.CodeUnknownExperiment, "", core.CodeCPUsOutOfRange}
+		http.StatusAccepted, http.StatusBadRequest,
+		http.StatusBadRequest, http.StatusBadRequest, http.StatusBadRequest}
+	wantCode := []string{"", core.CodeUnknownExperiment, "", core.CodeCPUsOutOfRange,
+		CodeBadJSON, CodeBadJSON, CodeBadJSON}
+	if len(br.Items) != len(wantStatus) {
+		t.Fatalf("%d items, want %d", len(br.Items), len(wantStatus))
+	}
 	for i, item := range br.Items {
 		if item.Status != wantStatus[i] {
 			t.Errorf("item %d: status %d, want %d", i, item.Status, wantStatus[i])
@@ -194,7 +201,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 	// The good items really ran.
 	for _, i := range []int{0, 2} {
 		j := awaitJob(t, s, br.Items[i].Job.ID)
-		if st, _, _, _, _, _ := j.snapshot(); st != StateDone {
+		if st, _ := j.snapshot(); st != StateDone {
 			t.Errorf("item %d: state %s, want done", i, st)
 		}
 	}
