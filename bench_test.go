@@ -346,53 +346,6 @@ func BenchmarkAblation_TimingInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpKernel measures the interpreter fast path (compiled
-// instruction streams + paged heap + pooled frames) on each CARAT-suite
-// kernel. Stats are reset per iteration because MaxSteps bounds the
-// cumulative step count across Calls on one Interp.
-func BenchmarkInterpKernel(b *testing.B) {
-	for _, k := range workloads.CARATSuite() {
-		k := k
-		b.Run(k.Name, func(b *testing.B) {
-			ip, err := interp.New(k.Build())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ip.Stats = interp.Stats{}
-				if _, err := ip.Call(k.Entry); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkInterpKernelReference runs the same kernels through the
-// reference tree-walking engine — the before/after comparison the
-// fast-path speedup claims are made against.
-func BenchmarkInterpKernelReference(b *testing.B) {
-	for _, k := range workloads.CARATSuite() {
-		k := k
-		b.Run(k.Name, func(b *testing.B) {
-			ip, err := interp.New(k.Build())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ip.Stats = interp.Stats{}
-				if _, err := ip.ReferenceCall(k.Entry); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // fibSpec builds the Fig. 5 fib virtine for benches.
 func fibSpec() *virtine.Spec {
 	return &virtine.Spec{Mod: fibModule(), Entry: "fib", Boot: virtine.Boot64}

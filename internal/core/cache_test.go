@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/chaos"
@@ -22,19 +24,25 @@ func cfgWith(id string, set func(*RunConfig)) RunConfig {
 // after the driver each one adds. slow marks the full-size heartbeat
 // and coherence workloads (seconds each, tens under -race); -short and
 // the race build skip them, since the cheaper configs drive the same
-// cache paths.
+// cache paths. gated marks the CLI's default runs, whose summed cold
+// and warm wall times the warm-cache speedup gate compares.
 var cachedConfigs = []struct {
-	name string
-	cfg  RunConfig
-	slow bool
+	name        string
+	cfg         RunConfig
+	slow, gated bool
 }{
-	{"fig3", DefaultRunConfig("fig3"), true},
-	{"carat", DefaultRunConfig("carat"), false},
-	{"fig7-ablation", cfgWith("fig7", func(c *RunConfig) { c.Ablate = true }), true},
-	{"virtine", DefaultRunConfig("virtine"), false},
-	{"memstats", cfgWith("carat", func(c *RunConfig) { c.MemStats = true }), false},
-	{"fig6", DefaultRunConfig("fig6"), false},
+	{"fig3", DefaultRunConfig("fig3"), true, true},
+	{"carat", DefaultRunConfig("carat"), false, false},
+	{"fig7-ablation", cfgWith("fig7", func(c *RunConfig) { c.Ablate = true }), true, true},
+	{"virtine", DefaultRunConfig("virtine"), false, true},
+	{"memstats", cfgWith("carat", func(c *RunConfig) { c.MemStats = true }), false, true},
+	{"fig6", DefaultRunConfig("fig6"), false, true},
 }
+
+// minWarmSpeedup is the result cache's performance claim: over the
+// gated configs, a warm (memory) run takes at most a fifth of the wall
+// time of the cold run that filled the cache.
+const minWarmSpeedup = 5
 
 // runRendered runs cfg on r and returns the CLI's bytes for it plus the
 // tier that served the table set.
@@ -68,11 +76,28 @@ func cachedTables(t *testing.T, c *cache.Cache, key cache.Key, gen func() []*Tab
 // a run through a fresh Cache over the same spill directory (a
 // simulated process restart). All configs share one Cache, as the
 // daemon's jobs do, and each leg must be served by the tier it names.
+// Once every config has run, the summed warm wall time over the gated
+// configs must be at most 1/minWarmSpeedup of the summed cold time; the
+// gate needs the slow configs, so it is off where they are skipped.
 func TestCachedRunsByteIdentical(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	shared := cache.New(cache.Config{Dir: dir})
 	restarted := cache.New(cache.Config{Dir: dir})
+	var mu sync.Mutex
+	var cold, warm time.Duration
+	// Cleanups run after the parallel subtests finish.
+	t.Cleanup(func() {
+		if raceEnabled || testing.Short() || t.Failed() {
+			return
+		}
+		speedup := float64(cold) / float64(warm)
+		t.Logf("warm-vs-cold speedup %.0fx (cold %v, warm %v)", speedup, cold, warm)
+		if speedup < minWarmSpeedup {
+			t.Errorf("warm-vs-cold speedup %.2fx (cold %v, warm %v), want >= %dx",
+				speedup, cold, warm, minWarmSpeedup)
+		}
+	})
 	for _, tc := range cachedConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -89,13 +114,65 @@ func TestCachedRunsByteIdentical(t *testing.T) {
 				{"warm", &Runner{Parallel: 8, Cache: shared}, cache.SourceMem},
 				{"spill-restart", &Runner{Parallel: 1, Cache: restarted}, cache.SourceDisk},
 			} {
+				start := time.Now()
 				got, src := runRendered(t, leg.r, tc.cfg)
+				if el := time.Since(start); tc.gated {
+					mu.Lock()
+					switch leg.src {
+					case cache.SourceComputed:
+						cold += el
+					case cache.SourceMem:
+						warm += el
+					}
+					mu.Unlock()
+				}
 				if got != want {
 					t.Fatalf("%s run differs from uncached:\n%s\n---\n%s", leg.name, got, want)
 				}
 				if src != leg.src {
 					t.Fatalf("%s run served by %v, want %v", leg.name, src, leg.src)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkCachedSuite times one op = the gated configs through
+// Runner.Run, per cache leg as BENCH_cache.json records them: uncached,
+// cold (a fresh cache and spill directory each op), warm from memory,
+// and warm from the spill tier (a fresh Cache over a filled directory
+// each op, a simulated restart). cold/warm_mem is the speedup
+// TestCachedRunsByteIdentical gates.
+func BenchmarkCachedSuite(b *testing.B) {
+	run := func(b *testing.B, c *cache.Cache) {
+		r := &Runner{Cache: c}
+		for _, tc := range cachedConfigs {
+			if !tc.gated {
+				continue
+			}
+			if _, _, err := r.Run(context.Background(), tc.cfg, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dir := b.TempDir()
+	filled := cache.New(cache.Config{Dir: dir})
+	run(b, filled)
+	for _, leg := range []struct {
+		name  string
+		cache func(b *testing.B) *cache.Cache
+	}{
+		{"uncached", func(*testing.B) *cache.Cache { return nil }},
+		{"cold", func(b *testing.B) *cache.Cache { return cache.New(cache.Config{Dir: b.TempDir()}) }},
+		{"warm_mem", func(*testing.B) *cache.Cache { return filled }},
+		{"warm_disk", func(*testing.B) *cache.Cache { return cache.New(cache.Config{Dir: dir}) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := leg.cache(b)
+				b.StartTimer()
+				run(b, c)
 			}
 		})
 	}

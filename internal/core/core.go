@@ -64,7 +64,8 @@ func (t *Table) JSON() string {
 // part of the form. Two tables render identically (String and JSON are
 // pure functions of these fields plus Title) exactly when their
 // ID/header/rows/notes agree, so the digest doubles as the cache's
-// integrity check and as benchdiff's output-identity probe — and is
+// integrity check and as the heartbeat schedule pin
+// (TestHeartbeatScheduleDigests) — and is
 // invariant across pool widths, engines, and cache state by the
 // package's determinism guarantee.
 func (t *Table) Digest() uint64 {

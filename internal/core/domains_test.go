@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
+
+	"repro/internal/heartbeat"
 )
 
 // TestDomainModeDigests pins the steal-domain-mode tables byte for byte
@@ -37,6 +40,53 @@ func TestDomainModeDigests(t *testing.T) {
 		tab := c.run(s)
 		if got := fmt.Sprintf("%016x", tab.Digest()); got != c.want {
 			t.Errorf("%s: table digest %s, want %s\n%s", c.name, got, c.want, tab)
+		}
+	}
+}
+
+// TestHeartbeatScheduleDigests pins the heartbeat schedule of the Fig 3
+// workload at 64-1024 simulated CPUs in domain mode (cpus/32 domains,
+// at least 2; Nautilus IPIs at a 20 µs period). Each run's per-worker
+// counters and stop time go into one Table, so a digest moves exactly
+// when something Fig 3 observes about the schedule moves.
+func TestHeartbeatScheduleDigests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("too slow under the race detector; the plain test run covers it")
+	}
+	t.Parallel()
+	for _, c := range []struct {
+		cpus int
+		want string
+	}{
+		{64, "063a00b581be42cb"},
+		{256, "1b901e72a377332a"},
+		{512, "5115ba954bca75b9"},
+		{1024, "b7a9af9e9920ddb0"},
+	} {
+		s := NewStack(c.cpus)
+		_, m := s.Build()
+		hcfg := heartbeat.DefaultConfig()
+		hcfg.Substrate = heartbeat.SubstrateNautilusIPI
+		hcfg.PeriodCycles = s.Model.MicrosToCycles(20)
+		hcfg.Seed = s.Seed
+		hcfg.Domains = max(c.cpus/32, 2)
+		rt := heartbeat.New(m, hcfg)
+		rt.Run(Fig3SweepItems(c.cpus), 40, 32)
+
+		tab := &Table{
+			ID:     "machine-digest",
+			Header: []string{"worker", "items", "work", "promotions", "steal hits", "steal attempts", "poll", "beats"},
+		}
+		tab.AddNote("done=" + strconv.FormatInt(int64(rt.DoneAt()), 10))
+		for i := 0; i < rt.NumWorkers(); i++ {
+			ws := rt.WorkerStats(i)
+			tab.AddRow(strconv.Itoa(i), strconv.FormatInt(ws.Items, 10),
+				strconv.FormatInt(ws.WorkCycles, 10), strconv.FormatInt(ws.Promotions, 10),
+				strconv.FormatInt(ws.StealHits, 10), strconv.FormatInt(ws.StealAttempts, 10),
+				strconv.FormatInt(ws.PollCycles, 10), strconv.Itoa(len(ws.Beats)))
+		}
+		if got := fmt.Sprintf("%016x", tab.Digest()); got != c.want {
+			t.Errorf("%d CPUs: schedule digest %s, want %s", c.cpus, got, c.want)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // This file is the runnable-job registry: the experiment dispatch that
 // used to live inside the interweave CLI, exported so any front end —
-// the CLI, the interweaved HTTP daemon, benchdiff — runs experiments
+// the CLI, the interweaved HTTP daemon, perfbench — runs experiments
 // through one door. A RunConfig is the complete serializable
 // description of an invocation (what to run and every knob that shapes
 // its output); a Runner carries the execution-side resources (pool

@@ -72,13 +72,12 @@ type errorDetail struct {
 // writeError emits the uniform error envelope with the given HTTP
 // status and machine-readable code.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding a flat struct of two strings cannot fail.
-	_ = json.NewEncoder(w).Encode(errorBody{errorDetail{Code: code, Msg: msg}})
+	writeJSON(w, status, errorBody{errorDetail{Code: code, Msg: msg}})
 }
 
-// writeJSON emits v as the response body with the given status.
+// writeJSON emits v as the response body with the given status. It is
+// the daemon's one JSON writer: strings go out unescaped, so '<', '>'
+// and '&' reach clients as themselves on every path.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

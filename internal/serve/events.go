@@ -36,6 +36,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false) // as writeJSON
 	next := 0
 	for {
 		evs, more := job.eventsFrom(next, ctx.Done())

@@ -82,9 +82,10 @@ func objectKeys(t *testing.T, obj []byte) []string {
 }
 
 // TestWireBytes pins the daemon's JSON at the byte level: the config a
-// job status echoes (on submission and on GET) and the member names,
-// in order, of GET /v1/stats. Clients parse these bodies, so a change
-// to a Go type that moves a byte here is an API change.
+// job status echoes (on submission and on GET), the member names, in
+// order, of GET /v1/stats, and an error body on the single and batch
+// submit paths. Clients parse these bodies, so a change to a Go type
+// that moves a byte here is an API change.
 func TestWireBytes(t *testing.T) {
 	s := New(Options{Parallel: 1, Workers: 1})
 	defer shutdown(t, s)
@@ -148,5 +149,18 @@ func TestWireBytes(t *testing.T) {
 		if got := objectKeys(t, obj); !reflect.DeepEqual(got, want.keys) {
 			t.Errorf("stats %q keys %v, want %v", want.member, got, want.keys)
 		}
+	}
+
+	// One writer renders errors: '<', '>' and '&' are not escaped on
+	// either path.
+	const bad = `{"experiment": "<b>&"}`
+	const wantErr = `{"code":"unknown_experiment","msg":"unknown experiment \"<b>&\" (see ExperimentIDs)"}`
+	code, body := rawPost(t, ts, "/v1/jobs", bad)
+	if want := `{"error":` + wantErr + "}\n"; code != http.StatusBadRequest || string(body) != want {
+		t.Errorf("POST error: status %d\n got %s\nwant %s", code, body, want)
+	}
+	code, body = rawPost(t, ts, "/v1/jobs/batch", `{"jobs": [`+bad+`]}`)
+	if want := `{"items":[{"status":400,"error":` + wantErr + "}]}\n"; code != http.StatusOK || string(body) != want {
+		t.Errorf("batch error: status %d\n got %s\nwant %s", code, body, want)
 	}
 }
