@@ -41,9 +41,11 @@ race:
 # chaos seed, and compare the digests with internal/core/testdata/
 # digests.json (rewrite it with `go test -run TestDigestManifest
 # ./internal/core -args -update` when results are meant to change).
-# The race leg skips this test, so it runs here on its own.
+# TestUndeclaredFieldsInert checks the registry's per-experiment result
+# coordinates: a field an experiment does not declare leaves its tables
+# byte-identical. The race leg skips both tests, so they run here.
 digests:
-	$(GO) test -run TestDigestManifest ./internal/core
+	$(GO) test -run 'TestDigestManifest|TestUndeclaredFieldsInert' ./internal/core
 
 # Every testing.B benchmark, three runs each. The component claims in
 # BENCH_interp.json, BENCH_mem.json and BENCH_cache.json are re-measured

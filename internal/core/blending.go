@@ -4,29 +4,9 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/passes"
-	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
-
-// pipelineResult adapts pipeline.Compare for the table layer.
-type pipelineResult struct {
-	idtMean, pipeMean float64
-	idtP99, pipeP99   float64
-	idtGran, pipeGran int64
-}
-
-func pipelineCompare(s *Stack) pipelineResult {
-	cfg := pipeline.DefaultConfig()
-	cfg.Seed = s.Seed
-	r := pipeline.Compare(s.Model, cfg)
-	idtG, pipeG := pipeline.MinGranularity(s.Model, 0.05)
-	return pipelineResult{
-		idtMean: r.IDT.Mean, pipeMean: r.Pipeline.Mean,
-		idtP99: r.IDT.P99, pipeP99: r.Pipeline.P99,
-		idtGran: idtG, pipeGran: pipeG,
-	}
-}
 
 // Blending regenerates the §V-C proof of concept: a device whose
 // normally interrupt-driven logic is replaced by compiler-injected

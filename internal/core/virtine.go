@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/virtine"
 )
@@ -107,8 +108,6 @@ func (s *Stack) Pipeline() *Table {
 		Title:  "Interrupt delivery: IDT dispatch vs pipeline injection",
 		Header: []string{"metric", "IDT", "pipeline", "improvement"},
 	}
-	// Imported lazily to avoid a cycle: the pipeline package only
-	// depends on machine/model/stats.
 	r := pipelineCompare(s)
 	t.AddRow("mean latency (cyc)", f1(r.idtMean), f1(r.pipeMean), f1(r.idtMean/r.pipeMean)+"x")
 	t.AddRow("p99 latency (cyc)", f1(r.idtP99), f1(r.pipeP99), f1(r.idtP99/r.pipeP99)+"x")
@@ -116,4 +115,23 @@ func (s *Stack) Pipeline() *Table {
 		f1(float64(r.idtGran)/float64(r.pipeGran))+"x")
 	t.AddNote("paper: dispatch costs ~1000 cycles; branch-injected delivery would be 100-1000x better; candidates: LAPIC timer, #MF/#XF, #GP")
 	return t
+}
+
+// pipelineResult adapts pipeline.Compare for the table layer.
+type pipelineResult struct {
+	idtMean, pipeMean float64
+	idtP99, pipeP99   float64
+	idtGran, pipeGran int64
+}
+
+func pipelineCompare(s *Stack) pipelineResult {
+	cfg := pipeline.DefaultConfig()
+	cfg.Seed = s.Seed
+	r := pipeline.Compare(s.Model, cfg)
+	idtG, pipeG := pipeline.MinGranularity(s.Model, 0.05)
+	return pipelineResult{
+		idtMean: r.IDT.Mean, pipeMean: r.Pipeline.Mean,
+		idtP99: r.IDT.P99, pipeP99: r.Pipeline.P99,
+		idtGran: idtG, pipeGran: pipeG,
+	}
 }
