@@ -241,6 +241,61 @@ func TestDuplicateSubmissionsComputeOnce(t *testing.T) {
 	}
 }
 
+// TestSeedInvariantJobsShareOneResult: configs that differ only in a
+// field their experiment does not read name one result. carat ignores
+// the seed, so carat at seeds 3 and 9 is one job: the second POST is a
+// 200 deduplicated answer, and /result serves the seed-9 run's bytes
+// under the digest the job recorded. nautilus reads the seed, so the
+// same pair of seeds is two jobs and two computes.
+func TestSeedInvariantJobsShareOneResult(t *testing.T) {
+	c := cache.New(cache.Config{})
+	s := New(Options{Workers: 2, Cache: c})
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, first := postJob(t, ts, `{"experiment": "carat", "seed": 3}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("carat seed 3: status %d", code)
+	}
+	awaitJob(t, s, first.ID)
+	code, second := postJob(t, ts, `{"experiment": "carat", "seed": 9}`)
+	if code != http.StatusOK || !second.Deduplicated || second.ID != first.ID {
+		t.Fatalf("carat seed 9: status %d, deduplicated %v, job %s; want 200, true, %s",
+			code, second.Deduplicated, second.ID, first.ID)
+	}
+	code, body, hdr := getResult(t, ts, second.ID)
+	if code != http.StatusOK {
+		t.Fatalf("result: status %d", code)
+	}
+	seed9 := core.DefaultRunConfig("carat")
+	seed9.Seed = 9
+	if !bytes.Equal(body, directRun(t, seed9)) {
+		t.Error("shared carat result differs from the seed-9 run")
+	}
+	if _, ev := awaitJob(t, s, first.ID).snapshot(); hdr.Get("X-Result-Digest") != ev.Digest {
+		t.Errorf("X-Result-Digest %q is not the digest the job recorded", hdr.Get("X-Result-Digest"))
+	}
+
+	var ids []string
+	for _, seed := range []int{3, 9} {
+		code, st := postJob(t, ts, fmt.Sprintf(`{"experiment": "nautilus", "seed": %d}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("nautilus seed %d: status %d", seed, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	if ids[0] == ids[1] {
+		t.Fatal("nautilus at seeds 3 and 9 share a job, though nautilus reads the seed")
+	}
+	for _, id := range ids {
+		awaitJob(t, s, id)
+	}
+	if puts := c.Stats().Puts; puts != 3 {
+		t.Errorf("cache puts = %d, want 3 (one carat, two nautilus)", puts)
+	}
+}
+
 // jamPool occupies every slot of the server's shared cell pool, so any
 // running job parks deterministically at its first cell. Returns the
 // release function.
@@ -289,7 +344,7 @@ func TestBackpressure429NeverDeadlocks(t *testing.T) {
 	}()
 
 	// A: picked up by the worker, parks at its first cell.
-	code, a := postJob(t, ts, `{"experiment": "carat", "seed": 1}`)
+	code, a := postJob(t, ts, `{"experiment": "virtine", "seed": 1}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit A: status %d", code)
 	}
@@ -297,7 +352,7 @@ func TestBackpressure429NeverDeadlocks(t *testing.T) {
 	waitRunning(t, ja)
 
 	// B: sits in the queue.
-	if code, _ := postJob(t, ts, `{"experiment": "carat", "seed": 2}`); code != http.StatusAccepted {
+	if code, _ := postJob(t, ts, `{"experiment": "virtine", "seed": 2}`); code != http.StatusAccepted {
 		t.Fatalf("submit B: status %d", code)
 	}
 
@@ -306,7 +361,7 @@ func TestBackpressure429NeverDeadlocks(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	for i := 0; i < 3; i++ {
 		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json",
-			strings.NewReader(`{"experiment": "carat", "seed": 3}`))
+			strings.NewReader(`{"experiment": "virtine", "seed": 3}`))
 		if err != nil {
 			t.Fatalf("submit C[%d]: %v", i, err)
 		}
@@ -330,7 +385,7 @@ func TestBackpressure429NeverDeadlocks(t *testing.T) {
 	deadline := time.Now().Add(time.Minute)
 	var cID string
 	for {
-		code, st := postJob(t, ts, `{"experiment": "carat", "seed": 3}`)
+		code, st := postJob(t, ts, `{"experiment": "virtine", "seed": 3}`)
 		if code == http.StatusAccepted || code == http.StatusOK {
 			cID = st.ID
 			break
@@ -485,7 +540,7 @@ func TestGracefulShutdownDrainsAndLeaksNoGoroutines(t *testing.T) {
 
 	var ids []string
 	for seed := 1; seed <= 4; seed++ {
-		code, st := postJob(t, ts, fmt.Sprintf(`{"experiment": "blending", "seed": %d}`, seed))
+		code, st := postJob(t, ts, fmt.Sprintf(`{"experiment": "virtine", "seed": %d}`, seed))
 		if code != http.StatusAccepted {
 			t.Fatalf("seed %d: status %d", seed, code)
 		}

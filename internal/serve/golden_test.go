@@ -87,20 +87,45 @@ func TestEventStreamGoldens(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		// unlike, when set, is a config whose job ID and result digest
+		// must both differ from this one's.
+		unlike string
 	}{
 		// carat: cell-structured driver — cells appear in index order.
-		{"events_carat.ndjson", `{"experiment": "carat"}`},
+		{"events_carat.ndjson", `{"experiment": "carat"}`, ""},
 		// virtine: a second driver shape (service-load cells).
-		{"events_virtine.ndjson", `{"experiment": "virtine"}`},
-		// chaos-armed: the chaos config lands in the key, so the job ID
-		// and digest differ from the clean carat run above.
-		{"events_carat_chaos.ndjson", `{"experiment": "carat", "chaos_seed": 5}`},
+		{"events_virtine.ndjson", `{"experiment": "virtine"}`, ""},
+		// chaos-armed: nautilus runs armed machines, so the chaos config
+		// lands in its key, and the job ID and digest differ from the
+		// clean run. (carat builds no machine: an armed carat job is
+		// the clean one.)
+		{"events_nautilus_chaos.ndjson", `{"experiment": "nautilus", "chaos_seed": 5}`,
+			`{"experiment": "nautilus"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			golden(t, tc.name, streamEvents(t, tc.body))
+			got := streamEvents(t, tc.body)
+			golden(t, tc.name, got)
+			if tc.unlike == "" {
+				return
+			}
+			a, b := lastEvent(t, got), lastEvent(t, streamEvents(t, tc.unlike))
+			if a.Job == b.Job || a.Digest == b.Digest {
+				t.Errorf("%s and %s share a job ID or digest: %+v vs %+v", tc.body, tc.unlike, a, b)
+			}
 		})
 	}
+}
+
+// lastEvent decodes the final line of an event stream.
+func lastEvent(t *testing.T, stream []byte) Event {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(stream), "\n"), "\n")
+	var ev Event
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &ev); err != nil {
+		t.Fatalf("last event: %v\n%s", err, stream)
+	}
+	return ev
 }
 
 // TestEventStreamWellFormed: every line of a stream is one valid Event

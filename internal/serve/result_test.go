@@ -51,7 +51,7 @@ func TestRegistryBounded(t *testing.T) {
 
 	var ids []string
 	for seed := 1; seed <= limit+extra; seed++ {
-		st := runDone(t, s, ts, fmt.Sprintf(`{"experiment": "blending", "seed": %d}`, seed))
+		st := runDone(t, s, ts, fmt.Sprintf(`{"experiment": "virtine", "seed": %d}`, seed))
 		ids = append(ids, st.ID)
 		c := s.store.counts()
 		if n := c[StateDone] + c[StateFailed] + c[StateCancelled]; n > limit {
@@ -72,7 +72,7 @@ func TestRegistryBounded(t *testing.T) {
 // 202 job, and its result is byte-identical (body and digest) to the
 // first fetch and to the direct run.
 func TestEvictedResultRoundTrip(t *testing.T) {
-	a := core.DefaultRunConfig("blending")
+	a := core.DefaultRunConfig("virtine")
 	a.Seed = 1
 	b := a
 	b.Seed = 2
@@ -93,14 +93,14 @@ func TestEvictedResultRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bodyA := `{"experiment": "blending", "seed": 1}`
+	bodyA := `{"experiment": "virtine", "seed": 1}`
 	stA := runDone(t, s, ts, bodyA)
 	code, first, hdr := getResult(t, ts, stA.ID)
 	if code != http.StatusOK {
 		t.Fatalf("first fetch of A: status %d", code)
 	}
 	digest := hdr.Get("X-Result-Digest")
-	runDone(t, s, ts, `{"experiment": "blending", "seed": 2}`)
+	runDone(t, s, ts, `{"experiment": "virtine", "seed": 2}`)
 
 	code, raw, _ := getResult(t, ts, stA.ID)
 	var eb errorBody

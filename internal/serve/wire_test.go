@@ -82,7 +82,8 @@ func objectKeys(t *testing.T, obj []byte) []string {
 }
 
 // TestWireBytes pins the daemon's JSON at the byte level: the config a
-// job status echoes (on submission and on GET), the member names, in
+// job status echoes (on submission, on GET, and to a submitter
+// deduplicated onto an earlier job), the member names, in
 // order, of GET /v1/stats, and an error body on the single and batch
 // submit paths. Clients parse these bodies, so a change to a Go type
 // that moves a byte here is an API change.
@@ -123,6 +124,19 @@ func TestWireBytes(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// A submission that differs from the carat job only in fields carat
+	// does not read (seed, chaos plan) joins it: 200, deduplicated, and
+	// the echo is the first submitter's config.
+	code, body := rawPost(t, ts, "/v1/jobs", `{"experiment": "carat", "seed": 9, "mobility": true}`)
+	if code != http.StatusOK || string(field(t, body, "deduplicated")) != "true" {
+		t.Errorf("carat resubmission: status %d, body %s; want 200 deduplicated", code, body)
+	}
+	if got := string(field(t, body, "id")); got != `"`+ids[2]+`"` {
+		t.Errorf("carat resubmission joined %s, want %q", got, ids[2])
+	}
+	if got := field(t, body, "config"); string(got) != cases[2].echo {
+		t.Errorf("deduplicated echo:\n got %s\nwant %s", got, cases[2].echo)
+	}
 	for _, id := range ids {
 		s.Cancel(id)
 	}
@@ -155,7 +169,7 @@ func TestWireBytes(t *testing.T) {
 	// either path.
 	const bad = `{"experiment": "<b>&"}`
 	const wantErr = `{"code":"unknown_experiment","msg":"unknown experiment \"<b>&\" (see ExperimentIDs)"}`
-	code, body := rawPost(t, ts, "/v1/jobs", bad)
+	code, body = rawPost(t, ts, "/v1/jobs", bad)
 	if want := `{"error":` + wantErr + "}\n"; code != http.StatusBadRequest || string(body) != want {
 		t.Errorf("POST error: status %d\n got %s\nwant %s", code, body, want)
 	}
