@@ -193,8 +193,8 @@ func runCache(argv []string) int {
 Inspects or purges the on-disk result cache (see -cache on experiment
 commands). -stats validates every entry and reports totals; -clear
 removes all entries (only cache files are touched). With no flags,
--stats is implied. The current build's version salt is printed so stale
-directories are easy to spot after a code change.`)
+-stats is implied. The current build's version salt and identity are
+printed; entries another build stored are misses, recomputed on use.`)
 	}
 	_ = fs.Parse(argv)
 	if *dir == "" {
@@ -212,6 +212,7 @@ directories are easy to spot after a code change.`)
 		}
 		fmt.Printf("cache: %s: %d entries, %d bytes, %d corrupt\n", *dir, st.Entries, st.Bytes, st.Corrupt)
 		fmt.Printf("cache: current version salt %016x\n", core.VersionSalt())
+		fmt.Printf("cache: current build %s\n", core.BuildIdentity())
 	}
 	if *clear {
 		n, err := cache.ClearDir(*dir)
