@@ -3,7 +3,7 @@ GO ?= go
 # Minimum per-package statement coverage (percent) for the cover gate.
 COVER_FLOOR ?= 60
 
-.PHONY: build vet detvet lint test short race digests bench cover all check
+.PHONY: build vet detvet lint test short race digests bench cover perfbench all check
 
 build:
 	$(GO) build ./...
@@ -63,9 +63,15 @@ cover:
 		$$1 == "ok" && /coverage:/ { if ($$5+0 < floor) bad = bad "  " $$2 " (" $$5 ")\n" } \
 		END { if (bad != "") { printf "\ncover: packages below the %s%% floor:\n%s", floor, bad; exit 1 } }'
 
+# The end-to-end benchmark harness is its own module (perfbench/go.mod),
+# so the root build, vet and test legs never compile it; this leg vets
+# and tests it against the current tree.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # Regenerate every table/figure (parallel across all cores by default).
 all:
 	$(GO) run ./cmd/interweave all
 
 # Standard local gate.
-check: build vet lint race digests cover
+check: build vet lint race digests cover perfbench

@@ -53,7 +53,7 @@ func BenchmarkFig3_HeartbeatRate(b *testing.B) {
 				var achieved float64
 				for i := 0; i < b.N; i++ {
 					eng := sim.NewEngine()
-					m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16}, 42)
+					m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16})
 					cfg := heartbeat.DefaultConfig()
 					cfg.Substrate = sub
 					cfg.PeriodCycles = mdl.MicrosToCycles(us)
@@ -79,7 +79,7 @@ func BenchmarkE3_HeartbeatOverheads(b *testing.B) {
 			var ovh float64
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
-				m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16}, 42)
+				m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16})
 				cfg := heartbeat.DefaultConfig()
 				cfg.Substrate = sub
 				rt := heartbeat.New(m, cfg)
@@ -176,7 +176,7 @@ func BenchmarkFig6_ModeAblation(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
-				m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 32}, 42)
+				m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 32})
 				rt := omp.New(m, mode, 42)
 				cycles = rt.RunKernel(k)
 			}
@@ -300,7 +300,7 @@ func BenchmarkAblation_HeartbeatSubstrates(b *testing.B) {
 			var done float64
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
-				m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16}, 42)
+				m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16})
 				cfg := heartbeat.DefaultConfig()
 				cfg.Substrate = sub
 				rt := heartbeat.New(m, cfg)

@@ -77,7 +77,7 @@ func main() {
 	fs.BoolVar(&cfg.EPCC, "epcc", false, "fig6: also print EPCC sync microbenchmarks")
 	fs.BoolVar(&cfg.Sweep, "sweep", false, "fig7: also print scale/disaggregation sweep")
 	fs.BoolVar(&cfg.Ablate, "ablate", false, "fig7: also print per-class ablation")
-	fs.IntVar(&cfg.CPUs, "cpus", cfg.CPUs, "CPU count for CPU-parameterized experiments")
+	fs.IntVar(&cfg.CPUs, "cpus", cfg.CPUs, "CPU count read by tasks, and by fig6 with -epcc")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
 	fs.Uint64Var(&cfg.ChaosSeed, "chaos-seed", 0,
 		"arm the fault-injection harness with this seed (0 = off); same seed replays the same faults")
@@ -179,8 +179,9 @@ func main() {
 }
 
 // runCache is the `interweave cache` subcommand: inspect (-stats) or
-// purge (-clear) the on-disk spill directory, e.g. after a cost-table
-// change bumps the version salt and strands old entries.
+// purge (-clear) the on-disk spill directory. An entry another build
+// stored is recomputed and overwritten in place when its config next
+// runs, so -clear reclaims space; correctness never needs it.
 func runCache(argv []string) int {
 	fs := flag.NewFlagSet("cache", flag.ExitOnError)
 	dir := fs.String("dir", os.Getenv(cache.EnvDir),
@@ -193,8 +194,8 @@ func runCache(argv []string) int {
 Inspects or purges the on-disk result cache (see -cache on experiment
 commands). -stats validates every entry and reports totals; -clear
 removes all entries (only cache files are touched). With no flags,
--stats is implied. The current build's version salt and identity are
-printed; entries another build stored are misses, recomputed on use.`)
+-stats is implied. The current build's identity is printed; entries
+another build stored are misses, recomputed and overwritten on use.`)
 	}
 	_ = fs.Parse(argv)
 	if *dir == "" {
@@ -211,7 +212,6 @@ printed; entries another build stored are misses, recomputed on use.`)
 			return 1
 		}
 		fmt.Printf("cache: %s: %d entries, %d bytes, %d corrupt\n", *dir, st.Entries, st.Bytes, st.Corrupt)
-		fmt.Printf("cache: current version salt %016x\n", core.VersionSalt())
 		fmt.Printf("cache: current build %s\n", core.BuildIdentity())
 	}
 	if *clear {

@@ -35,7 +35,7 @@ func main() {
 		heartbeat.SubstrateLinuxPolling,
 	} {
 		eng := sim.NewEngine()
-		m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 42)
+		m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 		cfg := heartbeat.DefaultConfig()
 		cfg.Substrate = sub
 		cfg.PeriodCycles = mdl.MicrosToCycles(heartbeatUS)

@@ -30,7 +30,7 @@ func main() {
 			for _, mode := range []omp.Mode{omp.ModeLinux, omp.ModeRTK, omp.ModePIK, omp.ModeCCK} {
 				eng := sim.NewEngine()
 				m := machine.New(eng, model.KNL(),
-					machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 42)
+					machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 				rt := omp.New(m, mode, 42)
 				times[mode] = rt.RunKernel(k)
 			}

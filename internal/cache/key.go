@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
-	"math"
 )
 
 // Key is the content address of one cached value: a SHA-256 over the
@@ -58,10 +57,7 @@ const (
 	tagStr  = 0x01
 	tagU64  = 0x02
 	tagI64  = 0x03
-	tagF64  = 0x04
 	tagBool = 0x05
-	tagKey  = 0x06
-	tagList = 0x07
 )
 
 // NewEnc returns an empty canonical encoder.
@@ -106,15 +102,6 @@ func (e *Enc) I64(label string, v int64) *Enc {
 // Int writes a labelled int field.
 func (e *Enc) Int(label string, v int) *Enc { return e.I64(label, int64(v)) }
 
-// F64 writes a labelled float field by its exact IEEE-754 bits, so the
-// encoding is total (NaN, ±0, subnormals) and never passes through a
-// decimal rendering.
-func (e *Enc) F64(label string, v float64) *Enc {
-	e.label(label, tagF64)
-	e.u64(math.Float64bits(v))
-	return e
-}
-
 // Bool writes a labelled boolean field.
 func (e *Enc) Bool(label string, v bool) *Enc {
 	e.label(label, tagBool)
@@ -126,42 +113,12 @@ func (e *Enc) Bool(label string, v bool) *Enc {
 	return e
 }
 
-// Key writes a labelled sub-key (composing keys, e.g. a kernel module's
-// structural key inside the version salt).
-func (e *Enc) Key(label string, k Key) *Enc {
-	e.label(label, tagKey)
-	e.sum = append(e.sum, k[:]...)
-	return e
-}
-
-// Ints writes a labelled int slice (length-prefixed).
-func (e *Enc) Ints(label string, vs []int) *Enc {
-	e.label(label, tagList)
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.u64(uint64(int64(v)))
-	}
-	return e
-}
-
-// Strs writes a labelled string slice (length-prefixed, each element
-// length-prefixed).
-func (e *Enc) Strs(label string, vs []string) *Enc {
-	e.label(label, tagList)
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.u64(uint64(len(v)))
-		e.sum = append(e.sum, v...)
-	}
-	return e
-}
-
 // Sum hashes the canonical bytes accumulated so far into a Key. The
 // encoder remains usable: further fields extend the same byte form.
 func (e *Enc) Sum() Key { return Key(sha256.Sum256(e.sum)) }
 
 // Fingerprint hashes the canonical bytes with FNV-1a into 64 bits — for
-// compact salts and digests where a full Key is overkill.
+// compact digests where a full Key is overkill.
 func (e *Enc) Fingerprint() uint64 {
 	h := fnv.New64a()
 	h.Write(e.sum)

@@ -20,7 +20,7 @@ func runDomainHeartbeat(t *testing.T, seed uint64) (string, *chaos.Plan) {
 	t.Helper()
 	const cpus, domains = 8, 4
 	plan := chaos.NewPlan(seed, chaos.DefaultConfig())
-	m := machine.New(sim.NewEngine(), model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 7)
+	m := machine.New(sim.NewEngine(), model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	core.ArmChaos(m, plan)
 
 	hcfg := heartbeat.DefaultConfig()

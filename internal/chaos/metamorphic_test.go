@@ -198,7 +198,7 @@ func scenarioBuddy(seed uint64) (string, *chaos.Plan, error) {
 func scenarioHeartbeat(seed uint64) (string, *chaos.Plan, error) {
 	plan := chaos.NewPlan(seed, chaos.DefaultConfig())
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 4}, 7)
+	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 4})
 	core.ArmChaos(m, plan)
 
 	hcfg := heartbeat.DefaultConfig()
@@ -247,7 +247,7 @@ func scenarioNautilus(seed uint64) (string, *chaos.Plan, error) {
 	plan := chaos.NewPlan(seed, cfg)
 
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 4}, 7)
+	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 4})
 	k := nautilus.New(m, nautilus.DefaultConfig())
 	defer k.Shutdown()
 

@@ -440,17 +440,18 @@ func TestTableDigest(t *testing.T) {
 	}
 }
 
-// TestVersionSaltStable pins that the salt is memoized and stable
-// within a build, and that RunConfig.Key is a function of the result
-// coordinates alone: a field the experiment reads moves the key, one it
-// does not read leaves it. Pool width lives on Runner, so it cannot
-// reach the key.
-func TestVersionSaltStable(t *testing.T) {
+// TestKeyIsCoordinates pins that RunConfig.Key is a function of the
+// result coordinates alone: a field the experiment reads moves the key,
+// one it does not read leaves it, and no code-version input reaches it
+// (the literal below moves with any such input, as it would with any
+// change to the key's encoding). Pool width lives on Runner, so it
+// cannot reach the key.
+func TestKeyIsCoordinates(t *testing.T) {
 	t.Parallel()
-	if VersionSalt() != VersionSalt() {
-		t.Fatal("salt unstable across calls")
-	}
 	a := DefaultRunConfig("fig3").Key()
+	if got, want := a.String(), "a254ef8ed03e09fb84befeaab80ce118aa5c1b7087bc6b0fb5f2bd7761c10916"; got != want {
+		t.Fatalf("fig3 default key %s, want %s", got, want)
+	}
 	if DefaultRunConfig("fig3").Key() != a {
 		t.Fatal("Key unstable for identical configs")
 	}

@@ -5,99 +5,18 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/model"
-	"repro/internal/workloads"
 )
 
-// cacheSchemaVersion is folded into every key via the version salt.
-// Bump it when cached value encodings or driver semantics change in a
-// way the salt's structural inputs (cost tables, kernel modules,
-// platform models) cannot see — stale on-disk entries then miss instead
-// of serving the old results.
+// VersionSalt does nothing and returns 0.
 //
-// v2: the runnable-job registry (RunConfig.Key) replaced the CLI's
-// ad-hoc experiment keys, and chaos keys carry the effective (possibly
-// overridden) fault config.
-//
-// v3: RunConfig.Key hashes the config's projection onto its
-// experiment's declared fields (RunConfig.coords), so a key names a
-// result rather than a request.
-const cacheSchemaVersion = 3
-
-// VersionSalt is the code-version component of every cache key: an
-// FNV-1a fingerprint over the schema version, the interpreter cost
-// table, the platform models, and the structure of every CARAT kernel
-// module (functions, blocks, opcode streams). Editing any of those
-// generators changes the salt, so results cached by an older build can
-// never alias the new build's.
-func VersionSalt() uint64 { return versionSalt() }
-
-var versionSalt = sync.OnceValue(func() uint64 {
-	e := cache.NewEnc()
-	e.U64("schema", cacheSchemaVersion)
-	e.Str("costs", fmt.Sprintf("%+v", interp.DefaultCosts()))
-	e.Str("models", modelsFingerprint())
-	for _, k := range workloads.CARATSuite() {
-		e.Str("kernel", k.Name)
-		e.Str("entry", k.Entry)
-		e.U64("want", k.Want)
-		e.Key("module", moduleKey(k.Build()))
-	}
-	return e.Fingerprint()
-})
-
-// modelsFingerprint renders every platform model the stacks build on.
-// The models are plain numeric structs, so %+v is a total, canonical
-// rendering.
-func modelsFingerprint() string {
-	return fmt.Sprintf("default=%+v knl=%+v server=%+v riscv=%+v",
-		model.Default(), model.KNL(), model.Server(), model.RISCV())
-}
-
-// moduleKey canonicalizes an IR module's structure: functions in
-// deterministic Functions() order, blocks in layout order, and each
-// instruction's full operand set. Any compiler-side change to kernel
-// generation lands here.
-func moduleKey(m *ir.Module) cache.Key {
-	e := cache.NewEnc()
-	e.Str("module", m.Name)
-	for _, f := range m.Functions() {
-		e.Str("func", f.Name)
-		e.Int("params", f.NumParams)
-		e.Int("regs", f.NumRegs)
-		for _, b := range f.Blocks {
-			e.Str("block", b.Name)
-			for _, in := range b.Instrs {
-				e.Str("op", in.Op.String())
-				e.Int("dst", int(in.Dst))
-				e.Int("a", int(in.A))
-				e.Int("b", int(in.B))
-				e.I64("imm", in.Imm)
-				e.F64("fimm", in.FImm)
-				e.Int("pred", int(in.Pred))
-				e.Bool("region", in.Region)
-				e.Str("callee", in.Callee)
-				args := make([]int, len(in.Args))
-				for i, r := range in.Args {
-					args[i] = int(r)
-				}
-				e.Ints("args", args)
-				if in.Target != nil {
-					e.Str("target", in.Target.Name)
-				}
-				if in.Else != nil {
-					e.Str("else", in.Else.Name)
-				}
-			}
-		}
-	}
-	return e.Sum()
-}
+// Deprecated: RunConfig.Key hashes the result's coordinates alone, and
+// the build stamp on every stored table set (BuildIdentity) is the one
+// code-version guard. The function remains only because the frozen
+// benchmark harness (perfbench/main.go, perfbench/serve.go) still calls
+// it; delete it with the next change allowed to touch perfbench/.
+func VersionSalt() uint64 { return 0 }
 
 // tablesPayload is the cache value: a whole rendered table set plus
 // per-table digests checked on the way back in, stamped with the
@@ -124,10 +43,9 @@ func encodeTables(ts []*Table, build string) []byte {
 }
 
 // decodeTables deserializes a cached table set and re-verifies every
-// digest. Any failure (an entry stamped by a build other than build, an
-// entry written under an encoding the salt could not distinguish, or a
-// digest mismatch) is a miss, never an error: the caller recomputes
-// and overwrites.
+// digest. Any failure (an entry that does not decode, one stamped by a
+// build other than build, or a digest mismatch) is a miss, never an
+// error: the caller recomputes and overwrites.
 func decodeTables(b []byte, build string) ([]*Table, bool) {
 	var p tablesPayload
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil ||

@@ -308,7 +308,7 @@ func (s *Stack) WithCPUs(cpus int) *Stack {
 // Build instantiates a fresh engine and machine for one experiment run.
 func (s *Stack) Build() (*sim.Engine, *machine.Machine) {
 	eng := sim.NewEngine()
-	m := machine.New(eng, s.Model, s.Topo, s.Seed)
+	m := machine.New(eng, s.Model, s.Topo)
 	if s.ChaosSeed != 0 {
 		ArmChaos(m, chaos.NewPlan(s.ChaosSeed, chaosRates(s.ChaosConfig)))
 	}

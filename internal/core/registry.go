@@ -56,18 +56,14 @@ var experiments = []struct {
 	reads      field
 	when, also field
 }{
-	// Primitives builds one machine at the CPU count, but uses it only
-	// through linux.Stack's cost and sampling methods, which read the
-	// model and the seed; every run sizes its own machine (16, 64 and 1
-	// CPUs).
+	// The CPU count is fixed at 16 (NewStack(16)).
 	{id: "nautilus", reads: fieldSeed | fieldChaos},
 	// The CPU count is fixed at 16 (NewStack(16), DefaultFig3Config).
 	{id: "fig3", reads: fieldSeed | fieldChaos | fieldDomains | fieldOverheads | fieldSweep,
 		when: fieldSweep, also: fieldSmallAxes},
-	// The seed goes to machine.New and linux.New, but nothing draws on
-	// either generator here: Machine.RNG is never read, and Fig4 and
-	// GranularityLimit call only linux's ContextSwitchCost, a sum of
-	// model constants.
+	// The seed goes to linux.New, but nothing draws on its generator
+	// here: Fig4 and GranularityLimit call only linux's
+	// ContextSwitchCost, a sum of model constants.
 	{id: "fig4", reads: fieldChaos | fieldGranularity},
 	// The kernels run on the interpreter, not a machine; only the
 	// allocator statistics' magazine demo draws on the seed.
@@ -81,9 +77,8 @@ var experiments = []struct {
 	{id: "blending"},
 	{id: "farmem", reads: fieldSeed},
 	{id: "consistency"},
-	// CrossISA builds both ISAs' stacks itself, at the default seed and
-	// unarmed, and every run sizes its own machine: Fig3Config's 16 CPUs
-	// for the heartbeat, 1 for the switch.
+	// The CPU count is fixed at 16; CrossISA builds both ISAs' stacks
+	// itself, at the default seed and unarmed.
 	{id: "riscv"},
 	{id: "paging"},
 	// TaskGranularity builds armed machines and seeded runtimes, but
@@ -169,10 +164,9 @@ const MaxDomains = 256
 type RunConfig struct {
 	// Experiment is the registered experiment ID (see ExperimentIDs).
 	Experiment string `json:"experiment"`
-	// CPUs parameterizes the CPU-count experiments (tasks, fig6 -epcc;
-	// nautilus and riscv size every machine they run themselves).
-	// Defaults are applied by DefaultRunConfig, not here: the zero value
-	// is invalid.
+	// CPUs is the CPU count tasks reads, and fig6 with EPCC; no other
+	// experiment reads it. Defaults are applied by DefaultRunConfig, not
+	// here: the zero value is invalid.
 	CPUs int `json:"cpus"`
 	// Seed is the simulation seed every cell derives randomness from.
 	Seed uint64 `json:"seed"`
@@ -300,14 +294,14 @@ func (cfg RunConfig) coords() RunConfig {
 }
 
 // Key canonicalizes the result cfg names: experiment ID plus the
-// fields of its projection (coords), under the version salt (which
-// already covers code-side inputs: cost tables, kernel modules,
-// platform models). Pool width is excluded — output is byte-identical
-// at every setting, the package's standing guarantee.
+// fields of its projection (coords), and nothing else. The code that
+// computes the result is not in the key; the build stamp on the stored
+// table set guards it (see CachedTablesCtx). Pool width is excluded —
+// output is byte-identical at every setting, the package's standing
+// guarantee.
 func (cfg RunConfig) Key() cache.Key {
 	cfg = cfg.coords()
 	e := cache.NewEnc()
-	e.U64("salt", VersionSalt())
 	e.Str("experiment-tables", cfg.Experiment)
 	e.Int("cpus", cfg.CPUs)
 	e.U64("seed", cfg.Seed)
@@ -398,7 +392,7 @@ func (cfg RunConfig) generate(x Exec) []*Table {
 	emit := func(t *Table) { tables = append(tables, t) }
 	switch cfg.Experiment {
 	case "nautilus":
-		emit(stack(NewStack(cfg.CPUs)).Primitives())
+		emit(stack(NewStack(16)).Primitives())
 	case "fig3":
 		s := stack(NewStack(16))
 		f3 := DefaultFig3Config()
@@ -460,7 +454,7 @@ func (cfg RunConfig) generate(x Exec) []*Table {
 	case "consistency":
 		emit(stack(NewStack(1)).Consistency())
 	case "riscv":
-		emit(stack(NewStack(cfg.CPUs)).CrossISA())
+		emit(stack(NewStack(16)).CrossISA())
 	case "paging":
 		emit(stack(NewStack(1)).Paging())
 	case "tasks":

@@ -66,7 +66,7 @@ func goldenCases() []goldenCase {
 // newGoldenRuntime builds case c's runtime on a fresh engine,
 // with the hardware fault hooks armed when c.chaos is set.
 func newGoldenRuntime(c goldenCase) *Runtime {
-	m := machine.New(sim.NewEngine(), model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: c.cpus}, c.seed)
+	m := machine.New(sim.NewEngine(), model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: c.cpus})
 	if c.chaos {
 		plan := chaos.NewPlan(c.seed^0xc4a05, chaos.DefaultConfig())
 		ipi := plan.IPIInjector("machine/ipi")

@@ -114,7 +114,7 @@ func TestDequeCompaction(t *testing.T) {
 
 func newRuntime(cpus int, cfg Config) *Runtime {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 42)
+	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	return New(m, cfg)
 }
 
@@ -374,7 +374,7 @@ func TestDomainReportAtIPILatency(t *testing.T) {
 		for _, lat := range []int64{600, 1777} {
 			mdl := model.Default()
 			mdl.HW.IPILatency = lat
-			m := machine.New(sim.NewEngine(), mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16}, 42)
+			m := machine.New(sim.NewEngine(), mdl, machine.Topology{Sockets: 1, CoresPerSocket: 16})
 			cfg := DefaultConfig()
 			cfg.Substrate = sub
 			cfg.PeriodCycles = 20_000

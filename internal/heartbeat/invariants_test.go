@@ -100,7 +100,7 @@ func TestRuntimeCheckInvariantsTable(t *testing.T) {
 	t.Parallel()
 	build := func() *Runtime {
 		eng := sim.NewEngine()
-		m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 2}, 7)
+		m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 2})
 		return New(m, DefaultConfig())
 	}
 	cases := []struct {

@@ -11,7 +11,7 @@ import (
 
 func newStack(cpus int, m model.Model) (*sim.Engine, *Stack) {
 	eng := sim.NewEngine()
-	mach := machine.New(eng, m, machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 11)
+	mach := machine.New(eng, m, machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	return eng, New(mach, 99)
 }
 

@@ -136,7 +136,6 @@ type Machine struct {
 	Eng   *sim.Engine
 	Model model.Model
 	CPUs  []*CPU
-	RNG   *sim.RNG
 
 	// topo is fixed at construction: per-CPU structures are sized from
 	// it, so it must never change over the machine's lifetime.
@@ -158,9 +157,9 @@ type Machine struct {
 
 // New constructs a machine with the given topology and cost model. The
 // topology is final: per-CPU structures are sized from it here, and it
-// is immutable afterwards (read it back with Topo). The seed fixes all
-// stochastic behavior.
-func New(eng *sim.Engine, m model.Model, topo Topology, seed uint64) *Machine {
+// is immutable afterwards (read it back with Topo). The machine itself
+// draws no randomness: the layers above it own their generators.
+func New(eng *sim.Engine, m model.Model, topo Topology) *Machine {
 	if topo.Sockets <= 0 || topo.CoresPerSocket <= 0 {
 		panic("machine: invalid topology")
 	}
@@ -168,7 +167,6 @@ func New(eng *sim.Engine, m model.Model, topo Topology, seed uint64) *Machine {
 		Eng:   eng,
 		Model: m,
 		topo:  topo,
-		RNG:   sim.NewRNG(seed),
 	}
 	n := topo.NumCPUs()
 	mach.CPUs = make([]*CPU, n)

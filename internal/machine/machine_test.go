@@ -10,13 +10,13 @@ import (
 
 func newTestMachine(cpus int) (*sim.Engine, *Machine) {
 	eng := sim.NewEngine()
-	m := New(eng, model.Default(), Topology{Sockets: 1, CoresPerSocket: cpus}, 1)
+	m := New(eng, model.Default(), Topology{Sockets: 1, CoresPerSocket: cpus})
 	return eng, m
 }
 
 func TestTopology(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, model.Default(), Topology{Sockets: 2, CoresPerSocket: 4}, 1)
+	m := New(eng, model.Default(), Topology{Sockets: 2, CoresPerSocket: 4})
 	if len(m.CPUs) != 8 {
 		t.Fatalf("cpus = %d", len(m.CPUs))
 	}
@@ -31,7 +31,7 @@ func TestInvalidTopologyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(sim.NewEngine(), model.Default(), Topology{}, 1)
+	New(sim.NewEngine(), model.Default(), Topology{})
 }
 
 func TestRunCompletes(t *testing.T) {
@@ -208,7 +208,7 @@ func TestIPILatency(t *testing.T) {
 
 func TestCrossSocketIPISlower(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, model.Default(), Topology{Sockets: 2, CoresPerSocket: 2}, 1)
+	m := New(eng, model.Default(), Topology{Sockets: 2, CoresPerSocket: 2})
 	var local, remote sim.Time
 	m.CPU(1).SetHandler(VecIPI, func(ctx *IntrContext) { local = eng.Now() })
 	m.CPU(2).SetHandler(VecIPI, func(ctx *IntrContext) { remote = eng.Now() })
@@ -320,7 +320,7 @@ func TestUnhandledVectorDropped(t *testing.T) {
 func TestWorkConservationUnderRandomInterrupts(t *testing.T) {
 	check := func(seed uint64) bool {
 		eng := sim.NewEngine()
-		m := New(eng, model.Default(), Topology{Sockets: 1, CoresPerSocket: 1}, seed)
+		m := New(eng, model.Default(), Topology{Sockets: 1, CoresPerSocket: 1})
 		cpu := m.CPU(0)
 		rng := sim.NewRNG(seed)
 		cpu.SetHandler(VecTimer, func(ctx *IntrContext) {

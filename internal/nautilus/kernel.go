@@ -201,9 +201,6 @@ func (k *Kernel) Shutdown() {
 // Threads returns all threads ever spawned.
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
-// CPUSched returns scheduling stats access for tests.
-func (k *Kernel) queueLen(cpu int) int { return len(k.cpus[cpu].runq) }
-
 // enqueue adds t to the ready queue, RT class before non-RT (simple
 // fixed-priority approximation of the EDF class).
 func (cs *cpuSched) enqueue(t *Thread) {

@@ -11,7 +11,7 @@ import (
 func newKernel(t *testing.T, cpus int, cfg Config) (*sim.Engine, *Kernel) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 7)
+	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	k := New(m, cfg)
 	t.Cleanup(k.Shutdown)
 	return eng, k
@@ -260,7 +260,7 @@ func TestSwitchCostFamily(t *testing.T) {
 	// fibers cost less than threads; compiler-timed fibers cost less
 	// than hardware-timer threads; RT adds overhead.
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 1}, 7)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 1})
 
 	cost := func(timing TimingMode, cls Class, opts ThreadOpts) int64 {
 		k := New(m, Config{Timing: timing, QuantumCycles: 1 << 20})
@@ -294,7 +294,7 @@ func TestSwitchCostFamily(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		eng := sim.NewEngine()
-		m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 2}, 7)
+		m := machine.New(eng, model.Default(), machine.Topology{Sockets: 1, CoresPerSocket: 2})
 		k := New(m, Config{Timing: TimingHWTimer, QuantumCycles: 5000})
 		defer k.Shutdown()
 		k.StartTimers()

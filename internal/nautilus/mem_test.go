@@ -12,7 +12,7 @@ import (
 // spawning CPU's socket-local zone and are reclaimed on exit.
 func TestThreadStateLocality(t *testing.T) {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 2, CoresPerSocket: 2}, 7)
+	m := machine.New(eng, model.Default(), machine.Topology{Sockets: 2, CoresPerSocket: 2})
 	k := New(m, DefaultConfig())
 	t.Cleanup(k.Shutdown)
 

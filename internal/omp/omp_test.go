@@ -13,7 +13,7 @@ import (
 
 func runKernel(mode Mode, cpus int, k workloads.NASKernel) int64 {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 5)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	rt := New(m, mode, 5)
 	return rt.RunKernel(k)
 }
@@ -81,7 +81,7 @@ func TestPIKPerformsSimilarlyToRTK(t *testing.T) {
 
 func TestCCKCompletesAllWork(t *testing.T) {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8}, 5)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8})
 	rt := New(m, ModeCCK, 5)
 	k := smallBT()
 	rt.RunKernel(k)
@@ -123,7 +123,7 @@ func TestEPCCOverheadOrdering(t *testing.T) {
 	// Pure sync overhead: RTK's primitives must beat Linux's futex path.
 	mk := func(mode Mode) float64 {
 		eng := sim.NewEngine()
-		m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 16}, 5)
+		m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 16})
 		rt := New(m, mode, 5)
 		return rt.RunEPCC(workloads.EPCC()[0]) // empty parallel region
 	}
@@ -138,7 +138,7 @@ func TestEPCCOverheadOrdering(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8}, 5)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8})
 	rt := New(m, ModeLinux, 5)
 	k := smallBT()
 	rt.RunKernel(k)
@@ -180,7 +180,7 @@ func TestRunOnKernelCrossValidatesRTK(t *testing.T) {
 	analytic := runKernel(ModeRTK, cpus, k)
 
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 5)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	nk := nautilus.New(m, nautilus.Config{Timing: nautilus.TimingCooperative, QuantumCycles: 1 << 40})
 	defer nk.Shutdown()
 	real := int64(RunOnKernel(nk, k))
@@ -205,7 +205,7 @@ func TestRunOnKernelScales(t *testing.T) {
 	k.Steps = 2
 	run := func(cpus int) int64 {
 		eng := sim.NewEngine()
-		m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 5)
+		m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 		nk := nautilus.New(m, nautilus.Config{Timing: nautilus.TimingCooperative, QuantumCycles: 1 << 40})
 		defer nk.Shutdown()
 		return int64(RunOnKernel(nk, k))

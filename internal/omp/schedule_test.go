@@ -10,7 +10,7 @@ import (
 
 func newRT(mode Mode, cpus int) *Runtime {
 	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus}, 5)
+	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
 	return New(m, mode, 5)
 }
 

@@ -63,7 +63,7 @@ func Compare(mdl model.Model, cfg Config) Result {
 // time from raise to handler entry.
 func measureIDT(mdl model.Model, cfg Config) []float64 {
 	eng := sim.NewEngine()
-	m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 1}, cfg.Seed)
+	m := machine.New(eng, mdl, machine.Topology{Sockets: 1, CoresPerSocket: 1})
 	cpu := m.CPU(0)
 	rng := sim.NewRNG(cfg.Seed)
 	jitter := sim.Normal{Mu: 0, Sigma: cfg.IDTSigma, Min: -float64(mdl.HW.InterruptDispatch) / 2}
