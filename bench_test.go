@@ -498,14 +498,13 @@ func BenchmarkParallelRunner(b *testing.B) {
 }
 
 // BenchmarkExpPoolOverhead isolates the pool's own cost: dispatching
-// trivial cells through the bounded worker pool with pre-split RNGs.
+// trivial cells through the bounded worker pool.
 func BenchmarkExpPoolOverhead(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				root := sim.NewRNG(42)
-				out, err := exp.MapRNG(exp.New(workers), root, 256,
-					func(_ int, rng *sim.RNG) (uint64, error) { return rng.Uint64(), nil })
+				out, err := exp.Map(exp.New(workers), 256,
+					func(i int) (uint64, error) { return uint64(i), nil })
 				if err != nil || len(out) != 256 {
 					b.Fatal(err)
 				}

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cache"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/passes"
@@ -107,19 +106,13 @@ func main() {
 
 	// fail reports an experiment failure: an invalid config prints
 	// usage and exits 2 (the registry validates what the old dispatch
-	// switch rejected inline), injected chaos faults print a replay
-	// hint and exit 3, everything else exits 1.
+	// switch rejected inline), everything else exits 1.
 	fail := func(err error) {
 		var cerr *core.ConfigError
 		if errors.As(err, &cerr) {
 			fmt.Fprintf(os.Stderr, "%s\n\n", cerr.Msg)
 			usage()
 			os.Exit(2)
-		}
-		if fe, ok := chaos.AsFault(err); ok {
-			fmt.Fprintf(os.Stderr, "chaos: experiment failed by injected fault %s\n", fe.Fault)
-			fmt.Fprintf(os.Stderr, "chaos: replay with -chaos-seed %d (same seed, same fault trace)\n", cfg.ChaosSeed)
-			os.Exit(3)
 		}
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -372,8 +365,8 @@ flags:
   -chaos-seed N  arm the deterministic fault-injection harness
                (internal/chaos): IPI loss/delay and timer jitter on
                every simulated machine. Same seed => same faults =>
-               byte-identical output; injected failures exit 3 with a
-               typed report instead of a stack trace.
+               byte-identical output. Only nautilus and fig3 send IPIs
+               or arm timers, so only their tables move.
   -cache       memoize results content-addressed by (seed, config,
                code version); warm runs are byte-identical to cold.
                Disk spill at -cache-dir / $INTERWEAVE_CACHE_DIR;

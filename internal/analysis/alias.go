@@ -190,14 +190,3 @@ func (a *Alias) MustSite(r ir.Reg) (int, bool) {
 // Escaped reports whether the site's pointer may be visible outside
 // the function.
 func (a *Alias) Escaped(site int) bool { return a.escaped.Has(site) }
-
-// SiteOfInstr returns the index of the allocation site at (b, idx), or
-// -1 when that instruction is not an OpAlloc.
-func (a *Alias) SiteOfInstr(b *ir.Block, idx int) int {
-	for i, s := range a.Sites {
-		if s.Block == b && s.Idx == idx {
-			return i
-		}
-	}
-	return -1
-}

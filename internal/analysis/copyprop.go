@@ -83,17 +83,6 @@ func (ac *AvailCopies) Transfer(b *ir.Block, idx int, in *ir.Instr, facts *BitSe
 	}
 }
 
-// SiteID returns the fact id of the copy at (b, idx), or -1 if that
-// instruction is not a tracked copy.
-func (ac *AvailCopies) SiteID(b *ir.Block, idx int) int {
-	if m, ok := ac.siteID[b]; ok {
-		if id, ok := m[idx]; ok {
-			return id
-		}
-	}
-	return -1
-}
-
 // SourceOf returns the register r is currently a copy of, given the
 // facts at a point: the source of the (unique) available copy writing
 // r. ok is false when no copy of r is available.

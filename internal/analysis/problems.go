@@ -85,16 +85,6 @@ func (rd *ReachingDefs) Transfer(b *ir.Block, idx int, in *ir.Instr, facts *BitS
 	facts.Set(rd.siteID[b][idx])
 }
 
-// SiteID returns the fact id of the definition at (b, idx), or -1.
-func (rd *ReachingDefs) SiteID(b *ir.Block, idx int) int {
-	if m, ok := rd.siteID[b]; ok {
-		if id, ok := m[idx]; ok {
-			return id
-		}
-	}
-	return -1
-}
-
 // DefsOf returns the fact ids of every definition site of r (including
 // the parameter pseudo-site when r is a parameter).
 func (rd *ReachingDefs) DefsOf(r ir.Reg) []int { return rd.byReg[r] }

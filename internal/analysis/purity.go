@@ -51,7 +51,7 @@ type FnSummary struct {
 // its result is unused: the call must be pure, unable to fault, and
 // certain to terminate. (Step/depth budget exhaustion is treated as a
 // resource limit, not a preserved effect — the same stance the timing
-// and inline passes already take toward instruction counts.)
+// pass already takes toward instruction counts.)
 func (s FnSummary) DCESafe() bool { return s.Pure && !s.MayFault && s.Bounded }
 
 // Purity holds the module-wide summaries.

@@ -87,10 +87,16 @@ func New(cfg Config) *Cache {
 }
 
 // Get looks k up in memory, then on disk, and reports the tier that
-// served it; a disk hit is promoted into memory. The returned bytes
-// are shared — callers must not mutate them.
-func (c *Cache) Get(k Key) ([]byte, Source, bool) {
+// served it; a disk hit is promoted into memory. valid, when non-nil,
+// vets the bytes found in either tier, and an entry it rejects is a
+// miss: a rejected disk entry is neither counted as served from disk
+// nor promoted. The returned bytes are shared — callers must not mutate
+// them.
+func (c *Cache) Get(k Key, valid func([]byte) bool) ([]byte, Source, bool) {
 	if v, ok := c.mem.get(k); ok {
+		if valid != nil && !valid(v) {
+			return nil, SourceMem, false
+		}
 		return v, SourceMem, true
 	}
 	if c.disk == nil {
@@ -98,7 +104,7 @@ func (c *Cache) Get(k Key) ([]byte, Source, bool) {
 	}
 	c.spillReads.Add(1)
 	v, ok := c.disk.get(k)
-	if !ok {
+	if !ok || (valid != nil && !valid(v)) {
 		return nil, SourceMem, false
 	}
 	c.spillHits.Add(1)

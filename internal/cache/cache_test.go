@@ -12,11 +12,11 @@ func TestCacheGetPut(t *testing.T) {
 	t.Parallel()
 	c := New(Config{})
 	k := tkey("gp")
-	if _, _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k, nil); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(k, []byte("v"))
-	if v, _, ok := c.Get(k); !ok || string(v) != "v" {
+	if v, _, ok := c.Get(k, nil); !ok || string(v) != "v" {
 		t.Fatalf("get = %q, %v", v, ok)
 	}
 	st := c.Stats()
@@ -39,7 +39,7 @@ func TestCacheSpillAcrossRestart(t *testing.T) {
 	}
 
 	c2 := New(Config{Dir: dir})
-	v, _, ok := c2.Get(k)
+	v, _, ok := c2.Get(k, nil)
 	if !ok || string(v) != "persisted" {
 		t.Fatalf("restart get = %q, %v", v, ok)
 	}
@@ -48,7 +48,7 @@ func TestCacheSpillAcrossRestart(t *testing.T) {
 		t.Fatalf("disk hit not recorded: %+v", st)
 	}
 	// Promoted: the next get is a memory hit, not another disk read.
-	c2.Get(k)
+	c2.Get(k, nil)
 	if st := c2.Stats(); st.SpillReads != 1 {
 		t.Fatalf("promotion did not stick: %+v", st)
 	}
@@ -62,11 +62,11 @@ func TestCacheOneBudget(t *testing.T) {
 	c := New(Config{MemBudget: 1 << 10})
 	a, b := tkey("half-a"), tkey("half-b")
 	c.Put(a, make([]byte, 512))
-	if v, _, ok := c.Get(a); !ok || len(v) != 512 {
+	if v, _, ok := c.Get(a, nil); !ok || len(v) != 512 {
 		t.Fatalf("half-budget value not served from memory: ok=%v len=%d", ok, len(v))
 	}
 	c.Put(b, make([]byte, 513))
-	if _, _, ok := c.Get(a); ok {
+	if _, _, ok := c.Get(a, nil); ok {
 		t.Fatal("least recent value survived a put over the budget")
 	}
 	if st := c.Stats(); st.Entries != 1 || st.BytesInMem != 513 || st.Evictions != 1 {
@@ -84,7 +84,7 @@ func TestCacheMemEvictionFallsBackToDisk(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Put(tkey(fmt.Sprintf("filler%d", i)), make([]byte, 32))
 	}
-	v, _, ok := c.Get(k)
+	v, _, ok := c.Get(k, nil)
 	if !ok || string(v) != "survivor" {
 		t.Fatalf("evicted entry not served from disk: %q, %v", v, ok)
 	}
@@ -100,20 +100,20 @@ func TestGetSources(t *testing.T) {
 	dir := t.TempDir()
 	k := tkey("sources")
 	c := New(Config{Dir: dir})
-	if _, _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k, nil); ok {
 		t.Fatal("hit before any put")
 	}
 	c.Put(k, []byte("v"))
-	if _, src, ok := c.Get(k); !ok || src != SourceMem {
+	if _, src, ok := c.Get(k, nil); !ok || src != SourceMem {
 		t.Fatalf("warm: src %v ok %v, want mem", src, ok)
 	}
 	// A fresh cache over the same directory simulates a restart: the
 	// value must come back from disk and be promoted.
 	c2 := New(Config{Dir: dir})
-	if _, src, ok := c2.Get(k); !ok || src != SourceDisk {
+	if _, src, ok := c2.Get(k, nil); !ok || src != SourceDisk {
 		t.Fatalf("restart: src %v ok %v, want disk", src, ok)
 	}
-	if _, src, ok := c2.Get(k); !ok || src != SourceMem {
+	if _, src, ok := c2.Get(k, nil); !ok || src != SourceMem {
 		t.Fatalf("promoted: src %v ok %v, want mem", src, ok)
 	}
 }
@@ -122,7 +122,7 @@ func TestGetSources(t *testing.T) {
 // builds on the cache: Get, and on a miss compute and Put only a
 // successful result.
 func getOrCompute(c *Cache, k Key, compute func() ([]byte, error)) ([]byte, error) {
-	if v, _, ok := c.Get(k); ok {
+	if v, _, ok := c.Get(k, nil); ok {
 		return v, nil
 	}
 	v, err := compute()
@@ -194,7 +194,7 @@ func TestGetOrComputeConcurrentMixedKeys(t *testing.T) {
 				i := (g + r) % keys
 				k := tkey(fmt.Sprintf("mixed%d", i))
 				want := fmt.Sprintf("val%d", i)
-				v, _, ok := c.Get(k)
+				v, _, ok := c.Get(k, nil)
 				if !ok {
 					c.Put(k, []byte(want))
 					continue
@@ -216,7 +216,7 @@ func TestStatsString(t *testing.T) {
 	t.Parallel()
 	c := New(Config{})
 	c.Put(tkey("s"), []byte("v"))
-	c.Get(tkey("s"))
+	c.Get(tkey("s"), nil)
 	s := c.Stats().String()
 	for _, want := range []string{"hits", "misses", "puts", "evictions"} {
 		if !strings.Contains(s, want) {

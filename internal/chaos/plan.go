@@ -54,12 +54,6 @@ func NewPlan(seed uint64, cfg Config) *Plan {
 	return &Plan{seed: seed, cfg: cfg, sites: make(map[string]*site)}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
-// Config returns the plan's fault configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // siteLocked returns (creating on demand) the named site. Caller holds p.mu.
 func (p *Plan) siteLocked(name string) *site {
 	s := p.sites[name]

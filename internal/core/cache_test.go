@@ -257,18 +257,18 @@ func TestCachedTablesRoundTrip(t *testing.T) {
 }
 
 // TestCachedTablesFaultStoresNothing pins the retry rule: a generator
-// that panics with an injected chaos fault leaves nothing in the cache,
-// the next call on the key recomputes, and only a completed table set
-// is stored and served after that.
+// that panics leaves nothing in the cache, the next call on the key
+// recomputes, and only a completed table set is stored and served
+// after that.
 func TestCachedTablesFaultStoresNothing(t *testing.T) {
 	t.Parallel()
 	c := cache.New(cache.Config{})
 	key := cache.NewEnc().Str("test", "fault-stores-nothing").Sum()
-	fault := &chaos.FaultError{Fault: chaos.Fault{Site: "test", Kind: chaos.AllocFail}, Err: errors.New("boom")}
+	fault := errors.New("boom")
 	func() {
 		defer func() {
 			if r := recover(); r != fault {
-				t.Fatalf("recovered %v, want the injected fault", r)
+				t.Fatalf("recovered %v, want the generator's panic", r)
 			}
 		}()
 		CachedTablesCtx(context.Background(), c, key, func() []*Table { panic(fault) })
@@ -293,9 +293,10 @@ func TestCachedTablesFaultStoresNothing(t *testing.T) {
 
 // TestBuildStampMismatchIsMiss pins the persisted cache's build check
 // with two injected identities: a table set written to disk under one
-// is a miss under the other and a hit under its own after a simulated
-// restart. Through CachedTablesCtx, an entry another build stamped is
-// recomputed and overwritten, and BuildIdentity is stable in-process.
+// is a miss under the other, neither counted as served from disk nor
+// promoted, and a hit under its own after a simulated restart. Through
+// CachedTablesCtx, an entry another build stamped is recomputed and
+// overwritten, and BuildIdentity is stable in-process.
 func TestBuildStampMismatchIsMiss(t *testing.T) {
 	t.Parallel()
 	if id := BuildIdentity(); id == "" || id != BuildIdentity() {
@@ -320,15 +321,21 @@ func TestBuildStampMismatchIsMiss(t *testing.T) {
 	want := &Table{ID: "t", Header: []string{"a"}, Rows: [][]string{{"1"}}}
 	cache.New(cache.Config{Dir: dir}).Put(key, encodeTables([]*Table{want}, "build-a"))
 
-	buf, src, ok := cache.New(cache.Config{Dir: dir}).Get(key)
-	if !ok || src != cache.SourceDisk {
-		t.Fatalf("restart read: ok %v, source %v", ok, src)
+	under := func(build string) func([]byte) bool {
+		return func(b []byte) bool {
+			ts, ok := decodeTables(b, build)
+			return ok && len(ts) == 1 && ts[0].Digest() == want.Digest()
+		}
 	}
-	if _, ok := decodeTables(buf, "build-b"); ok {
+	c := cache.New(cache.Config{Dir: dir})
+	if _, _, ok := c.Get(key, under("build-b")); ok {
 		t.Fatal("an entry written under build-a was served to build-b")
 	}
-	if ts, ok := decodeTables(buf, "build-a"); !ok || len(ts) != 1 || ts[0].Digest() != want.Digest() {
-		t.Fatal("an entry written under build-a missed under build-a")
+	if st := c.Stats(); st.SpillHits != 0 || st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("a rejected entry was counted or promoted: %+v", st)
+	}
+	if _, src, ok := c.Get(key, under("build-a")); !ok || src != cache.SourceDisk {
+		t.Fatalf("restart read under build-a: ok %v, source %v", ok, src)
 	}
 
 	runs := 0
@@ -367,9 +374,9 @@ func TestChaosKeysNeverAlias(t *testing.T) {
 	}
 
 	// Run-level check: a clean run warms the cache; an armed run over
-	// the same shared cache must not hit any of its entries. fig4 builds
-	// armed machines and completes at chaos seed 9 (the digest manifest
-	// pins its tables there).
+	// the same shared cache must not hit any of its entries. nautilus
+	// arms the machines its heartbeat runtimes use and completes at
+	// chaos seed 9 (the digest manifest pins its tables there).
 	c := cache.New(cache.Config{})
 	r := &Runner{Cache: c}
 	run := func(id string, chaosSeed uint64) {
@@ -377,9 +384,9 @@ func TestChaosKeysNeverAlias(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run("fig4", 0)
+	run("nautilus", 0)
 	st := c.Stats()
-	run("fig4", 9)
+	run("nautilus", 9)
 	st2 := c.Stats()
 	if st2.Hits != st.Hits {
 		t.Fatalf("chaos-armed run hit clean entries: %+v -> %+v", st, st2)

@@ -60,17 +60,18 @@ func decodeTables(b []byte, build string) ([]*Table, bool) {
 	return p.Tables, true
 }
 
-// LookupTables reads key's table set from c: one Get, then the build
-// stamp and digest checks of decodeTables. A miss, or an entry that
-// fails a check, is reported as not found; the caller decides whether
-// to recompute. The source is the tier that served the set (mem or
-// disk).
+// LookupTables reads key's table set from c: one Get, which applies
+// the build stamp and digest checks of decodeTables before it counts or
+// promotes the entry. A miss, or an entry that fails a check, is
+// reported as not found; the caller decides whether to recompute. The
+// source is the tier that served the set (mem or disk).
 func LookupTables(c *cache.Cache, key cache.Key) ([]*Table, cache.Source, bool) {
-	buf, src, ok := c.Get(key)
-	if !ok {
-		return nil, src, false
-	}
-	ts, ok := decodeTables(buf, BuildIdentity())
+	var ts []*Table
+	_, src, ok := c.Get(key, func(b []byte) bool {
+		var valid bool
+		ts, valid = decodeTables(b, BuildIdentity())
+		return valid
+	})
 	return ts, src, ok
 }
 

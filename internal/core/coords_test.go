@@ -169,3 +169,33 @@ func TestKeyFollowsDeclaredFields(t *testing.T) {
 		}
 	}
 }
+
+// TestInertChaosRatesShareKey pins what the key keeps of a chaos plan:
+// the machine-layer rates ArmChaos reads. For every experiment that
+// declares the plan, setting the alloc, wake and step rates of an
+// armed config leaves its tables and its key unchanged.
+func TestInertChaosRatesShareKey(t *testing.T) {
+	t.Parallel()
+	inert := chaos.DefaultConfig()
+	inert.AllocFailProb, inert.AllocBudget = 1, 1
+	inert.WakeDelayProb, inert.WakeDelayMax = 1, 1e6
+	inert.MaxSteps = 1
+	for _, id := range ExperimentIDs() {
+		base := DefaultRunConfig(id)
+		if reads, _ := base.reads(); reads&fieldChaos == 0 {
+			continue
+		}
+		base.ChaosSeed = 9
+		cfg := base
+		cfg.Chaos = &inert
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if cfg.Key() != base.Key() {
+			t.Errorf("%s: alloc, wake and step rates move the key", id)
+		}
+		if rendered(cfg) != rendered(base) {
+			t.Errorf("%s: alloc, wake and step rates change the tables", id)
+		}
+	}
+}

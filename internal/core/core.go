@@ -230,13 +230,20 @@ type CellEvent struct {
 	Of     int    // total cells in the driver invocation
 }
 
-// chaosRates returns the fault rates a nonzero chaos seed arms: c when
-// set, else chaos.DefaultConfig().
+// chaosRates returns the fault rates a nonzero chaos seed arms on a
+// machine (ArmChaos): the IPI and timer rates of c when set, else of
+// chaos.DefaultConfig(). The alloc, wake and step rates drive injectors
+// only the chaos harness installs, so they are left out here and never
+// reach a key.
 func chaosRates(c *chaos.Config) chaos.Config {
+	r := chaos.DefaultConfig()
 	if c != nil {
-		return *c
+		r = *c
 	}
-	return chaos.DefaultConfig()
+	return chaos.Config{
+		IPIDropProb: r.IPIDropProb, IPIDelayProb: r.IPIDelayProb, IPIDelayMax: r.IPIDelayMax,
+		TimerJitterProb: r.TimerJitterProb, TimerJitterMax: r.TimerJitterMax,
+	}
 }
 
 // runCells evaluates n independent experiment cells on s's execution

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/exp"
 )
 
@@ -21,13 +20,12 @@ var update = flag.Bool("update", false, "rewrite testdata/digests.json")
 const manifestChaosSeed = 9
 
 // manifestEntry pins one experiment of `interweave all` at one seed:
-// every table's digest, or the injected fault that failed the run.
+// every table's digest.
 type manifestEntry struct {
 	Experiment string        `json:"experiment"`
 	Seed       uint64        `json:"seed"`
 	ChaosSeed  uint64        `json:"chaos_seed"`
 	Tables     []tableDigest `json:"tables,omitempty"`
-	Fault      string        `json:"fault,omitempty"`
 }
 
 type tableDigest struct {
@@ -60,10 +58,6 @@ func digestManifest(t *testing.T) []byte {
 		cfg := cfgs[i]
 		e := manifestEntry{Experiment: cfg.Experiment, Seed: cfg.Seed, ChaosSeed: cfg.ChaosSeed}
 		tables, _, err := runner.Run(context.Background(), cfg, nil)
-		if fe, ok := chaos.AsFault(err); ok {
-			e.Fault = fe.Fault.String()
-			return e, nil
-		}
 		if err != nil {
 			return e, err
 		}

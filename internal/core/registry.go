@@ -48,9 +48,13 @@ const (
 // field left out and requires byte-identical tables.
 //
 // ChaosSeed and Chaos reach a run only through the machines Stack.Build
-// arms, so only nautilus, fig3, fig4 and fig6 declare them. Entries
-// that leave out a field their drivers do touch say why the touch is
-// dead.
+// arms, and an armed machine consults its fault hooks only when an IPI
+// arrives (CPU.arriveIPI) or a LAPIC timer expires (LAPIC.schedule).
+// Outside tests, only heartbeat's Nautilus-IPI substrate sends IPIs
+// (BroadcastIPI) or arms a LAPIC timer (Periodic); Kernel.StartTimers
+// has no caller outside tests. So only nautilus and fig3, which build
+// heartbeat runtimes, declare them. Entries that leave out a field
+// their drivers do touch say why the touch is dead.
 var experiments = []struct {
 	id         string
 	reads      field
@@ -63,12 +67,15 @@ var experiments = []struct {
 		when: fieldSweep, also: fieldSmallAxes},
 	// The seed goes to linux.New, but nothing draws on its generator
 	// here: Fig4 and GranularityLimit call only linux's
-	// ContextSwitchCost, a sum of model constants.
-	{id: "fig4", reads: fieldChaos | fieldGranularity},
+	// ContextSwitchCost, a sum of model constants. The one-CPU Nautilus
+	// kernels it builds send no IPI and arm no timer, so a plan arms
+	// nothing.
+	{id: "fig4", reads: fieldGranularity},
 	// The kernels run on the interpreter, not a machine; only the
 	// allocator statistics' magazine demo draws on the seed.
 	{id: "carat", reads: fieldMobility | fieldMemStats, when: fieldMemStats, also: fieldSeed},
-	{id: "fig6", reads: fieldSeed | fieldChaos | fieldEPCC, when: fieldEPCC, also: fieldCPUs},
+	// The omp runtimes only call CPU.Run, so a plan arms nothing.
+	{id: "fig6", reads: fieldSeed | fieldEPCC, when: fieldEPCC, also: fieldCPUs},
 	// The memory-system runs build coherence systems, not machines.
 	{id: "fig7", reads: fieldSeed | fieldSweep | fieldAblate, when: fieldSweep, also: fieldSmallAxes},
 	{id: "virtine", reads: fieldSeed},
@@ -230,7 +237,7 @@ const (
 
 // Validate checks cfg against the registry and the simulated
 // machines' validated envelope. A nil error means Run will not reject
-// the config (it can still fail by injected chaos fault).
+// the config.
 func (cfg RunConfig) Validate() error {
 	if !ValidExperiment(cfg.Experiment) {
 		return &ConfigError{CodeUnknownExperiment,
@@ -344,9 +351,8 @@ type Runner struct {
 // The returned source is the tier that served the whole table set
 // (computed, mem or disk).
 //
-// Unlike the drivers (which panic on cell failure), Run returns the
-// two expected failure classes as errors: an injected chaos fault
-// (classify with chaos.AsFault) and cancellation of ctx (classify with
+// Unlike the drivers (which panic on cell failure), Run returns the one
+// expected failure as an error: cancellation of ctx (classify with
 // errors.Is context.Canceled / DeadlineExceeded). Anything else still
 // panics — those are bugs, not outcomes.
 func (r *Runner) Run(ctx context.Context, cfg RunConfig, observe func(CellEvent)) (tables []*Table, src cache.Source, err error) {
@@ -361,10 +367,6 @@ func (r *Runner) Run(ctx context.Context, cfg RunConfig, observe func(CellEvent)
 		e, ok := rec.(error)
 		if !ok {
 			panic(rec)
-		}
-		if _, isFault := chaos.AsFault(e); isFault {
-			err = e
-			return
 		}
 		if errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded) {
 			err = e

@@ -3,14 +3,14 @@
 // cells (sweep points, seeds, substrates, benchmarks) concurrently while
 // guaranteeing results identical to a sequential run.
 //
-// Determinism rests on two rules the helpers here enforce:
+// Determinism rests on two rules:
 //
-//   - every cell's randomness is pre-split from a root sim.RNG in index
-//     order *before* any cell starts (MapRNG), so the stream a cell sees
-//     is a pure function of its index, never of goroutine scheduling;
+//   - each cell seeds its own machine and generators from the run's
+//     seed and its index, never from state another cell advances, so
+//     what a cell computes does not depend on goroutine scheduling;
 //   - results land in an index-addressed slice and are consumed in
 //     canonical (submission) order, so output ordering is scheduling-
-//     independent too.
+//     independent too (Map enforces this one).
 //
 // A panicking cell fails only its own cell: the panic is captured as a
 // *CellError (with stack) and surfaced from Run/Map, never re-raised on
@@ -26,8 +26,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
 // EnvParallel is the environment variable consulted by DefaultWorkers;
@@ -203,17 +201,4 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil
 	})
 	return out, err
-}
-
-// MapRNG is Map for randomized cells: it pre-splits one generator per
-// cell from root, in index order, before any cell starts, so cell i's
-// stream depends only on root's state and i — results are bit-identical
-// regardless of worker count or goroutine scheduling. root is advanced
-// exactly n splits.
-func MapRNG[T any](p *Pool, root *sim.RNG, n int, fn func(i int, rng *sim.RNG) (T, error)) ([]T, error) {
-	rngs := make([]*sim.RNG, n)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	return Map(p, n, func(i int) (T, error) { return fn(i, rngs[i]) })
 }

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 func TestRunExecutesEveryCell(t *testing.T) {
@@ -125,51 +123,6 @@ func TestMapReturnsIndexOrder(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
-	}
-}
-
-// TestMapRNGDeterministic is the core determinism property: the same
-// root seed must yield bit-identical results at any worker count,
-// because every cell's RNG is pre-split in index order.
-func TestMapRNGDeterministic(t *testing.T) {
-	t.Parallel()
-	sample := func(workers int) []uint64 {
-		out, err := MapRNG(New(workers), sim.NewRNG(42), 200, func(i int, rng *sim.RNG) (uint64, error) {
-			// Draw a variable number of values so any cross-cell
-			// stream sharing would desynchronize immediately.
-			var v uint64
-			for j := 0; j <= i%5; j++ {
-				v = rng.Uint64()
-			}
-			return v, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	seq := sample(1)
-	for _, workers := range []int{2, 4, 16} {
-		par := sample(workers)
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: cell %d diverged: %d vs %d", workers, i, par[i], seq[i])
-			}
-		}
-	}
-}
-
-func TestMapRNGAdvancesRootDeterministically(t *testing.T) {
-	t.Parallel()
-	a, b := sim.NewRNG(7), sim.NewRNG(7)
-	if _, err := MapRNG(New(4), a, 17, func(int, *sim.RNG) (int, error) { return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 17; i++ {
-		b.Split()
-	}
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("root RNG not advanced by exactly n splits")
 	}
 }
 

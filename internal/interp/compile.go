@@ -121,9 +121,6 @@ type Program struct {
 	funcs    map[string]*cfunc
 }
 
-// Gen returns the module generation the program was compiled at.
-func (p *Program) Gen() uint64 { return p.gen }
-
 // Func returns the compiled form of the named function (tests).
 func (p *Program) Func(name string) *cfunc { return p.funcs[name] }
 

@@ -310,6 +310,3 @@ func fcmp(p ir.Pred, a, b float64) bool {
 
 // F64 converts a raw register value to float64 (test convenience).
 func F64(v uint64) float64 { return math.Float64frombits(v) }
-
-// U64 converts a float64 to its raw register encoding.
-func U64(f float64) uint64 { return math.Float64bits(f) }

@@ -213,12 +213,6 @@ type Block struct {
 	id     int
 }
 
-// ID returns the block's index within its function.
-func (b *Block) ID() int { return b.id }
-
-// Func returns the owning function.
-func (b *Block) Func() *Function { return b.fn }
-
 // Terminator returns the block's final instruction if it is a terminator.
 func (b *Block) Terminator() *Instr {
 	if len(b.Instrs) == 0 {
@@ -259,10 +253,6 @@ type Function struct {
 
 	mod *Module // owning module (generation bookkeeping)
 }
-
-// Module returns the module the function was created in (nil for a
-// free-standing Function literal).
-func (f *Function) Module() *Module { return f.mod }
 
 // Touch records a structural mutation of the function, bumping the
 // owning module's generation so that derived artifacts (layouts,

@@ -119,7 +119,6 @@ type CPU struct {
 	runDone      func()
 
 	// Interrupt state.
-	maskCount int
 	inHandler bool
 	pending   []pendingIntr
 	handlers  map[Vector]Handler
@@ -197,9 +196,6 @@ func (m *Machine) CPU(id int) *CPU { return m.CPUs[id] }
 // APIC returns the CPU's local APIC.
 func (c *CPU) APIC() *LAPIC { return c.apic }
 
-// Machine returns the owning machine.
-func (c *CPU) Machine() *Machine { return c.m }
-
 // SetHandler installs the handler for a vector.
 func (c *CPU) SetHandler(v Vector, h Handler) { c.handlers[v] = h }
 
@@ -211,23 +207,6 @@ func (c *CPU) SetReschedHook(h ReschedHook) { c.resched = h }
 
 // Running reports whether the CPU has a run in flight.
 func (c *CPU) Running() bool { return c.running }
-
-// DisableInterrupts masks interrupts (counting; nestable).
-func (c *CPU) DisableInterrupts() { c.maskCount++ }
-
-// EnableInterrupts unmasks interrupts and drains any pending ones.
-func (c *CPU) EnableInterrupts() {
-	if c.maskCount == 0 {
-		panic("machine: unbalanced EnableInterrupts")
-	}
-	c.maskCount--
-	if c.maskCount == 0 && !c.inHandler {
-		c.drainPending()
-	}
-}
-
-// InterruptsEnabled reports whether the CPU will accept interrupts now.
-func (c *CPU) InterruptsEnabled() bool { return c.maskCount == 0 && !c.inHandler }
 
 // Run executes cycles of work on the CPU, then calls done. The CPU must
 // be idle (sequencing is the kernel layer's job). Interrupts can preempt
@@ -293,23 +272,14 @@ func (c *CPU) Resume(p *PausedRun) {
 }
 
 // Raise delivers an interrupt to this CPU at the current simulated time.
-// If the CPU is masked or already in a handler the interrupt is pended
-// (x86-like: IF is clear during handlers).
+// If the CPU is already in a handler the interrupt is pended (x86-like:
+// IF is clear during handlers).
 func (c *CPU) Raise(v Vector) {
-	if c.maskCount > 0 || c.inHandler {
+	if c.inHandler {
 		c.pending = append(c.pending, pendingIntr{vec: v, at: c.m.Eng.Now()})
 		return
 	}
 	c.dispatch(v)
-}
-
-func (c *CPU) drainPending() {
-	if len(c.pending) == 0 {
-		return
-	}
-	p := c.pending[0]
-	c.pending = c.pending[1:]
-	c.dispatch(p.vec)
 }
 
 // dispatch runs the entry path, handler, and exit path for vector v,
@@ -354,7 +324,7 @@ func (c *CPU) dispatch(v Vector) {
 				hook := c.resched
 				fin = func() { hook(c, paused) }
 			}
-			if c.maskCount == 0 && len(c.pending) > 0 {
+			if len(c.pending) > 0 {
 				c.chainPendingThen(fin)
 				return
 			}

@@ -117,30 +117,6 @@ func TestPipelineDeliveryIsCheap(t *testing.T) {
 	}
 }
 
-func TestMaskedInterruptPends(t *testing.T) {
-	eng, m := newTestMachine(1)
-	cpu := m.CPU(0)
-	fired := sim.Time(-1)
-	cpu.SetHandler(VecTimer, func(ctx *IntrContext) { fired = eng.Now() })
-	cpu.DisableInterrupts()
-	eng.At(100, func() { cpu.Raise(VecTimer) })
-	eng.At(5000, func() { cpu.EnableInterrupts() })
-	eng.Run()
-	if fired < 5000 {
-		t.Fatalf("handler ran at %d while masked", fired)
-	}
-}
-
-func TestUnbalancedEnablePanics(t *testing.T) {
-	_, m := newTestMachine(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.CPU(0).EnableInterrupts()
-}
-
 func TestInterruptDuringHandlerPends(t *testing.T) {
 	eng, m := newTestMachine(1)
 	cpu := m.CPU(0)

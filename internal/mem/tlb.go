@@ -42,16 +42,10 @@ func NewTLB(sets, ways int, pageShift uint) *TLB {
 	return t
 }
 
-// Capacity returns the number of entries.
-func (t *TLB) Capacity() int { return t.sets * t.ways }
-
-// PageSize returns the page size covered per entry.
-func (t *TLB) PageSize() uint64 { return 1 << t.pageShift }
-
 // Reach returns the address-space bytes the TLB can map at once. If the
 // Reach covers physical memory, misses stop after warm-up — the Nautilus
 // property.
-func (t *TLB) Reach() uint64 { return uint64(t.Capacity()) << t.pageShift }
+func (t *TLB) Reach() uint64 { return uint64(t.sets*t.ways) << t.pageShift }
 
 // Access translates address a, returning true on hit. Misses install the
 // translation (hardware page walk fill).

@@ -35,9 +35,6 @@ func NewEvent(k *Kernel) *Event { return &Event{k: k} }
 // NewLatch creates a latched event.
 func NewLatch(k *Kernel) *Event { return &Event{k: k, latch: true} }
 
-// Set reports whether a latch has been set.
-func (e *Event) Set() bool { return e.set }
-
 func (e *Event) addWaiter(t *Thread) {
 	e.waiters = append(e.waiters, t)
 }
@@ -87,16 +84,4 @@ func (e *Event) CheckNoLostWakeup() error {
 		return fmt.Errorf("nautilus: latch set but %d waiter(s) still parked", len(e.waiters))
 	}
 	return nil
-}
-
-// SignalFromIRQ wakes one waiter from interrupt context, charging the
-// wake cost to the running handler. This is the out-of-band event path
-// the heartbeat mechanism uses.
-func (e *Event) SignalFromIRQ(ctx interface{ AddCost(int64) }) {
-	ctx.AddCost(e.wake(1))
-}
-
-// BroadcastFromIRQ wakes all waiters from interrupt context.
-func (e *Event) BroadcastFromIRQ(ctx interface{ AddCost(int64) }) {
-	ctx.AddCost(e.wake(-1))
 }

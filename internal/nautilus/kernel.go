@@ -1,7 +1,7 @@
 // Package nautilus implements the simulated Nautilus kernel framework
 // (§III): per-CPU run queues with bound threads, lightweight kernel
 // threads and fibers, hard real-time and round-robin scheduling classes,
-// fast events, and SoftIRQ-style tasks.
+// and fast events.
 //
 // Threads are written as ordinary Go functions against a ThreadCtx; the
 // kernel drives them in strict lock-step with the discrete-event engine
@@ -78,8 +78,8 @@ type Kernel struct {
 	Cfg   Config
 
 	// Mem is the kernel's NUMA memory: one buddy-backed zone per socket,
-	// each fronted by a per-CPU magazine cache (see mem.go). Thread and
-	// task-framework state blocks are placed through it.
+	// each fronted by a per-CPU magazine cache (see mem.go). Thread
+	// state blocks are placed through it.
 	Mem *mem.NUMA
 
 	// WakeDelay, when non-nil, returns extra cycles by which to defer
@@ -92,7 +92,6 @@ type Kernel struct {
 	cpus     []*cpuSched
 	nextTID  int
 	threads  []*Thread
-	taskqs   []*taskQueue
 	memStats MemStats
 
 	// Stats.

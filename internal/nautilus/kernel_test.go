@@ -22,9 +22,9 @@ func TestSingleThreadRuns(t *testing.T) {
 	var trace []int64
 	th := k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
 		tc.Compute(1000)
-		trace = append(trace, int64(tc.Now()))
+		trace = append(trace, int64(eng.Now()))
 		tc.Compute(2000)
-		trace = append(trace, int64(tc.Now()))
+		trace = append(trace, int64(eng.Now()))
 	})
 	eng.Run()
 	if !th.Done() {
@@ -204,35 +204,6 @@ func TestLatchJoin(t *testing.T) {
 	eng.Run()
 	if !joined {
 		t.Fatal("join on already-exited thread blocked forever")
-	}
-}
-
-func TestSleepWakes(t *testing.T) {
-	eng, k := newKernel(t, 1, DefaultConfig())
-	var wake sim.Time
-	k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		tc.Sleep(100_000)
-		wake = tc.Now()
-	})
-	eng.Run()
-	if wake < 100_000 {
-		t.Fatalf("woke at %d", wake)
-	}
-}
-
-func TestSleepDoesNotBlockCPU(t *testing.T) {
-	eng, k := newKernel(t, 1, Config{Timing: TimingCooperative, QuantumCycles: 1 << 30})
-	var otherDone sim.Time
-	k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		tc.Sleep(1_000_000)
-	})
-	k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		tc.Compute(10_000)
-		otherDone = tc.Now()
-	})
-	eng.Run()
-	if otherDone == 0 || otherDone > 200_000 {
-		t.Fatalf("second thread done at %d; sleeper hogged the CPU", otherDone)
 	}
 }
 

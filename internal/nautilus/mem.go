@@ -8,7 +8,6 @@ import "repro/internal/mem"
 const (
 	threadStateBytes = 16 << 10
 	fiberStateBytes  = 4 << 10
-	taskQueueBytes   = 8 << 10
 )
 
 // defaultZoneBytes sizes each per-socket NUMA zone when Config.ZoneBytes
@@ -19,7 +18,7 @@ const defaultZoneBytes = 64 << 20
 // bookkeeping counters (allocation is instantaneous in simulated time —
 // it models placement, not cost) plus the magazine front-end's totals.
 type MemStats struct {
-	StateAllocs      int64 // thread/task state blocks allocated
+	StateAllocs      int64 // thread state blocks allocated
 	StateAllocBytes  int64 // bytes of state allocated (block-rounded)
 	StateAllocFailed int64 // allocations that failed (all zones full)
 	Cache            mem.CPUCacheStats

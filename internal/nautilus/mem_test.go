@@ -77,20 +77,3 @@ func TestFiberStateSmaller(t *testing.T) {
 	}
 	eng.Run()
 }
-
-// TestTaskQueueState checks the task framework allocates its per-CPU
-// control blocks through the NUMA allocator.
-func TestTaskQueueState(t *testing.T) {
-	eng, k := newKernel(t, 2, DefaultConfig())
-	k.InitTasks()
-	for cpu := 0; cpu < 2; cpu++ {
-		if k.taskqs[cpu].stateAddr == 0 {
-			t.Fatalf("cpu %d task queue got no state block", cpu)
-		}
-	}
-	// 2 daemons + 2 queue blocks.
-	if st := k.MemStats(); st.StateAllocs != 4 {
-		t.Fatalf("state allocs = %d, want 4", st.StateAllocs)
-	}
-	_ = eng
-}

@@ -4,46 +4,6 @@ package nautilus
 // "streamlined kernel primitives such as synchronization and threading
 // facilities" (§III) a hybrid runtime links against.
 
-// Mutex is a sleeping kernel mutex with a FIFO wait queue.
-type Mutex struct {
-	k      *Kernel
-	locked bool
-	owner  *Thread
-	ev     *Event
-
-	Acquisitions int64
-	Contended    int64
-}
-
-// NewMutex creates an unlocked mutex.
-func NewMutex(k *Kernel) *Mutex {
-	return &Mutex{k: k, ev: NewEvent(k)}
-}
-
-// Lock acquires m, blocking the calling thread if contended.
-func (tc *ThreadCtx) Lock(m *Mutex) {
-	// The uncontended fast path is a compare-and-swap.
-	tc.Compute(12)
-	for m.locked {
-		m.Contended++
-		tc.Wait(m.ev)
-	}
-	m.locked = true
-	m.owner = tc.T
-	m.Acquisitions++
-}
-
-// Unlock releases m and wakes one waiter. Unlocking a mutex the caller
-// does not hold panics — it is a kernel bug.
-func (tc *ThreadCtx) Unlock(m *Mutex) {
-	if !m.locked || m.owner != tc.T {
-		panic("nautilus: unlock of mutex not held by caller")
-	}
-	m.locked = false
-	m.owner = nil
-	tc.Signal(m.ev)
-}
-
 // Barrier is a reusable sense-counting barrier for n threads.
 type Barrier struct {
 	k       *Kernel
@@ -74,31 +34,4 @@ func (tc *ThreadCtx) Arrive(b *Barrier) {
 		return
 	}
 	tc.Wait(b.ev)
-}
-
-// Semaphore is a counting semaphore.
-type Semaphore struct {
-	k     *Kernel
-	count int
-	ev    *Event
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(k *Kernel, initial int) *Semaphore {
-	return &Semaphore{k: k, count: initial, ev: NewEvent(k)}
-}
-
-// Down decrements the semaphore, blocking while it is zero.
-func (tc *ThreadCtx) Down(s *Semaphore) {
-	tc.Compute(10)
-	for s.count == 0 {
-		tc.Wait(s.ev)
-	}
-	s.count--
-}
-
-// Up increments the semaphore and wakes one waiter.
-func (tc *ThreadCtx) Up(s *Semaphore) {
-	s.count++
-	tc.Signal(s.ev)
 }

@@ -2,58 +2,6 @@ package nautilus
 
 import "testing"
 
-func TestMutexMutualExclusion(t *testing.T) {
-	eng, k := newKernel(t, 4, Config{Timing: TimingHWTimer, QuantumCycles: 3_000})
-	k.StartTimers()
-	m := NewMutex(k)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 8; i++ {
-		cpu := i % 4
-		k.Spawn(cpu, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-			for j := 0; j < 5; j++ {
-				tc.Lock(m)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				tc.Compute(2_000) // critical section spans preemptions
-				inside--
-				tc.Unlock(m)
-				tc.Compute(500)
-			}
-		})
-	}
-	eng.RunUntil(100_000_000)
-	if maxInside != 1 {
-		t.Fatalf("max threads in critical section = %d", maxInside)
-	}
-	if m.Acquisitions != 40 {
-		t.Fatalf("acquisitions = %d, want 40", m.Acquisitions)
-	}
-	if m.Contended == 0 {
-		t.Fatal("expected contention with 8 threads on 4 CPUs")
-	}
-}
-
-func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
-	eng, k := newKernel(t, 1, Config{Timing: TimingCooperative, QuantumCycles: 1 << 30})
-	m := NewMutex(k)
-	panicked := false
-	k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		tc.Unlock(m)
-	})
-	eng.RunUntil(1_000_000)
-	if !panicked {
-		t.Fatal("unlock without lock did not panic")
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	eng, k := newKernel(t, 4, Config{Timing: TimingCooperative, QuantumCycles: 1 << 30})
 	const n = 4
@@ -113,64 +61,4 @@ func TestBarrierBadCountPanics(t *testing.T) {
 		}
 	}()
 	NewBarrier(k, 0)
-}
-
-func TestSemaphoreBoundsConcurrency(t *testing.T) {
-	eng, k := newKernel(t, 4, Config{Timing: TimingHWTimer, QuantumCycles: 2_000})
-	k.StartTimers()
-	s := NewSemaphore(k, 2)
-	inside, maxInside := 0, 0
-	done := 0
-	for i := 0; i < 6; i++ {
-		k.Spawn(i%4, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-			tc.Down(s)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			tc.Compute(5_000)
-			inside--
-			tc.Up(s)
-			done++
-		})
-	}
-	eng.RunUntil(100_000_000)
-	if done != 6 {
-		t.Fatalf("done = %d", done)
-	}
-	if maxInside > 2 {
-		t.Fatalf("semaphore admitted %d, limit 2", maxInside)
-	}
-	if maxInside < 2 {
-		t.Fatalf("semaphore never reached its limit (%d)", maxInside)
-	}
-}
-
-func TestSemaphoreProducerConsumer(t *testing.T) {
-	eng, k := newKernel(t, 2, Config{Timing: TimingCooperative, QuantumCycles: 1 << 30})
-	items := NewSemaphore(k, 0)
-	var queue []int
-	consumed := 0
-	k.Spawn(0, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		for i := 0; i < 10; i++ {
-			tc.Compute(300)
-			queue = append(queue, i)
-			tc.Up(items)
-		}
-	})
-	k.Spawn(1, ClassThread, ThreadOpts{}, func(tc *ThreadCtx) {
-		for i := 0; i < 10; i++ {
-			tc.Down(items)
-			if len(queue) == 0 {
-				t.Error("consumer woke with empty queue")
-				return
-			}
-			queue = queue[1:]
-			consumed++
-		}
-	})
-	eng.RunUntil(10_000_000)
-	if consumed != 10 {
-		t.Fatalf("consumed = %d", consumed)
-	}
 }

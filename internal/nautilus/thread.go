@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 type threadState int
@@ -32,7 +31,6 @@ const (
 	actWait
 	actSignal
 	actBroadcast
-	actSleep
 	actExit
 )
 
@@ -146,15 +144,6 @@ func (tc *ThreadCtx) Broadcast(ev *Event) {
 	tc.do(action{kind: actBroadcast, ev: ev})
 }
 
-// Sleep blocks for the given number of cycles of wall-clock (simulated)
-// time without consuming CPU.
-func (tc *ThreadCtx) Sleep(cycles int64) {
-	tc.do(action{kind: actSleep, cycles: cycles})
-}
-
-// Now returns the current simulated time.
-func (tc *ThreadCtx) Now() sim.Time { return tc.K.M.Eng.Now() }
-
 // proceed gives the CPU to t: first entry starts the body goroutine;
 // re-entry resumes interrupted or chunk-parked compute, or unblocks the
 // body and pumps its next action.
@@ -256,14 +245,6 @@ func (t *Thread) pump(cs *cpuSched) {
 			t.res <- struct{}{}
 			t.pump(cs)
 		})
-	case actSleep:
-		t.state = stateBlocked
-		k.M.Eng.After(sim.Time(a.cycles), func() {
-			t.state = stateReady
-			cs.enqueue(t)
-			cs.maybeDispatch()
-		})
-		t.blockAndPickNext(cs)
 	case actExit:
 		t.finish(cs)
 	default:

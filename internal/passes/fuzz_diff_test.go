@@ -8,7 +8,7 @@ import (
 
 // fuzzPipelines enumerates the pass pipelines the differential fuzzer
 // compares against pristine execution. Each constructor receives the
-// module handle (Inline and GlobalDCE need it). New pipelines must be
+// module handle (GlobalDCE needs it). New pipelines must be
 // appended at the end: the fuzzer selects by index modulo the table
 // length, so inserting in the middle would silently re-point checked-in
 // corpus entries at different pipelines.
@@ -21,9 +21,6 @@ var fuzzPipelines = []struct {
 	// heap snapshot bit for bit (the superinstruction differential).
 	fullDiff bool
 }{
-	{name: "inline", mk: func(m *ir.Module) []Pass {
-		return []Pass{&Inline{Mod: m}, &ConstFold{}, &GlobalDCE{Mod: m}}
-	}},
 	{name: "opt", mk: func(m *ir.Module) []Pass { return []Pass{&ConstFold{}, &GlobalDCE{Mod: m}} }},
 	{name: "carat", mk: func(m *ir.Module) []Pass { return []Pass{&CARATInject{}, &CARATHoist{}} }},
 	{name: "carat-elim", mk: func(m *ir.Module) []Pass { return []Pass{&CARATInject{}, &CARATHoist{}, &CARATElim{}} }},

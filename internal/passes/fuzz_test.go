@@ -27,7 +27,7 @@ func genProgram(seed uint64) *ir.Module {
 	rng := sim.NewRNG(seed)
 	m := ir.NewModule("fuzz")
 
-	// Small pure helper functions for the inliner to chew on.
+	// Small pure helper functions for the call paths to exercise.
 	nHelpers := rng.Intn(3)
 	for h := 0; h < nHelpers; h++ {
 		hf := m.NewFunction(helperName(h), 2)

@@ -241,9 +241,6 @@ func (p *Process) Call(entry string, args ...uint64) (uint64, error) {
 	return ret, nil
 }
 
-// Stats exposes the process's interpreter counters.
-func (p *Process) Stats() *interp.Stats { return &p.ip.Stats }
-
 // CompactAll performs whole-system memory defragmentation: every
 // process's regions are evacuated to its assigned fresh arena
 // ("Nautilus can perform per-'process' and whole system memory

@@ -127,13 +127,3 @@ func MinGranularity(mdl model.Model, budget float64) (idt, pipe int64) {
 	pipeCost := float64(mdl.HW.PredictedBranch*2 + 2)
 	return int64(idtCost / budget), int64(pipeCost / budget)
 }
-
-// UseCases lists the interrupt/exception types the paper calls out as
-// first candidates, with the vector semantics each would accelerate.
-func UseCases() []string {
-	return []string{
-		"LAPIC timer (on-chip, next to the core): heartbeat and preemption",
-		"#MF/#XF instruction exceptions: efficient virtualization of the FP ISA",
-		"#GP: transparent far memory and CARAT protection faults",
-	}
-}

@@ -69,12 +69,6 @@ func TestMinGranularity(t *testing.T) {
 	}
 }
 
-func TestUseCases(t *testing.T) {
-	if len(UseCases()) != 3 {
-		t.Fatal("use cases list wrong")
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	a := Compare(model.Default(), DefaultConfig())
 	b := Compare(model.Default(), DefaultConfig())

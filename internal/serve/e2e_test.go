@@ -600,17 +600,14 @@ func TestGracefulShutdownDrainsAndLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestChaosReplayByteIdentical: a chaos-armed job replays exactly —
-// two daemons with independent caches produce the same terminal
-// outcome for the same chaos seed: identical bytes and digest on
-// success, or the identical fault on failure. Several seeds are tried
-// so the test pins both without depending on which seeds fault.
+// two daemons with independent caches finish the same chaos seed with
+// identical result bytes and digest. nautilus arms the plan on the
+// machines its heartbeat runtimes use.
 func TestChaosReplayByteIdentical(t *testing.T) {
 	type outcome struct {
 		state  State
 		digest string
 		body   []byte
-		code   string
-		errMsg string
 	}
 	runOnce := func(body string) outcome {
 		s := New(Options{Workers: 1, Cache: cache.New(cache.Config{})})
@@ -623,7 +620,7 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 		}
 		j := awaitJob(t, s, st.ID)
 		state, ev := j.snapshot()
-		out := outcome{state: state, digest: ev.Digest, code: ev.Code, errMsg: ev.Error}
+		out := outcome{state: state, digest: ev.Digest}
 		if state == StateDone {
 			_, out.body, _ = getResult(t, ts, st.ID)
 		}
@@ -631,28 +628,14 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 	}
 
 	for _, seed := range []uint64{1, 2, 3} {
-		body := fmt.Sprintf(`{"experiment": "blending", "chaos_seed": %d}`, seed)
+		body := fmt.Sprintf(`{"experiment": "nautilus", "chaos_seed": %d}`, seed)
 		first := runOnce(body)
 		second := runOnce(body)
-		if first.state != second.state {
-			t.Fatalf("seed %d: states %s vs %s — chaos replay diverged", seed, first.state, second.state)
+		if first.state != StateDone || second.state != StateDone {
+			t.Fatalf("seed %d: states %s and %s, want done", seed, first.state, second.state)
 		}
-		switch first.state {
-		case StateDone:
-			if first.digest != second.digest || !bytes.Equal(first.body, second.body) {
-				t.Errorf("seed %d: successful chaos runs differ (digests %s vs %s)",
-					seed, first.digest, second.digest)
-			}
-		case StateFailed:
-			if first.code != CodeChaosFault || second.code != CodeChaosFault {
-				t.Errorf("seed %d: failure codes %q/%q, want %q",
-					seed, first.code, second.code, CodeChaosFault)
-			}
-			if first.errMsg != second.errMsg {
-				t.Errorf("seed %d: fault messages differ:\n  %s\n  %s", seed, first.errMsg, second.errMsg)
-			}
-		default:
-			t.Errorf("seed %d: unexpected terminal state %s", seed, first.state)
+		if first.digest != second.digest || !bytes.Equal(first.body, second.body) {
+			t.Errorf("seed %d: chaos runs differ (digests %s vs %s)", seed, first.digest, second.digest)
 		}
 	}
 }

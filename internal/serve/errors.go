@@ -44,9 +44,6 @@ const (
 	// left the cache (HTTP 410). The job is forgotten; resubmit the
 	// config to recompute it under the same ID.
 	CodeResultEvicted = "result_evicted"
-	// CodeChaosFault: the job was killed by an injected chaos fault
-	// (replayable: resubmit with the same chaos_seed).
-	CodeChaosFault = "chaos_fault"
 	// CodeCancelled: the job was cancelled by a DELETE or by shutdown.
 	CodeCancelled = "cancelled"
 	// CodeMethodNotAllowed: the path exists but not for this verb.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/exp"
 )
@@ -197,13 +196,9 @@ func (s *Server) run(job *Job) {
 		s.finish(job, cancelledEvent)
 	default:
 		code := CodeInternal
-		if _, isFault := chaos.AsFault(err); isFault {
-			code = CodeChaosFault
-		} else {
-			var cerr *core.ConfigError
-			if errors.As(err, &cerr) {
-				code = cerr.Code
-			}
+		var cerr *core.ConfigError
+		if errors.As(err, &cerr) {
+			code = cerr.Code
 		}
 		s.finish(job, Event{Type: string(StateFailed), Code: code, Error: err.Error()})
 	}

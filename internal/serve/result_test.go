@@ -156,7 +156,7 @@ func TestResultReadsCache(t *testing.T) {
 	// Store another config's (valid) table set under this job's key.
 	other := runDone(t, s, ts, `{"experiment": "pipeline", "seed": 31}`)
 	j, _ := s.Job(other.ID)
-	buf, _, ok := c.Get(j.key)
+	buf, _, ok := c.Get(j.key, nil)
 	if !ok {
 		t.Fatal("other job's result not cached")
 	}

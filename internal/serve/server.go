@@ -131,9 +131,6 @@ func (w *muxErrWriter) Flush() {
 	}
 }
 
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (w *muxErrWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // submitOne resolves one decoded config through Submit, mapping the
 // outcomes to (status code, body) for both the single and batch paths.
 func (s *Server) submitOne(cfg core.RunConfig) (int, any) {

@@ -11,17 +11,6 @@ type Dist interface {
 	Mean() float64
 }
 
-// Constant is a degenerate distribution that always returns V. It models
-// deterministic-path-length costs (e.g. Nautilus interrupt handlers with
-// deterministic path lengths, per §III of the paper).
-type Constant struct{ V float64 }
-
-// Sample returns c.V regardless of r.
-func (c Constant) Sample(_ *RNG) float64 { return c.V }
-
-// Mean returns c.V.
-func (c Constant) Mean() float64 { return c.V }
-
 // Normal is a normal distribution truncated at Min (samples below Min are
 // clamped). It models moderately noisy costs such as cache-dependent
 // handler paths.
@@ -90,41 +79,4 @@ func (p Pareto) Mean() float64 {
 	la := math.Pow(p.Lo, p.Alpha)
 	return la / (1 - math.Pow(p.Lo/p.Hi, p.Alpha)) * (p.Alpha / (p.Alpha - 1)) *
 		(1/math.Pow(p.Lo, p.Alpha-1) - 1/math.Pow(p.Hi, p.Alpha-1))
-}
-
-// Mixture samples from Components[i] with probability Weights[i]. It models
-// bimodal costs such as "usually fast path, occasionally slow path".
-type Mixture struct {
-	Weights    []float64
-	Components []Dist
-}
-
-// Sample picks a component by weight and samples it.
-func (m Mixture) Sample(r *RNG) float64 {
-	total := 0.0
-	for _, w := range m.Weights {
-		total += w
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range m.Weights {
-		acc += w
-		if u < acc {
-			return m.Components[i].Sample(r)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
-}
-
-// Mean returns the weighted mean of the component means.
-func (m Mixture) Mean() float64 {
-	total, acc := 0.0, 0.0
-	for i, w := range m.Weights {
-		total += w
-		acc += w * m.Components[i].Mean()
-	}
-	if total == 0 {
-		return 0
-	}
-	return acc / total
 }

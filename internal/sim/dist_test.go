@@ -13,19 +13,6 @@ func sampleMean(d Dist, r *RNG, n int) float64 {
 	return s / float64(n)
 }
 
-func TestConstant(t *testing.T) {
-	d := Constant{V: 42}
-	r := NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if d.Sample(r) != 42 {
-			t.Fatal("constant varied")
-		}
-	}
-	if d.Mean() != 42 {
-		t.Fatal("constant mean wrong")
-	}
-}
-
 func TestNormalMeanAndTruncation(t *testing.T) {
 	d := Normal{Mu: 100, Sigma: 10, Min: 0}
 	r := NewRNG(2)
@@ -85,28 +72,5 @@ func TestParetoHeavyTail(t *testing.T) {
 	}
 	if big > 20000 {
 		t.Fatalf("too many tail samples (%d); not Pareto-like", big)
-	}
-}
-
-func TestMixture(t *testing.T) {
-	d := Mixture{
-		Weights:    []float64{0.9, 0.1},
-		Components: []Dist{Constant{V: 10}, Constant{V: 1000}},
-	}
-	want := 0.9*10 + 0.1*1000
-	if math.Abs(d.Mean()-want) > 1e-9 {
-		t.Fatalf("mixture mean = %v, want %v", d.Mean(), want)
-	}
-	r := NewRNG(7)
-	m := sampleMean(d, r, 200000)
-	if math.Abs(m-want) > 2 {
-		t.Fatalf("mixture sample mean = %v, want ~%v", m, want)
-	}
-}
-
-func TestMixtureZeroWeightMean(t *testing.T) {
-	d := Mixture{Weights: []float64{0, 0}, Components: []Dist{Constant{V: 1}, Constant{V: 2}}}
-	if d.Mean() != 0 {
-		t.Fatal("zero-weight mixture mean should be 0")
 	}
 }

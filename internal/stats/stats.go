@@ -67,28 +67,6 @@ func CoefVar(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Min returns the minimum of xs (+Inf for empty input).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (-Inf for empty input).
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It copies and sorts the
 // input. Returns 0 for empty input.
@@ -216,12 +194,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		acc += c
 	}
 	return h.Hi
-}
-
-// Ratio returns a/b, or 0 if b is 0; a convenience for speedup tables.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,7 +41,7 @@ func TestGeoMeanBetweenMinMaxProperty(t *testing.T) {
 			xs[i] = float64(v) + 1 // positive
 		}
 		g := GeoMean(xs)
-		return g >= Min(xs)-1e-9 && g <= Max(xs)+1e-9 && g <= Mean(xs)+1e-9
+		return g >= slices.Min(xs)-1e-9 && g <= slices.Max(xs)+1e-9 && g <= Mean(xs)+1e-9
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -173,23 +174,4 @@ func TestHistogramInvalidShapePanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(10, 0, 5)
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Fatal("ratio wrong")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Fatal("div by zero should return 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min=%v max=%v", Min(xs), Max(xs))
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty min/max should be infinities")
-	}
 }

@@ -20,9 +20,9 @@ type ServiceConfig struct {
 	StartupCycles int64
 	Seed          uint64
 	// RNG, when non-nil, supplies the arrival randomness directly and
-	// Seed is ignored. A parallel runner pre-splits one generator per
-	// simulation (exp.MapRNG) so results are independent of goroutine
-	// scheduling.
+	// Seed is ignored. A parallel runner splits one generator per
+	// simulation before the cells start, so results are independent of
+	// goroutine scheduling.
 	RNG *sim.RNG
 }
 
