@@ -150,6 +150,32 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
+// TestFig6EPCCDigests pins `fig6 -epcc -cpus 64` byte for byte at two
+// seeds other than the manifest's 42: the Fig 6 table, the EPCC sync
+// overheads and the loop schedules.
+func TestFig6EPCCDigests(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		seed uint64
+		want [3]string // fig6, epcc, schedules
+	}{
+		{3, [3]string{"0a7fd4b5456f11a2", "4fa899cccb285a07", "8d6277c79d61a931"}},
+		{17, [3]string{"0c1606c18a3db208", "d73a9805413ede8d", "8d6277c79d61a931"}},
+	} {
+		cfg := DefaultRunConfig("fig6")
+		cfg.EPCC, cfg.CPUs, cfg.Seed = true, 64, c.seed
+		tabs := cfg.generate(Exec{})
+		if len(tabs) != len(c.want) {
+			t.Fatalf("seed %d: %d tables, want %d", c.seed, len(tabs), len(c.want))
+		}
+		for i, tab := range tabs {
+			if got := fmt.Sprintf("%016x", tab.Digest()); got != c.want[i] {
+				t.Errorf("seed %d: %s digest %s, want %s\n%s", c.seed, tab.ID, got, c.want[i], tab)
+			}
+		}
+	}
+}
+
 func TestFig7Shape(t *testing.T) {
 	t.Parallel()
 	tab := ServerStack().Fig7()
