@@ -154,6 +154,7 @@ func BenchmarkE5_CARATGuardAblation(b *testing.B) {
 // BenchmarkFig6_KernelOpenMP regenerates Fig. 6 (E6): RTK/PIK/CCK
 // relative to Linux for BT and SP across CPU counts.
 func BenchmarkFig6_KernelOpenMP(b *testing.B) {
+	b.ReportAllocs()
 	cfg := core.Fig6Config{
 		CPUCounts: []int{8, 32, 64},
 		Kernels:   core.DefaultFig6Config().Kernels,

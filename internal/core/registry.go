@@ -74,7 +74,8 @@ var experiments = []struct {
 	// The kernels run on the interpreter, not a machine; only the
 	// allocator statistics' magazine demo draws on the seed.
 	{id: "carat", reads: fieldMobility | fieldMemStats, when: fieldMemStats, also: fieldSeed},
-	// The omp runtimes only call CPU.Run, so a plan arms nothing.
+	// The omp runtimes price regions in closed form and touch no CPU,
+	// so a plan arms nothing.
 	{id: "fig6", reads: fieldSeed | fieldEPCC, when: fieldEPCC, also: fieldCPUs},
 	// The memory-system runs build coherence systems, not machines.
 	{id: "fig7", reads: fieldSeed | fieldSweep | fieldAblate, when: fieldSweep, also: fieldSmallAxes},
