@@ -56,6 +56,11 @@ var defaultDirs = []string{
 	"internal/mem",
 	"internal/chaos",
 	"internal/carat",
+	// The IR, its analyses and the compiler passes shape CARAT's guard
+	// counts.
+	"internal/ir",
+	"internal/passes",
+	"internal/analysis",
 }
 
 func main() {

@@ -151,7 +151,7 @@ func lintDeadStores(f *ir.Function, info *ir.CFGInfo) []Diag {
 				pending = make(map[loc]int)
 			}
 			if d := in.Defs(); d != ir.NoReg {
-				for k := range pending {
+				for k := range pending { // detvet:ok — deletes only; the surviving set is order-free
 					if k.base == d {
 						delete(pending, k)
 					}

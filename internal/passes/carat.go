@@ -216,7 +216,7 @@ func (c *CARATHoist) dedupeBlocks(f *ir.Function) {
 				}
 				if !in.Region {
 					merged := false
-					for prev := range seen {
+					for prev := range seen { // detvet:ok — existence test that breaks on the first match
 						if prev.region || prev.a != in.A {
 							continue
 						}
@@ -241,7 +241,7 @@ func (c *CARATHoist) dedupeBlocks(f *ir.Function) {
 			// A write to the guarded register invalidates its dedupe
 			// entries (the address changed).
 			if d := in.Defs(); d != ir.NoReg {
-				for k := range seen {
+				for k := range seen { // detvet:ok — deletes only; the surviving set is order-free
 					if k.a == d {
 						delete(seen, k)
 					}
@@ -349,7 +349,7 @@ func singleDefsIn(l *ir.Loop) map[ir.Reg]*ir.Instr {
 			defs[d] = in
 		}
 	}
-	for r := range multi {
+	for r := range multi { // detvet:ok — deletes only; the surviving set is order-free
 		delete(defs, r)
 	}
 	return defs
