@@ -210,7 +210,6 @@ type Block struct {
 	Name   string
 	Instrs []*Instr
 	fn     *Function
-	id     int
 }
 
 // Terminator returns the block's final instruction if it is a terminator.
@@ -291,7 +290,7 @@ func (f *Function) NewBlock(name string) *Block {
 			}
 		}
 	}
-	b := &Block{Name: name, fn: f, id: len(f.Blocks)}
+	b := &Block{Name: name, fn: f}
 	f.Blocks = append(f.Blocks, b)
 	f.Touch()
 	return b
@@ -303,14 +302,6 @@ func (f *Function) NewReg() Reg {
 	f.NumRegs++
 	f.Touch()
 	return r
-}
-
-// renumber refreshes block ids after structural edits (pass use).
-func (f *Function) renumber() {
-	for i, b := range f.Blocks {
-		b.id = i
-	}
-	f.Touch()
 }
 
 // InstrCount returns the total instruction count (a LoC-like size metric

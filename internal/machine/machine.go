@@ -98,11 +98,6 @@ type CPUStats struct {
 	Preemptions    int64 // runs preempted by interrupts
 }
 
-type pendingIntr struct {
-	vec Vector
-	at  sim.Time
-}
-
 // CPU is one simulated hardware thread.
 type CPU struct {
 	ID     int
@@ -120,7 +115,7 @@ type CPU struct {
 
 	// Interrupt state.
 	inHandler bool
-	pending   []pendingIntr
+	pending   []Vector
 	handlers  map[Vector]Handler
 	delivery  map[Vector]Delivery
 	resched   ReschedHook
@@ -276,7 +271,7 @@ func (c *CPU) Resume(p *PausedRun) {
 // IF is clear during handlers).
 func (c *CPU) Raise(v Vector) {
 	if c.inHandler {
-		c.pending = append(c.pending, pendingIntr{vec: v, at: c.m.Eng.Now()})
+		c.pending = append(c.pending, v)
 		return
 	}
 	c.dispatch(v)
@@ -340,9 +335,9 @@ func (c *CPU) chainPendingThen(fin func()) {
 		fin()
 		return
 	}
-	p := c.pending[0]
+	v := c.pending[0]
 	c.pending = c.pending[1:]
-	h, ok := c.handlers[p.vec]
+	h, ok := c.handlers[v]
 	if !ok {
 		c.chainPendingThen(fin)
 		return
@@ -350,7 +345,7 @@ func (c *CPU) chainPendingThen(fin func()) {
 	c.inHandler = true
 	c.Stats.Interrupts++
 	var entry, exit int64
-	switch c.delivery[p.vec] {
+	switch c.delivery[v] {
 	case DeliverPipeline:
 		entry = c.m.Model.HW.PredictedBranch
 		exit = c.m.Model.HW.PredictedBranch + 2
@@ -360,7 +355,7 @@ func (c *CPU) chainPendingThen(fin func()) {
 	}
 	c.Stats.DispatchCycles += entry + exit
 	c.m.Eng.After(sim.Time(entry), func() {
-		ctx := &IntrContext{CPU: c, Vector: p.vec}
+		ctx := &IntrContext{CPU: c, Vector: v}
 		h(ctx)
 		c.Stats.HandlerCycles += ctx.cost
 		c.m.Eng.After(sim.Time(ctx.cost+exit), func() {

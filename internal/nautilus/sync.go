@@ -6,7 +6,6 @@ package nautilus
 
 // Barrier is a reusable sense-counting barrier for n threads.
 type Barrier struct {
-	k       *Kernel
 	n       int
 	arrived int
 	ev      *Event
@@ -19,7 +18,7 @@ func NewBarrier(k *Kernel, n int) *Barrier {
 	if n <= 0 {
 		panic("nautilus: barrier needs at least one participant")
 	}
-	return &Barrier{k: k, n: n, ev: NewEvent(k)}
+	return &Barrier{n: n, ev: NewEvent(k)}
 }
 
 // Arrive blocks until all n participants have arrived; the last arrival
