@@ -38,7 +38,7 @@ var flipSeeds = []uint64{1, 7, 1<<40 + 3}
 // cache and no key in between, and returns the bytes the CLI prints.
 func rendered(cfg RunConfig) string {
 	var b strings.Builder
-	for _, t := range cfg.generate(Exec{}) {
+	for _, t := range cfg.generate(Exec{}, false) {
 		b.WriteString(t.String())
 		b.WriteByte('\n')
 	}

@@ -336,7 +336,8 @@ type Runner struct {
 	// Parallel bounds concurrent experiment cells (0 = exp default).
 	Parallel int
 	// Cache, when non-nil, memoizes whole table sets under
-	// RunConfig.Key (see CachedTablesCtx).
+	// RunConfig.Key (see CachedTablesCtx). A config with sub-reports
+	// also reads and writes its plain form's entry (see extend).
 	Cache *cache.Cache
 	// Pool, when non-nil, is the shared admission-control pool every
 	// run's cells go through (see Exec.Pool). Nil builds a fresh pool
@@ -377,15 +378,45 @@ func (r *Runner) Run(ctx context.Context, cfg RunConfig, observe func(CellEvent)
 	}()
 	x := Exec{Parallel: r.Parallel, Pool: r.Pool, Ctx: ctx, Observe: observe}
 	cfg = cfg.coords()
-	return CachedTablesCtx(ctx, r.Cache, cfg.Key(), func() []*Table {
-		return cfg.generate(x)
-	})
+	gen := func() []*Table { return cfg.generate(x, false) }
+	if r.Cache != nil && cfg.flags() != 0 {
+		gen = func() []*Table { return r.extend(cfg, x) }
+	}
+	return CachedTablesCtx(ctx, r.Cache, cfg.Key(), gen)
+}
+
+// plain returns the plain form of cfg: every sub-report flag cleared,
+// projected onto the experiment's result coordinates.
+func (cfg RunConfig) plain() RunConfig {
+	cfg.Overheads, cfg.Granularity, cfg.Mobility, cfg.MemStats = false, false, false, false
+	cfg.EPCC, cfg.Sweep, cfg.Ablate, cfg.SmallAxes = false, false, false, false
+	return cfg.coords()
+}
+
+// extend generates the tables of a config with sub-reports on a miss
+// of its own key. Such a config's tables are its plain form's one table
+// followed by the sub-reports (TestSubReportsExtendPlainForm). So when
+// r.Cache holds the plain form's result, only the sub-reports are
+// generated, after it. Otherwise the whole set is, and its leading
+// table is also stored under the plain form's key for a later plain
+// job. A run cancelled in generate panics before either put.
+func (r *Runner) extend(cfg RunConfig, x Exec) []*Table {
+	key := cfg.plain().Key()
+	if plain, _, ok := LookupTables(r.Cache, key); ok {
+		return append(plain, cfg.generate(x, true)...)
+	}
+	ts := cfg.generate(x, false)
+	r.Cache.Put(key, encodeTables(ts[:1], BuildIdentity()))
+	return ts
 }
 
 // generate dispatches to the experiment's drivers — the registry
 // proper. Every stack a case builds goes through stack, so the
 // execution context and the result coordinates reach every driver.
-func (cfg RunConfig) generate(x Exec) []*Table {
+// havePlain says the caller already holds the plain form's table
+// (Runner.extend): the case then skips the plain drivers and returns
+// the sub-reports alone.
+func (cfg RunConfig) generate(x Exec, havePlain bool) []*Table {
 	stack := func(s *Stack) *Stack {
 		s.Exec = x
 		s.Seed, s.ChaosSeed, s.ChaosConfig = cfg.Seed, cfg.ChaosSeed, cfg.Chaos
@@ -400,7 +431,9 @@ func (cfg RunConfig) generate(x Exec) []*Table {
 		s := stack(NewStack(16))
 		f3 := DefaultFig3Config()
 		f3.Domains = cfg.Domains
-		emit(s.Fig3(f3))
+		if !havePlain {
+			emit(s.Fig3(f3))
+		}
 		if cfg.Overheads {
 			emit(s.Fig3Overheads(f3))
 		}
@@ -413,13 +446,17 @@ func (cfg RunConfig) generate(x Exec) []*Table {
 		}
 	case "fig4":
 		s := stack(KNLStack(1))
-		emit(s.Fig4())
+		if !havePlain {
+			emit(s.Fig4())
+		}
 		if cfg.Granularity {
 			emit(s.GranularityLimit(0.5))
 		}
 	case "carat":
 		s := stack(NewStack(1))
-		emit(s.CARAT())
+		if !havePlain {
+			emit(s.CARAT())
+		}
 		if cfg.Mobility {
 			emit(s.CARATMobility())
 		}
@@ -428,14 +465,18 @@ func (cfg RunConfig) generate(x Exec) []*Table {
 		}
 	case "fig6":
 		s := stack(KNLStack(1))
-		emit(s.Fig6(DefaultFig6Config()))
+		if !havePlain {
+			emit(s.Fig6(DefaultFig6Config()))
+		}
 		if cfg.EPCC {
 			emit(s.EPCC(cfg.CPUs))
 			emit(s.Schedules(cfg.CPUs))
 		}
 	case "fig7":
 		s := stack(ServerStack())
-		emit(s.Fig7())
+		if !havePlain {
+			emit(s.Fig7())
+		}
 		if cfg.Sweep {
 			if cfg.SmallAxes {
 				emit(s.Fig7SweepCores([]int{8, 16, 24, 48}))
