@@ -5,6 +5,7 @@
 package interp_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/interp"
@@ -86,6 +87,14 @@ func BenchmarkInterpKernel(b *testing.B) {
 // TestKernelsAllocFree pins BenchmarkInterpKernel's 0 allocs/op on the
 // fast and fused legs: once compiled, a kernel run allocates nothing.
 // It is not parallel: AllocsPerRun counts the whole process's mallocs.
+// For the same reason each count starts from a settled runtime. After
+// the earlier tests free their heaps, the runtime's background
+// scavenger returns that memory to the OS in steps, and between steps
+// it sleeps on a timer; arming that timer can grow the current P's
+// timer heap, one 16-byte malloc that lands in the count when the
+// scavenger runs during the measured call (seen under host load).
+// debug.FreeOSMemory returns all free memory at once, so the scavenger
+// has no work left to wake for.
 func TestKernelsAllocFree(t *testing.T) {
 	for _, leg := range kernelLegs {
 		if leg.name != "fast" && leg.name != "fused" {
@@ -93,6 +102,7 @@ func TestKernelsAllocFree(t *testing.T) {
 		}
 		for _, k := range workloads.CARATSuite() {
 			call := warmKernel(t, k, leg)
+			debug.FreeOSMemory()
 			if n := testing.AllocsPerRun(1, call); n != 0 {
 				t.Errorf("%s/%s: %.2f allocs per run, want 0", leg.name, k.Name, n)
 			}
