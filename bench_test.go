@@ -176,10 +176,7 @@ func BenchmarkFig6_ModeAblation(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 32})
-				rt := omp.New(m, mode, 42)
-				cycles = rt.RunKernel(k)
+				cycles = omp.New(32, model.KNL(), mode, 42).RunKernel(k)
 			}
 			b.ReportMetric(float64(cycles)/1e6, "sim-Mcycles")
 		})

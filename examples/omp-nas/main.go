@@ -2,6 +2,8 @@
 // under all four OpenMP execution paths — user-level Linux, runtime-in-
 // kernel (RTK), process-in-kernel (PIK), and custom compilation for
 // kernel (CCK) — across CPU counts, reproducing the shape of Fig. 6.
+// Each runtime prices its regions in closed form from the CPU count and
+// the KNL-like model, so no machine is built.
 //
 //	go run ./examples/omp-nas
 package main
@@ -9,10 +11,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/omp"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -28,11 +28,7 @@ func main() {
 		for _, cpus := range cpuCounts {
 			times := map[omp.Mode]int64{}
 			for _, mode := range []omp.Mode{omp.ModeLinux, omp.ModeRTK, omp.ModePIK, omp.ModeCCK} {
-				eng := sim.NewEngine()
-				m := machine.New(eng, model.KNL(),
-					machine.Topology{Sockets: 1, CoresPerSocket: cpus})
-				rt := omp.New(m, mode, 42)
-				times[mode] = rt.RunKernel(k)
+				times[mode] = omp.New(cpus, model.KNL(), mode, 42).RunKernel(k)
 			}
 			lx := float64(times[omp.ModeLinux])
 			fmt.Printf("%-4s %5d %14.1f %6.2f %6.2f %6.2f\n",

@@ -484,3 +484,44 @@ func TestKeyIsCoordinates(t *testing.T) {
 		t.Fatal("domains not in the key")
 	}
 }
+
+// TestCancelledRunsReturnNoTables checks that a run whose context is
+// already cancelled returns context.Canceled, no tables and no cache
+// entry, for every experiment's default config with and without the
+// sub-reports `interweave all` adds, uncached and through a cache.
+// Most drivers have no cell loop, so only generate's own checks stop
+// them. Then a fig6 -epcc run is cancelled as its last Fig6 cell
+// completes: the Fig6 table is done, and the run must still stop
+// before the EPCC drivers.
+func TestCancelledRunsReturnNoTables(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := cache.New(cache.Config{})
+	for _, id := range ExperimentIDs() {
+		for _, cfg := range []RunConfig{DefaultRunConfig(id), DefaultRunConfig(id).WithAll()} {
+			for _, r := range []*Runner{{Parallel: 1}, {Parallel: 1, Cache: c}} {
+				tables, _, err := r.Run(ctx, cfg, nil)
+				if !errors.Is(err, context.Canceled) || tables != nil {
+					t.Errorf("%s (flags %b, cached %t): %d tables, err %v; want none and context.Canceled",
+						id, cfg.flags(), r.Cache != nil, len(tables), err)
+				}
+			}
+		}
+	}
+	if st := c.Stats(); st.Puts != 0 || st.Entries != 0 {
+		t.Errorf("cancelled runs stored %d entries (%d resident)", st.Puts, st.Entries)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg := cfgWith("fig6", func(c *RunConfig) { c.EPCC = true })
+	tables, _, err := (&Runner{Parallel: 1}).Run(ctx, cfg, func(e CellEvent) {
+		if e.Driver == "fig6" && e.Cell == e.Of-1 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || tables != nil {
+		t.Errorf("fig6 -epcc cancelled after Fig6: %d tables, err %v; want none and context.Canceled", len(tables), err)
+	}
+}

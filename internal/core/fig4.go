@@ -24,8 +24,7 @@ func (s *Stack) Fig4() *Table {
 		Title:  "Context switch cost on Phi-KNL-like platform (cycles)",
 		Header: []string{"configuration", "cycles/switch", "vs linux FP"},
 	}
-	_, m := s.Build()
-	lx := linux.New(m, s.Seed)
+	lx := linux.New(s.Model, s.Seed)
 	linuxFP := lx.ContextSwitchCost(true)
 	linuxNoFP := lx.ContextSwitchCost(false)
 	t.AddRow("linux thread (non-RT, FP)", i64(linuxFP), "1.00x")
@@ -111,8 +110,7 @@ func (s *Stack) GranularityLimit(budget float64) *Table {
 	for i, bar := range bars {
 		var c int64
 		if i == 0 {
-			_, m := s.Build()
-			c = linux.New(m, s.Seed).ContextSwitchCost(true)
+			c = linux.New(s.Model, s.Seed).ContextSwitchCost(true)
 		} else {
 			c = s.measureSwitch(bar)
 		}

@@ -54,8 +54,8 @@ func (s *Stack) Fig6(cfg Fig6Config) *Table {
 		RRTK, RPIK, RCCK float64
 	}
 	var rtkRatios, pikRatios []float64
-	// One cell per (kernel, CPU count): the four runtime modes run on
-	// the cell's own machines.
+	// One cell per (kernel, CPU count): the four runtime modes each
+	// price the kernel on their own runtime.
 	results := runCells(s, "fig6", len(cs), func(i int) res {
 		c := cs[i]
 		base := s.ompRun(omp.ModeLinux, c.cpus, c.k)
@@ -93,9 +93,7 @@ func (s *Stack) EPCC(cpus int) *Table {
 	for _, b := range workloads.EPCC() {
 		row := []string{b.Name}
 		for _, mode := range []omp.Mode{omp.ModeLinux, omp.ModeRTK, omp.ModePIK, omp.ModeCCK} {
-			st := s.WithCPUs(cpus)
-			_, m := st.Build()
-			rt := omp.New(m, mode, s.Seed)
+			rt := omp.New(cpus, s.Model, mode, s.Seed)
 			row = append(row, f1(rt.RunEPCC(b)))
 		}
 		t.AddRow(row...)
@@ -104,11 +102,10 @@ func (s *Stack) EPCC(cpus int) *Table {
 	return t
 }
 
+// ompRun prices kernel k on a cpus-wide team in one mode. The runtime
+// needs only the CPU count and the model, so no machine is built.
 func (s *Stack) ompRun(mode omp.Mode, cpus int, k workloads.NASKernel) int64 {
-	st := s.WithCPUs(cpus)
-	_, m := st.Build()
-	rt := omp.New(m, mode, s.Seed)
-	return rt.RunKernel(k)
+	return omp.New(cpus, s.Model, mode, s.Seed).RunKernel(k)
 }
 
 // Schedules regenerates the EPCC scheduling-benchmark dimension: loop
@@ -130,9 +127,7 @@ func (s *Stack) Schedules(cpus int) *Table {
 		for _, mode := range []omp.Mode{omp.ModeLinux, omp.ModeRTK} {
 			row := []string{w.name, mode.String()}
 			for _, sched := range []omp.Schedule{omp.SchedStatic, omp.SchedDynamic, omp.SchedGuided} {
-				st := s.WithCPUs(cpus)
-				_, m := st.Build()
-				rt := omp.New(m, mode, s.Seed)
+				rt := omp.New(cpus, s.Model, mode, s.Seed)
 				row = append(row, f1(float64(rt.RunLoop(items, w.cost, sched, 16))/1e3))
 			}
 			t.AddRow(row...)
@@ -159,9 +154,7 @@ func (s *Stack) TaskGranularity(cpus int) *Table {
 			work += n.Cycles
 		}
 		for _, mode := range []omp.Mode{omp.ModeLinux, omp.ModeRTK, omp.ModeCCK} {
-			st := s.WithCPUs(cpus)
-			_, m := st.Build()
-			rt := omp.New(m, mode, s.Seed)
+			rt := omp.New(cpus, s.Model, mode, s.Seed)
 			mk, gst := rt.RunTaskGraph(nodes)
 			t.AddRow(i64(leaf), mode.String(), f1(float64(mk)/1e3),
 				f2(float64(gst.OverheadCycles)/float64(work)))

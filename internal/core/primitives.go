@@ -20,8 +20,7 @@ func (s *Stack) Primitives() *Table {
 		Title:  "Nautilus primitives vs commodity stack",
 		Header: []string{"primitive", "linux (cyc)", "nautilus (cyc)", "ratio"},
 	}
-	_, m := s.Build()
-	lx := linux.New(m, s.Seed)
+	lx := linux.New(s.Model, s.Seed)
 	nk := s.Model.Nautilus
 	hw := s.Model.HW
 

@@ -166,7 +166,7 @@ type Runtime struct {
 func New(m *machine.Machine, cfg Config) *Runtime {
 	rt := &Runtime{M: m, Cfg: cfg}
 	if cfg.Substrate != SubstrateNautilusIPI {
-		rt.L = linux.New(m, cfg.Seed^0x5eed)
+		rt.L = linux.New(m.Model, cfg.Seed^0x5eed)
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	for i, cpu := range m.CPUs {
@@ -299,6 +299,7 @@ func (rt *Runtime) installSubstrate() {
 		}
 		rt.pacer = &linux.HeartbeatPacer{
 			S:            rt.L,
+			Eng:          rt.M.Eng,
 			Workers:      workerCPUs,
 			PeriodCycles: rt.Cfg.PeriodCycles,
 			HandlerCost:  rt.Cfg.PromoteCost,

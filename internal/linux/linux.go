@@ -12,26 +12,26 @@
 package linux
 
 import (
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
 
-// Stack is one simulated Linux instance on a machine.
+// Stack is one simulated Linux instance: its crossing costs and timer
+// floor come from the model, its jitter and noise from its own
+// generator. It holds no machine; the pacer schedules on an engine it
+// is given.
 type Stack struct {
-	M     *machine.Machine
 	Model model.Model
 	rng   *sim.RNG
 
 	noise sim.Dist
 }
 
-// New creates a Linux model over machine m.
-func New(m *machine.Machine, seed uint64) *Stack {
-	lc := m.Model.Linux
+// New creates a Linux model with platform model mdl.
+func New(mdl model.Model, seed uint64) *Stack {
+	lc := mdl.Linux
 	return &Stack{
-		M:     m,
-		Model: m.Model,
+		Model: mdl,
 		rng:   sim.NewRNG(seed),
 		noise: sim.Pareto{Alpha: lc.NoiseAlpha, Lo: lc.NoiseLo, Hi: lc.NoiseHi},
 	}
@@ -113,7 +113,9 @@ type PacerStats struct {
 // plus a cross-CPU IPI; deliveries pay the full signal path; pending
 // signals coalesce (POSIX semantics: one pending bit per signo).
 type HeartbeatPacer struct {
-	S       *Stack
+	S *Stack
+	// Eng is the engine the pacer's rounds and deliveries run on.
+	Eng     *sim.Engine
 	Workers []int // CPU ids of worker threads
 	// PeriodCycles is the requested heartbeat period ♥.
 	PeriodCycles int64
@@ -149,7 +151,7 @@ func (p *HeartbeatPacer) round() {
 		return
 	}
 	s := p.S
-	eng := s.M.Eng
+	eng := p.Eng
 	p.Stats.RoundsStarted++
 
 	// Sequential pthread_kill to each worker: each costs the pacer a
@@ -202,13 +204,13 @@ func (p *HeartbeatPacer) deliver(i int) {
 	cost := s.SignalPathCost() + p.HandlerCost
 	// The worker is interrupted for the duration; we model the cost by
 	// occupying the engine and recording the delivery at handler entry.
-	at := s.M.Eng.Now()
+	at := p.Eng.Now()
 	p.Stats.DeliveredPerCPU[i]++
 	p.Stats.DeliveryTimes[i] = append(p.Stats.DeliveryTimes[i], at)
 	if p.OnBeat != nil {
 		p.OnBeat(i, at)
 	}
-	s.M.Eng.After(sim.Time(cost), func() {
+	p.Eng.After(sim.Time(cost), func() {
 		p.pending[i] = false
 	})
 }

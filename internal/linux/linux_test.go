@@ -3,22 +3,19 @@ package linux
 import (
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func newStack(cpus int, m model.Model) (*sim.Engine, *Stack) {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, m, machine.Topology{Sockets: 1, CoresPerSocket: cpus})
-	return eng, New(mach, 99)
+func newStack(m model.Model) (*sim.Engine, *Stack) {
+	return sim.NewEngine(), New(m, 99)
 }
 
 func TestContextSwitchCalibration(t *testing.T) {
 	// Fig. 4 caption: "Linux non-real-time thread context switches with
 	// FP state take about 5000 cycles on this platform [KNL]".
-	_, s := newStack(1, model.KNL())
+	_, s := newStack(model.KNL())
 	fp := s.ContextSwitchCost(true)
 	if fp < 4800 || fp > 5200 {
 		t.Fatalf("Linux FP switch = %d cycles, want ≈5000", fp)
@@ -33,7 +30,7 @@ func TestContextSwitchCalibration(t *testing.T) {
 }
 
 func TestSyscallAndSignalPathCosts(t *testing.T) {
-	_, s := newStack(1, model.Default())
+	_, s := newStack(model.Default())
 	if s.SyscallCost() != s.Model.Linux.SyscallEntry+s.Model.Linux.SyscallExit {
 		t.Fatal("syscall cost composition wrong")
 	}
@@ -50,7 +47,7 @@ func TestSyscallAndSignalPathCosts(t *testing.T) {
 }
 
 func TestEffectivePeriodFloor(t *testing.T) {
-	_, s := newStack(1, model.Default())
+	_, s := newStack(model.Default())
 	floor := s.Model.Linux.MinTimerGranularity
 	if s.EffectivePeriod(floor/2) != floor {
 		t.Fatal("sub-floor period not clamped")
@@ -61,7 +58,7 @@ func TestEffectivePeriodFloor(t *testing.T) {
 }
 
 func TestJitterNonNegativeAndVaries(t *testing.T) {
-	_, s := newStack(1, model.Default())
+	_, s := newStack(model.Default())
 	seen := make(map[int64]bool)
 	for i := 0; i < 200; i++ {
 		j := s.SampleTimerJitter()
@@ -76,7 +73,7 @@ func TestJitterNonNegativeAndVaries(t *testing.T) {
 }
 
 func TestNoiseHeavyTail(t *testing.T) {
-	_, s := newStack(1, model.Default())
+	_, s := newStack(model.Default())
 	big := 0
 	for i := 0; i < 5000; i++ {
 		if s.SampleNoise() > 100_000 {
@@ -92,7 +89,7 @@ func TestNoiseHeavyTail(t *testing.T) {
 }
 
 func TestNoiseHitsProbability(t *testing.T) {
-	_, s := newStack(1, model.Default())
+	_, s := newStack(model.Default())
 	every := s.Model.Linux.NoiseEveryC
 	hits := 0
 	n := 10_000
@@ -111,9 +108,10 @@ func TestNoiseHitsProbability(t *testing.T) {
 }
 
 func TestPacerDeliversAtAchievablePeriod(t *testing.T) {
-	eng, s := newStack(8, model.Default())
+	eng, s := newStack(model.Default())
 	p := &HeartbeatPacer{
 		S:            s,
+		Eng:          eng,
 		Workers:      []int{1, 2, 3, 4, 5, 6, 7},
 		PeriodCycles: 200_000, // well above the floor
 		HandlerCost:  500,
@@ -131,13 +129,14 @@ func TestPacerDeliversAtAchievablePeriod(t *testing.T) {
 }
 
 func TestPacerCollapsesBelowFloor(t *testing.T) {
-	eng, s := newStack(16, model.Default())
+	eng, s := newStack(model.Default())
 	var workers []int
 	for i := 1; i < 16; i++ {
 		workers = append(workers, i)
 	}
 	p := &HeartbeatPacer{
 		S:            s,
+		Eng:          eng,
 		Workers:      workers,
 		PeriodCycles: 20_000, // 20 µs: below the 45 µs kernel floor
 		HandlerCost:  500,
@@ -154,9 +153,10 @@ func TestPacerCollapsesBelowFloor(t *testing.T) {
 }
 
 func TestPacerJitterVisible(t *testing.T) {
-	eng, s := newStack(4, model.Default())
+	eng, s := newStack(model.Default())
 	p := &HeartbeatPacer{
 		S:            s,
+		Eng:          eng,
 		Workers:      []int{1, 2, 3},
 		PeriodCycles: 150_000,
 		HandlerCost:  500,
@@ -179,8 +179,8 @@ func TestPacerJitterVisible(t *testing.T) {
 
 func TestPacerDeterministic(t *testing.T) {
 	run := func() int64 {
-		eng, s := newStack(4, model.Default())
-		p := &HeartbeatPacer{S: s, Workers: []int{1, 2, 3}, PeriodCycles: 100_000, HandlerCost: 100}
+		eng, s := newStack(model.Default())
+		p := &HeartbeatPacer{S: s, Eng: eng, Workers: []int{1, 2, 3}, PeriodCycles: 100_000, HandlerCost: 100}
 		p.Start()
 		eng.RunUntil(5_000_000)
 		return p.Stats.SignalsSent

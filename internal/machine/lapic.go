@@ -15,16 +15,10 @@ type LAPIC struct {
 	period   int64
 	vector   Vector
 	ev       sim.EventID
-	fireFn   func() // fire, bound once: the timer re-arms every period
+	fireFn   func() // fire, bound once, on first use: the timer re-arms every period
 
 	// Fired counts timer expirations delivered.
 	Fired int64
-}
-
-func newLAPIC(cpu *CPU) *LAPIC {
-	l := &LAPIC{cpu: cpu}
-	l.fireFn = l.fire
-	return l
 }
 
 // OneShot arms the timer to fire vector v once after delay cycles.
@@ -55,6 +49,9 @@ func (l *LAPIC) program(delay int64, v Vector, periodic bool) {
 func (l *LAPIC) schedule(delay int64) {
 	if f := l.cpu.m.TimerFault; f != nil {
 		delay += f(l.cpu.ID, l.vector, delay)
+	}
+	if l.fireFn == nil {
+		l.fireFn = l.fire
 	}
 	l.ev = l.cpu.m.Eng.After(sim.Time(delay), l.fireFn)
 }

@@ -52,6 +52,8 @@ func (t Topology) NumCPUs() int { return t.Sockets * t.CoresPerSocket }
 
 // IntrContext is passed to interrupt handlers. Handlers mutate simulated
 // state immediately and report their execution cost through AddCost.
+// The CPU reuses one context for every handler it runs, so a handler
+// must not keep it past its return.
 type IntrContext struct {
 	CPU    *CPU
 	Vector Vector
@@ -108,21 +110,38 @@ type CPU struct {
 	// Execution state: at most one run in flight.
 	running      bool
 	runEv        sim.EventID
-	finishFn     func() // finishRun, bound once: every run schedules it
+	finishFn     func() // finishRun, bound once, on the first run
 	runResumedAt sim.Time
 	runRemaining int64
 	runDone      func()
 
-	// Interrupt state.
+	// Interrupt state. A CPU runs one handler at a time (inHandler), so
+	// the in-flight handler's state lives here and delivery allocates
+	// nothing.
 	inHandler bool
 	pending   []Vector
-	handlers  map[Vector]Handler
-	delivery  map[Vector]Delivery
+	vectors   []vectorEntry
 	resched   ReschedHook
 
-	apic *LAPIC
+	enterFn, exitFn func()      // enterHandler and exitHandler, bound once
+	ctx             IntrContext // the in-flight handler's context, reused
+	handler         Handler     // the in-flight handler
+	exitCost        int64       // its exit path, in cycles
+	chained         bool        // it was pended behind the chain's first handler
+	paused          *PausedRun  // the run the chain's first handler preempted
+	hook            ReschedHook // set at the first handler's exit if it asked to reschedule
+
+	apic LAPIC
 
 	Stats CPUStats
+}
+
+// vectorEntry is one vector's handler and delivery mechanism. Only a
+// handful of vectors exist, so a CPU keeps them in a short slice.
+type vectorEntry struct {
+	v        Vector
+	h        Handler
+	delivery Delivery
 }
 
 // Machine is the full simulated platform.
@@ -163,17 +182,14 @@ func New(eng *sim.Engine, m model.Model, topo Topology) *Machine {
 		topo:  topo,
 	}
 	n := topo.NumCPUs()
+	cpus := make([]CPU, n)
 	mach.CPUs = make([]*CPU, n)
-	for i := 0; i < n; i++ {
-		cpu := &CPU{
-			ID:       i,
-			Socket:   i / topo.CoresPerSocket,
-			m:        mach,
-			handlers: make(map[Vector]Handler),
-			delivery: make(map[Vector]Delivery),
-		}
-		cpu.finishFn = cpu.finishRun
-		cpu.apic = newLAPIC(cpu)
+	for i := range cpus {
+		cpu := &cpus[i]
+		cpu.ID = i
+		cpu.Socket = i / topo.CoresPerSocket
+		cpu.m = mach
+		cpu.apic.cpu = cpu
 		mach.CPUs[i] = cpu
 	}
 	return mach
@@ -189,13 +205,33 @@ func (m *Machine) Topo() Topology { return m.topo }
 func (m *Machine) CPU(id int) *CPU { return m.CPUs[id] }
 
 // APIC returns the CPU's local APIC.
-func (c *CPU) APIC() *LAPIC { return c.apic }
+func (c *CPU) APIC() *LAPIC { return &c.apic }
 
 // SetHandler installs the handler for a vector.
-func (c *CPU) SetHandler(v Vector, h Handler) { c.handlers[v] = h }
+func (c *CPU) SetHandler(v Vector, h Handler) { c.vector(v).h = h }
 
 // SetDelivery selects the delivery mechanism for a vector on this CPU.
-func (c *CPU) SetDelivery(v Vector, d Delivery) { c.delivery[v] = d }
+func (c *CPU) SetDelivery(v Vector, d Delivery) { c.vector(v).delivery = d }
+
+// vector returns v's entry, adding an empty one (no handler, IDT
+// delivery) if v has none.
+func (c *CPU) vector(v Vector) *vectorEntry {
+	if e := c.find(v); e != nil {
+		return e
+	}
+	c.vectors = append(c.vectors, vectorEntry{v: v})
+	return &c.vectors[len(c.vectors)-1]
+}
+
+// find returns v's entry, or nil if v has none.
+func (c *CPU) find(v Vector) *vectorEntry {
+	for i := range c.vectors {
+		if c.vectors[i].v == v {
+			return &c.vectors[i]
+		}
+	}
+	return nil
+}
 
 // SetReschedHook installs the kernel's scheduling takeover hook.
 func (c *CPU) SetReschedHook(h ReschedHook) { c.resched = h }
@@ -222,6 +258,9 @@ func (c *CPU) startRun(cycles int64, done func()) {
 	c.runRemaining = cycles
 	c.runDone = done
 	c.runResumedAt = c.m.Eng.Now()
+	if c.finishFn == nil {
+		c.finishFn = c.finishRun
+	}
 	c.runEv = c.m.Eng.After(sim.Time(cycles), c.finishFn)
 }
 
@@ -277,20 +316,29 @@ func (c *CPU) Raise(v Vector) {
 	c.dispatch(v)
 }
 
-// dispatch runs the entry path, handler, and exit path for vector v,
-// preempting any in-flight run.
+// dispatch starts the entry path of vector v's handler, preempting any
+// in-flight run. The handler runs at the end of the entry path
+// (enterHandler), then the exit path (exitHandler) runs any pended
+// handlers back-to-back before the preempted work resumes.
 func (c *CPU) dispatch(v Vector) {
-	h, ok := c.handlers[v]
-	if !ok {
+	e := c.find(v)
+	if e == nil || e.h == nil {
 		// Unhandled vectors are dropped, like a masked line.
 		return
 	}
-	paused := c.pauseRun()
+	c.paused = c.pauseRun()
+	c.chained = false
+	c.enter(e)
+}
+
+// enter accounts one delivery of e's handler and schedules the handler
+// body after the entry path.
+func (c *CPU) enter(e *vectorEntry) {
 	c.inHandler = true
 	c.Stats.Interrupts++
 
 	var entry, exit int64
-	switch c.delivery[v] {
+	switch e.delivery {
 	case DeliverPipeline:
 		// Branch-injection delivery: the interrupt costs about as much
 		// as a correctly predicted branch; return is an MSR-mediated
@@ -303,66 +351,53 @@ func (c *CPU) dispatch(v Vector) {
 	}
 	c.Stats.DispatchCycles += entry + exit
 
-	// Entry path, then handler body, then exit path, then resume.
-	c.m.Eng.After(sim.Time(entry), func() {
-		ctx := &IntrContext{CPU: c, Vector: v}
-		h(ctx)
-		c.Stats.HandlerCycles += ctx.cost
-		c.m.Eng.After(sim.Time(ctx.cost+exit), func() {
-			c.inHandler = false
-			// Deliver pended interrupts before resuming, mirroring
-			// hardware that re-checks interrupt lines at iret; then
-			// either hand off to the kernel's resched hook or resume
-			// the preempted work.
-			fin := func() { c.Resume(paused) }
-			if ctx.resched && c.resched != nil {
-				hook := c.resched
-				fin = func() { hook(c, paused) }
-			}
-			if len(c.pending) > 0 {
-				c.chainPendingThen(fin)
-				return
-			}
-			fin()
-		})
-	})
+	c.ctx = IntrContext{CPU: c, Vector: e.v}
+	c.handler = e.h
+	c.exitCost = exit
+	if c.enterFn == nil {
+		c.enterFn, c.exitFn = c.enterHandler, c.exitHandler
+	}
+	c.m.Eng.After(sim.Time(entry), c.enterFn)
 }
 
-// chainPendingThen dispatches all pended interrupts back-to-back, then
-// calls fin. Each pended dispatch pays full entry/exit costs.
-func (c *CPU) chainPendingThen(fin func()) {
-	if len(c.pending) == 0 {
-		fin()
+// enterHandler runs the handler body, then schedules the exit path.
+func (c *CPU) enterHandler() {
+	c.handler(&c.ctx)
+	c.Stats.HandlerCycles += c.ctx.cost
+	c.m.Eng.After(sim.Time(c.ctx.cost+c.exitCost), c.exitFn)
+}
+
+// exitHandler completes a handler. Pended interrupts are delivered
+// before the preempted work resumes, mirroring hardware that re-checks
+// interrupt lines at iret; each pays full entry and exit costs. Only the
+// chain's first handler decides whether the kernel's resched hook takes
+// over from the preempted work.
+func (c *CPU) exitHandler() {
+	c.inHandler = false
+	if !c.chained {
+		c.hook = nil
+		if c.ctx.resched {
+			c.hook = c.resched
+		}
+	}
+	for len(c.pending) > 0 {
+		v := c.pending[0]
+		// Shift rather than reslice, so the queue keeps its backing
+		// array and a warm CPU pends without allocating.
+		c.pending = c.pending[:copy(c.pending, c.pending[1:])]
+		if e := c.find(v); e != nil && e.h != nil {
+			c.chained = true
+			c.enter(e)
+			return
+		}
+	}
+	paused, hook := c.paused, c.hook
+	c.paused, c.hook = nil, nil
+	if hook != nil {
+		hook(c, paused)
 		return
 	}
-	v := c.pending[0]
-	c.pending = c.pending[1:]
-	h, ok := c.handlers[v]
-	if !ok {
-		c.chainPendingThen(fin)
-		return
-	}
-	c.inHandler = true
-	c.Stats.Interrupts++
-	var entry, exit int64
-	switch c.delivery[v] {
-	case DeliverPipeline:
-		entry = c.m.Model.HW.PredictedBranch
-		exit = c.m.Model.HW.PredictedBranch + 2
-	default:
-		entry = c.m.Model.HW.InterruptDispatch
-		exit = c.m.Model.HW.InterruptReturn
-	}
-	c.Stats.DispatchCycles += entry + exit
-	c.m.Eng.After(sim.Time(entry), func() {
-		ctx := &IntrContext{CPU: c, Vector: v}
-		h(ctx)
-		c.Stats.HandlerCycles += ctx.cost
-		c.m.Eng.After(sim.Time(ctx.cost+exit), func() {
-			c.inHandler = false
-			c.chainPendingThen(fin)
-		})
-	})
+	c.Resume(paused)
 }
 
 // SendIPI sends an inter-processor interrupt to dst. The wire event

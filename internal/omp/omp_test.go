@@ -12,10 +12,7 @@ import (
 )
 
 func runKernel(mode Mode, cpus int, k workloads.NASKernel) int64 {
-	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
-	rt := New(m, mode, 5)
-	return rt.RunKernel(k)
+	return New(cpus, model.KNL(), mode, 5).RunKernel(k)
 }
 
 func smallBT() workloads.NASKernel {
@@ -80,9 +77,7 @@ func TestPIKPerformsSimilarlyToRTK(t *testing.T) {
 }
 
 func TestCCKCompletesAllWork(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8})
-	rt := New(m, ModeCCK, 5)
+	rt := New(8, model.KNL(), ModeCCK, 5)
 	k := smallBT()
 	rt.RunKernel(k)
 	if rt.Stats.Tasks == 0 {
@@ -122,9 +117,7 @@ func TestSPMoreSensitiveThanBT(t *testing.T) {
 func TestEPCCOverheadOrdering(t *testing.T) {
 	// Pure sync overhead: RTK's primitives must beat Linux's futex path.
 	mk := func(mode Mode) float64 {
-		eng := sim.NewEngine()
-		m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 16})
-		rt := New(m, mode, 5)
+		rt := New(16, model.KNL(), mode, 5)
 		return rt.RunEPCC(workloads.EPCC()[0]) // empty parallel region
 	}
 	lx, rtk := mk(ModeLinux), mk(ModeRTK)
@@ -137,9 +130,7 @@ func TestEPCCOverheadOrdering(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 8})
-	rt := New(m, ModeLinux, 5)
+	rt := New(8, model.KNL(), ModeLinux, 5)
 	k := smallBT()
 	rt.RunKernel(k)
 	if rt.Stats.Regions != int64(k.Steps*k.RegionsPerStep) {

@@ -1,11 +1,10 @@
 package omp
 
 import (
+	"runtime/debug"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -62,8 +61,7 @@ func TestPinnedRegionCycles(t *testing.T) {
 	}
 	for _, c := range cases {
 		build := func() *Runtime {
-			m := machine.New(sim.NewEngine(), model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: c.cpus})
-			return New(m, c.mode, c.seed)
+			return New(c.cpus, model.KNL(), c.mode, c.seed)
 		}
 		rt := build()
 		if got := rt.RunKernel(smallBT()); got != c.kernel || rt.Stats != c.kernelStats {
@@ -86,11 +84,28 @@ func TestPinnedRegionCycles(t *testing.T) {
 // once the runtime is warm, on both region paths.
 func TestRegionAllocFree(t *testing.T) {
 	for _, mode := range []Mode{ModeLinux, ModeCCK} {
-		m := machine.New(sim.NewEngine(), model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: 64})
-		rt := New(m, mode, 1)
+		rt := New(64, model.KNL(), mode, 1)
 		rt.region(60_000, 95, 64)
 		if a := testing.AllocsPerRun(100, func() { rt.region(60_000, 95, 64) }); a != 0 {
 			t.Errorf("%s: %.1f allocations per region, want 0", mode, a)
+		}
+	}
+}
+
+// TestRuntimeBuildsNoMachine checks that a runtime and a whole kernel
+// run allocate the same six objects at any CPU count: the Runtime, its
+// Linux model with that model's generator and noise distribution, and
+// its own generator and noise distribution. Nothing is sized by the CPU
+// count, so no machine, CPU or engine is built.
+func TestRuntimeBuildsNoMachine(t *testing.T) {
+	k := smallBT()
+	for _, mode := range []Mode{ModeLinux, ModeRTK, ModePIK, ModeCCK} {
+		for _, cpus := range []int{1, 64, 256} {
+			debug.FreeOSMemory()
+			a := testing.AllocsPerRun(20, func() { New(cpus, model.KNL(), mode, 1).RunKernel(k) })
+			if a != 6 {
+				t.Errorf("%s %d CPUs: %.1f allocations per runtime and kernel, want 6", mode, cpus, a)
+			}
 		}
 	}
 }

@@ -3,16 +3,10 @@ package omp
 import (
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
-func newRT(mode Mode, cpus int) *Runtime {
-	eng := sim.NewEngine()
-	m := machine.New(eng, model.KNL(), machine.Topology{Sockets: 1, CoresPerSocket: cpus})
-	return New(m, mode, 5)
-}
+func newRT(mode Mode, cpus int) *Runtime { return New(cpus, model.KNL(), mode, 5) }
 
 func TestScheduleString(t *testing.T) {
 	if SchedStatic.String() != "static" || SchedDynamic.String() != "dynamic" ||
