@@ -30,6 +30,9 @@ type StoreBuffer struct {
 	// retires in the background for free (it had time to drain).
 	Capacity int
 
+	// entries holds the buffered stores, oldest first. Retiring and
+	// draining shift or filter it in place, so once it has grown to
+	// Capacity a warm buffer allocates nothing.
 	entries []StoreEntry
 
 	// Stats.
@@ -48,7 +51,7 @@ func NewStoreBuffer() *StoreBuffer {
 // Push buffers a store.
 func (sb *StoreBuffer) Push(line uint64, tagged bool) {
 	if len(sb.entries) >= sb.Capacity {
-		sb.entries = sb.entries[1:]
+		sb.entries = sb.entries[:copy(sb.entries, sb.entries[1:])]
 	}
 	sb.entries = append(sb.entries, StoreEntry{Line: line, Tagged: tagged})
 	sb.StoresBuffered++
@@ -70,18 +73,16 @@ func (sb *StoreBuffer) FullFence() int64 {
 // SelectiveFence drains only the tagged stores — the ordering the
 // program actually needs ("steer their behavior proactively by
 // instructing the hardware to apply specialized memory ordering rules").
-// Untagged stores stay buffered and retire in the background. Returns
-// the stall cycles.
+// Untagged stores stay buffered, in order, and retire in the
+// background. Returns the stall cycles.
 func (sb *StoreBuffer) SelectiveFence() int64 {
-	var kept []StoreEntry
-	var drained int64
+	kept := sb.entries[:0]
 	for _, e := range sb.entries {
-		if e.Tagged {
-			drained++
-		} else {
+		if !e.Tagged {
 			kept = append(kept, e)
 		}
 	}
+	drained := int64(len(sb.entries) - len(kept))
 	sb.entries = kept
 	stall := drained * sb.DrainPerEntry
 	sb.SelDrains++

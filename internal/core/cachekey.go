@@ -83,10 +83,13 @@ func LookupTables(c *cache.Cache, key cache.Key) ([]*Table, cache.Source, bool) 
 // recomputed, as is an entry another build stored (BuildIdentity). A
 // nil cache or zero key just runs gen.
 //
-// Duplicate concurrent calls on one key each compute: the cache does
-// not coalesce them. Its callers absorb duplicates above it (the
-// experiment service's job registry joins equal submissions before
-// they reach Runner.Run).
+// Duplicate concurrent calls on one key each compute: neither this
+// function nor the cache coalesces them. Its callers absorb duplicates
+// above it: the experiment service's job registry joins equal
+// submissions before they reach Runner.Run, and Runner shares one
+// computation of a plain form's set among concurrent runs that need it
+// (Runner.plainTables), so a plain job and its sub-report jobs compute
+// the plain table once.
 //
 // The returned source is the tier that served the table set. The error
 // is ctx's, when it ended before gen started; gen itself panics on

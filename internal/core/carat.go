@@ -48,8 +48,8 @@ func (s *Stack) CARAT() *Table {
 	suite := workloads.CARATSuite()
 	var naiveOvh, hoistOvh, elimOvh, optOvh []float64
 	// One cell per kernel: each cell runs the kernel's base, naive,
-	// hoisted, eliminated, and optimized configurations on its own
-	// interpreter instances.
+	// hoisted, eliminated, and optimized configurations, each on its own
+	// interpreter over the cell's one heap.
 	for _, r := range runCells(s, "carat", len(suite), func(i int) caratResult {
 		return s.caratKernel(suite[i])
 	}) {
@@ -77,6 +77,12 @@ func (s *Stack) CARAT() *Table {
 
 // caratKernel measures one kernel in all five configurations.
 func (s *Stack) caratKernel(k workloads.IRKernel) caratResult {
+	// The five runs share one heap, reset before each, so every run sees
+	// the addresses a fresh heap would give it.
+	h, err := interp.NewHeap(interp.DefaultHeapBase, interp.DefaultHeapSize)
+	if err != nil {
+		panic(err)
+	}
 	// Each configuration builds a fresh module; mk is handed the module
 	// so pipelines that need it (StdOptimization) can be constructed.
 	run := func(mk func(m *ir.Module) []passes.Pass) (uint64, *interp.Stats, int, error) {
@@ -86,10 +92,8 @@ func (s *Stack) caratKernel(k workloads.IRKernel) caratResult {
 				return 0, nil, 0, err
 			}
 		}
-		ip, err := interp.New(m)
-		if err != nil {
-			return 0, nil, 0, err
-		}
+		h.Reset()
+		ip := interp.NewOnHeap(m, h)
 		tb := carat.NewTable()
 		ip.Hooks.Guard = func(a mem.Addr) int64 { return tb.Guard(a, false) }
 		ip.Hooks.GuardRegion = tb.GuardRegion

@@ -70,14 +70,14 @@ func (s *Stack) Primitives() *Table {
 
 // linuxSignalTailP99 samples loaded signal-delivery latencies.
 func (s *Stack) linuxSignalTailP99(lx *linux.Stack) int64 {
-	var xs []float64
+	xs := make([]float64, 5000)
 	base := float64(lx.SignalPathCost())
-	for i := 0; i < 5000; i++ {
+	for i := range xs {
 		v := base + float64(lx.SampleTimerJitter())
 		if lx.NoiseHits(int64(base * 4)) {
 			v += float64(lx.SampleNoise())
 		}
-		xs = append(xs, v)
+		xs[i] = v
 	}
 	return int64(stats.Percentile(xs, 99))
 }

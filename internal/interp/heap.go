@@ -28,24 +28,34 @@ const (
 type Heap struct {
 	Buddy *mem.Buddy
 
-	pages    [][]uint64          // direct page table, grown on demand
+	pages    [][]uint64          // direct page table, grown as pages are touched
 	overflow map[uint64][]uint64 // pages at indexes >= maxDirectPage
 	scratch  []uint64            // Move staging buffer (grow-only)
 }
 
 // NewHeap creates a heap of size bytes (power of two) based at base.
+// The page table starts empty and grows to the highest page a run
+// stores to, so a fresh heap costs what its first run touches.
 func NewHeap(base mem.Addr, size uint64) (*Heap, error) {
 	b, err := mem.NewBuddy(base, size, 6)
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size the page table to cover the buddy-managed range so the
-	// hot path never grows it.
-	top := (uint64(base) + size) >> 3 >> heapPageBits
-	if top >= maxDirectPage {
-		top = maxDirectPage - 1
+	return &Heap{Buddy: b}, nil
+}
+
+// Reset returns the heap to the state NewHeap left it in: every word
+// zero and the allocator fresh (mem.Buddy.Reset), so the next run sees
+// the same addresses and Stats as on a new heap. Pages already touched
+// are zeroed and kept for that run, so Reset costs time in proportion
+// to the pages touched and a rerun of the same program allocates no
+// pages.
+func (h *Heap) Reset() {
+	h.Buddy.Reset()
+	for _, pg := range h.pages {
+		clear(pg)
 	}
-	return &Heap{Buddy: b, pages: make([][]uint64, top+1)}, nil
+	clear(h.overflow)
 }
 
 // Alloc allocates n bytes.
@@ -95,16 +105,10 @@ func (h *Heap) Store(a mem.Addr, v uint64) {
 }
 
 func (h *Heap) storeSlow(pi, w uint64, v uint64) {
-	if pi < uint64(len(h.pages)) {
-		pg := make([]uint64, heapPageWords)
-		h.pages[pi] = pg
-		pg[w&heapPageMask] = v
-		return
-	}
 	if pi < maxDirectPage {
-		np := make([][]uint64, pi+1)
-		copy(np, h.pages)
-		h.pages = np
+		if pi >= uint64(len(h.pages)) {
+			h.pages = append(h.pages, make([][]uint64, pi+1-uint64(len(h.pages)))...)
+		}
 		pg := make([]uint64, heapPageWords)
 		h.pages[pi] = pg
 		pg[w&heapPageMask] = v

@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/workloads"
 )
 
 func newTestHeap(t *testing.T) *Heap {
@@ -93,7 +95,7 @@ func TestHeapMovePartialWord(t *testing.T) {
 
 func TestHeapSparseAndOverflowPages(t *testing.T) {
 	h := newTestHeap(t)
-	// Far beyond the pre-sized direct table but under the direct limit.
+	// Far beyond every page touched so far but under the direct limit.
 	far := mem.Addr(1 << 30)
 	if h.Load(far) != 0 {
 		t.Fatalf("untouched far word not zero")
@@ -131,6 +133,145 @@ func TestHeapSnapshot(t *testing.T) {
 	for a, v := range want {
 		if snap[a] != v {
 			t.Fatalf("snapshot[%#x] = %d, want %d", a, snap[a], v)
+		}
+	}
+}
+
+// heapWorkload drives h through allocations of several sizes (into both
+// of the allocator's metadata tiers), stores, a Move, frees and a stray
+// store, and returns the addresses it was given.
+func heapWorkload(t *testing.T, h *Heap) []mem.Addr {
+	t.Helper()
+	var addrs []mem.Addr
+	for i, n := range []uint64{24, 64, 4096, 1 << 16, 1 << 18, 8, 300} {
+		a, err := h.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+		h.Store(a, uint64(i+1))
+		h.Store(a+mem.Addr(n)-8, uint64(100+i))
+	}
+	h.Move(addrs[2], addrs[3], 4096)
+	for _, i := range []int{1, 3, 5} {
+		if err := h.Free(addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []uint64{64, 1 << 16} {
+		a, err := h.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	h.Store(1<<40, 7)
+	return addrs
+}
+
+// TestHeapReset: a reset heap holds no words and a fresh allocator's
+// counters, and the next run sees exactly what a new heap would show it
+// — addresses, allocator Stats and final contents.
+func TestHeapReset(t *testing.T) {
+	h := newTestHeap(t)
+	heapWorkload(t, h)
+	h.Reset()
+	if snap := h.Snapshot(); len(snap) != 0 {
+		t.Fatalf("reset heap holds %d words: %v", len(snap), snap)
+	}
+	fresh := newTestHeap(t)
+	if got, want := h.Buddy.Stats(), fresh.Buddy.Stats(); got != want {
+		t.Fatalf("reset allocator stats %+v, want a fresh one's %+v", got, want)
+	}
+	got, want := heapWorkload(t, h), heapWorkload(t, fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("alloc %d after reset at %#x, fresh heap gives %#x", i, got[i], want[i])
+		}
+	}
+	if g, w := h.Buddy.Stats(), fresh.Buddy.Stats(); g != w {
+		t.Fatalf("stats after rerun %+v, fresh heap %+v", g, w)
+	}
+	gs, ws := h.Snapshot(), fresh.Snapshot()
+	if len(gs) != len(ws) {
+		t.Fatalf("rerun holds %d words, fresh heap %d", len(gs), len(ws))
+	}
+	for a, v := range ws {
+		if gs[a] != v {
+			t.Fatalf("word %#x = %d after reset, %d on a fresh heap", a, gs[a], v)
+		}
+	}
+	if err := h.Buddy.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelsOnOneResetHeap runs every CARAT kernel in turn on one
+// heap, reset before each, and requires each run to match a run on a
+// fresh interpreter: result, Stats and final heap contents.
+func TestKernelsOnOneResetHeap(t *testing.T) {
+	h, err := NewHeap(DefaultHeapBase, DefaultHeapSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range workloads.CARATSuite() {
+		fresh, err := New(k.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Call(k.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Reset()
+		ip := NewOnHeap(k.Build(), h)
+		got, err := ip.Call(k.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || ip.Stats != fresh.Stats {
+			t.Errorf("%s on a reset heap: ret %d stats %+v; fresh heap: ret %d stats %+v",
+				k.Name, got, ip.Stats, want, fresh.Stats)
+		}
+		gs, ws := h.Snapshot(), fresh.Heap.Snapshot()
+		if len(gs) != len(ws) {
+			t.Errorf("%s: %d words on a reset heap, %d on a fresh one", k.Name, len(gs), len(ws))
+		}
+		for a, v := range ws {
+			if gs[a] != v {
+				t.Errorf("%s: word %#x = %d on a reset heap, %d on a fresh one", k.Name, a, gs[a], v)
+				break
+			}
+		}
+	}
+}
+
+// TestFreshHeapBytes pins what a new heap costs the Go heap before its
+// program touches much: NewHeap and one small Alloc allocate a bounded
+// number of bytes, whatever the arena size. The metadata grows with the
+// blocks touched, not with the arena, so a 512 MiB heap costs what a
+// 1 MiB one does, up to a few bytes per block order.
+func TestFreshHeapBytes(t *testing.T) {
+	const bound = 16 << 10
+	for size := uint64(1 << 20); size <= 512<<20; size <<= 3 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			h, err := NewHeap(DefaultHeapBase, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Alloc(64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > bound {
+			t.Errorf("%d MiB heap: NewHeap and one Alloc allocate %d bytes, want at most %d", size>>20, b, bound)
+		} else {
+			t.Logf("%d MiB heap: %d bytes", size>>20, b)
 		}
 	}
 }

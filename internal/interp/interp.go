@@ -187,19 +187,32 @@ type Interp struct {
 	curMaxDepth int
 }
 
-// New creates an interpreter over mod with a fresh 256 MiB heap.
+// The heap New gives every interpreter: 256 MiB based at 0x10000.
+const (
+	DefaultHeapBase mem.Addr = 0x10000
+	DefaultHeapSize uint64   = 256 << 20
+)
+
+// New creates an interpreter over mod with a fresh default heap.
 func New(mod *ir.Module) (*Interp, error) {
-	h, err := NewHeap(0x10000, 256<<20)
+	h, err := NewHeap(DefaultHeapBase, DefaultHeapSize)
 	if err != nil {
 		return nil, err
 	}
+	return NewOnHeap(mod, h), nil
+}
+
+// NewOnHeap creates an interpreter over mod that runs on h. A caller
+// running several programs in turn may give each the same heap, reset
+// between runs (Heap.Reset), instead of building one per program.
+func NewOnHeap(mod *ir.Module, h *Heap) *Interp {
 	return &Interp{
 		Mod:      mod,
 		Heap:     h,
 		Cost:     DefaultCosts(),
 		MaxSteps: DefaultMaxSteps,
 		MaxDepth: DefaultMaxDepth,
-	}, nil
+	}
 }
 
 // Call runs the named function with the given arguments and returns its

@@ -26,8 +26,9 @@ func TestNewAllocsIndependentOfCPUs(t *testing.T) {
 }
 
 // TestInterruptAllocs checks what one interrupt costs the Go heap once
-// the CPU is warm: nothing on an idle CPU, and exactly the PausedRun
-// when it preempts a run (the resched hook may keep that).
+// the CPU is warm: nothing on an idle CPU, exactly the PausedRun when it
+// preempts a run (the resched hook may keep that), and nothing per IPI
+// destination.
 func TestInterruptAllocs(t *testing.T) {
 	eng, m := newTestMachine(1)
 	cpu := m.CPU(0)
@@ -55,5 +56,24 @@ func TestInterruptAllocs(t *testing.T) {
 	debug.FreeOSMemory()
 	if a := testing.AllocsPerRun(100, preempt); a != 1 {
 		t.Errorf("preempting interrupt: %.1f allocations, want 1 (the PausedRun)", a)
+	}
+
+	// IPIs arrive through each destination's bound callback: once the
+	// inbound lists have grown, an unchaotic broadcast to every other
+	// CPU, across sockets, and a unicast allocate nothing.
+	eng2 := sim.NewEngine()
+	m2 := New(eng2, model.Default(), Topology{Sockets: 2, CoresPerSocket: 4})
+	for _, c := range m2.CPUs {
+		c.SetHandler(VecIPI, func(ctx *IntrContext) { ctx.AddCost(10) })
+	}
+	broadcast := func() {
+		m2.CPU(0).BroadcastIPI(VecIPI)
+		m2.CPU(5).SendIPI(m2.CPU(1), VecIPI)
+		eng2.Run()
+	}
+	broadcast()
+	debug.FreeOSMemory()
+	if a := testing.AllocsPerRun(100, broadcast); a != 0 {
+		t.Errorf("broadcast IPI to %d CPUs: %.1f allocations, want 0", len(m2.CPUs)-1, a)
 	}
 }

@@ -131,6 +131,11 @@ type CPU struct {
 	paused          *PausedRun  // the run the chain's first handler preempted
 	hook            ReschedHook // set at the first handler's exit if it asked to reschedule
 
+	// IPIs on the wire to this CPU, in the order they were scheduled,
+	// each arriving through arriveFn (arriveIPI, bound once).
+	inbound  []ipiArrival
+	arriveFn func()
+
 	apic LAPIC
 
 	Stats CPUStats
@@ -400,6 +405,15 @@ func (c *CPU) exitHandler() {
 	c.Resume(paused)
 }
 
+// ipiArrival is one IPI on the wire. delayed marks an IPI the fault
+// hook already held back: it raises on arrival without asking again.
+type ipiArrival struct {
+	at      sim.Time
+	src     int
+	v       Vector
+	delayed bool
+}
+
 // SendIPI sends an inter-processor interrupt to dst. The wire event
 // always travels at the modeled latency; the fault hook (chaos) is
 // consulted at arrival, so the effective delivery time is the base
@@ -410,33 +424,54 @@ func (c *CPU) SendIPI(dst *CPU, v Vector) {
 	if c.Socket != dst.Socket {
 		lat += c.m.Model.Coherence.RemoteSocket
 	}
-	src := c.ID
-	c.m.Eng.After(sim.Time(lat), func() { dst.arriveIPI(src, v) })
+	dst.expectIPI(ipiArrival{at: c.m.Eng.Now() + sim.Time(lat), src: c.ID, v: v})
+}
+
+// expectIPI puts a on the wire to c: it joins c's inbound list and
+// schedules c's bound arrival callback at a.at.
+func (c *CPU) expectIPI(a ipiArrival) {
+	if c.arriveFn == nil {
+		c.arriveFn = c.arriveIPI
+	}
+	c.inbound = append(c.inbound, a)
+	c.m.Eng.At(a.at, c.arriveFn)
 }
 
 // arriveIPI completes an IPI on the destination CPU: consult the fault
 // hook, then deliver now or after the injected delay. Dropped IPIs are
 // accounted to the destination (the CPU that lost the interrupt).
-func (c *CPU) arriveIPI(src int, v Vector) {
-	if f := c.m.IPIFault; f != nil {
-		drop, extra := f(src, c.ID, v)
+//
+// The engine fires c's arrivals in (time, schedule order), and inbound
+// holds them in schedule order, so the arrival firing now is the first
+// inbound entry due now.
+func (c *CPU) arriveIPI() {
+	now := c.m.Eng.Now()
+	i := 0
+	for c.inbound[i].at != now {
+		i++
+	}
+	a := c.inbound[i]
+	c.inbound = append(c.inbound[:i], c.inbound[i+1:]...)
+	if f := c.m.IPIFault; f != nil && !a.delayed {
+		drop, extra := f(a.src, c.ID, a.v)
 		if drop {
 			c.Stats.IPIsDropped++
 			return
 		}
 		if extra > 0 {
-			c.m.Eng.After(sim.Time(extra), func() { c.Raise(v) })
+			a.at, a.delayed = now+sim.Time(extra), true
+			c.expectIPI(a)
 			return
 		}
 	}
-	c.Raise(v)
+	c.Raise(a.v)
 }
 
 // BroadcastIPI sends an IPI to every other CPU. The LAPIC broadcast
 // mechanism delivers with a small per-destination skew.
 func (c *CPU) BroadcastIPI(v Vector) {
 	i := int64(0)
-	src := c.ID
+	now := c.m.Eng.Now()
 	for _, dst := range c.m.CPUs {
 		if dst == c {
 			continue
@@ -447,7 +482,6 @@ func (c *CPU) BroadcastIPI(v Vector) {
 			lat += c.m.Model.Coherence.RemoteSocket
 		}
 		i++
-		d := dst
-		c.m.Eng.After(sim.Time(lat), func() { d.arriveIPI(src, v) })
+		dst.expectIPI(ipiArrival{at: now + sim.Time(lat), src: c.ID, v: v})
 	}
 }

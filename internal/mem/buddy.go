@@ -9,10 +9,11 @@
 // behavior (mirroring internal/interp's fast/reference split):
 //
 //   - Buddy (this file) is the fast path: intrusive O(log n) metadata —
-//     one flat paged []blockMeta array indexed by offset>>minOrder
-//     holding order, a state byte, and doubly-linked free-list links —
+//     per-block entries holding order, a state byte, and doubly-linked
+//     free-list links, found by array indexing from offset>>minOrder —
 //     so Alloc, Free, and coalescing do zero map operations, zero heap
-//     allocations steady-state, and no scans.
+//     allocations steady-state, and no scans. The metadata grows with
+//     the blocks a run touches, not with the region.
 //   - ReferenceBuddy (reference.go) is the original map-based
 //     implementation, kept as the semantic oracle for the differential
 //     fuzzer (FuzzBuddyVsReference).
@@ -37,16 +38,31 @@ var ErrBadFree = errors.New("mem: free of unallocated address")
 // Addr is a simulated physical address.
 type Addr uint64
 
-// Block metadata lives in fixed-size pages under a table sized at New,
-// so a sparsely used region (a fresh 256 MiB interpreter heap with a few
-// live blocks) costs a handful of pages, and the page table itself is
-// never reallocated — metadata pointers stay stable for the allocator's
-// lifetime.
+// Block metadata lives in two tiers, each grown as blocks are touched
+// rather than sized to the region. Entry idx = offset>>minOrder names a
+// block head.
+//
+//   - A block of order below pageOrder (minOrder+metaPageBits) is smaller
+//     than the span of one metadata page. Its entry lives in the low
+//     tier, at pages[idx>>metaPageBits][idx&metaPageMask]; a page
+//     materializes when a small block first has its head in it.
+//   - A block of order o >= pageOrder spans whole pages. Its entry lives
+//     in the high tier, in order o's own table at idx>>(o-minOrder).
+//
+// A fresh region's first Alloc splits the region down to one free block
+// at every order. In the high tier each of those is entry 1 of its
+// order's table, so a sparsely used region (a fresh 256 MiB interpreter
+// heap with a few live blocks) costs one low page and a few two-entry
+// tables, not a page for every high-order free block.
 const (
 	metaPageBits = 10
 	metaPageLen  = 1 << metaPageBits
 	metaPageMask = metaPageLen - 1
 )
+
+// metaPage is one low-tier page. As an array, indexing it with
+// idx&metaPageMask needs no bounds check.
+type metaPage [metaPageLen]blockMeta
 
 // Block-head states. A meta entry whose offset is not the head of a
 // current block stays blockInterior.
@@ -91,10 +107,14 @@ type Buddy struct {
 	minOrder uint // log2 of smallest block
 	maxOrder uint // log2 of the whole region
 
-	// pages is the paged metadata array: entry idx = offset >> minOrder
-	// lives at pages[idx>>metaPageBits][idx&metaPageMask]. Pages
-	// materialize on first touch; the table itself is fixed-size.
-	pages [][]blockMeta
+	// pages is the low tier and high the high tier of the metadata (see
+	// metaPageBits): high[o-pageOrder] is order o's table. Both grow on
+	// first touch. A low page never moves once made; a high table may
+	// move when its order's table grows, so callers hold no entry
+	// pointer across a metaEnsure of the same order.
+	pages     []*metaPage
+	high      [][]blockMeta
+	pageOrder uint
 	// freeHead[o] is the meta index of the first free block of order o
 	// (noBlock if empty); freeMask bit o mirrors non-emptiness so Alloc
 	// finds the smallest adequate order with one TrailingZeros64.
@@ -141,60 +161,121 @@ func NewBuddy(base Addr, size uint64, minOrder uint) (*Buddy, error) {
 		size:      size,
 		minOrder:  minOrder,
 		maxOrder:  maxOrder,
-		pages:     make([][]blockMeta, (nIdx+metaPageLen-1)/metaPageLen),
+		pageOrder: minOrder + metaPageBits,
 		freeHead:  make([]int32, maxOrder+1),
-		FreeBytes: size,
+	}
+	if maxOrder >= b.pageOrder {
+		b.high = make([][]blockMeta, maxOrder-b.pageOrder+1)
+	}
+	b.Reset()
+	return b, nil
+}
+
+// Reset returns the allocator to the state NewBuddy left it in: the
+// whole region one free block and every counter zero, so the next
+// operations return the same addresses as on a new allocator. The
+// metadata it has materialized is zeroed and kept, so Reset costs time
+// in proportion to what the allocator touched, and a reused allocator
+// allocates nothing for storage it already holds. Inject is kept.
+func (b *Buddy) Reset() {
+	for _, pg := range b.pages {
+		if pg != nil {
+			*pg = metaPage{}
+		}
+	}
+	for _, t := range b.high {
+		clear(t)
 	}
 	for i := range b.freeHead {
 		b.freeHead[i] = noBlock
 	}
-	b.pushFree(0, maxOrder)
-	return b, nil
+	b.freeMask, b.live = 0, 0
+	b.FreeBytes, b.UsedBytes, b.PeakUsed = b.size, 0, 0
+	b.Allocs, b.Frees, b.Splits, b.Coalesces, b.FailedAllocs = 0, 0, 0, 0, 0
+	b.pushFree(0, b.maxOrder)
 }
 
-// metaAt returns the metadata entry for idx, or nil if its page was
-// never materialized (no block head has ever lived there).
-func (b *Buddy) metaAt(idx uint64) *blockMeta {
-	pg := b.pages[idx>>metaPageBits]
-	if pg == nil {
-		return nil
+// lowAt returns the low-tier entry for idx, or nil if its page was
+// never materialized.
+func (b *Buddy) lowAt(idx uint64) *blockMeta {
+	if pi := idx >> metaPageBits; pi < uint64(len(b.pages)) {
+		if pg := b.pages[pi]; pg != nil {
+			return &pg[idx&metaPageMask]
+		}
 	}
-	return &pg[idx&metaPageMask]
+	return nil
 }
 
-// metaEnsure returns the metadata entry for idx, materializing its page.
-func (b *Buddy) metaEnsure(idx uint64) *blockMeta {
+// metaAt returns the entry for a block of the given order headed at
+// idx, or nil if that storage was never materialized (no block of that
+// tier has had its head there).
+func (b *Buddy) metaAt(idx uint64, order uint) *blockMeta {
+	if order < b.pageOrder {
+		return b.lowAt(idx)
+	}
+	if t, i := b.high[order-b.pageOrder], idx>>(order-b.minOrder); i < uint64(len(t)) {
+		return &t[i]
+	}
+	return nil
+}
+
+// metaEnsure returns the entry for a block of the given order headed
+// at idx, materializing its storage.
+func (b *Buddy) metaEnsure(idx uint64, order uint) *blockMeta {
+	if e := b.metaAt(idx, order); e != nil {
+		return e
+	}
+	if order >= b.pageOrder {
+		h, i := order-b.pageOrder, idx>>(order-b.minOrder)
+		b.high[h] = append(b.high[h], make([]blockMeta, i+1-uint64(len(b.high[h])))...)
+		return &b.high[h][i]
+	}
 	pi := idx >> metaPageBits
-	pg := b.pages[pi]
-	if pg == nil {
-		pg = make([]blockMeta, metaPageLen)
-		b.pages[pi] = pg
+	if pi >= uint64(len(b.pages)) {
+		b.pages = append(b.pages, make([]*metaPage, pi+1-uint64(len(b.pages)))...)
 	}
-	return &pg[idx&metaPageMask]
+	b.pages[pi] = new(metaPage)
+	return &b.pages[pi][idx&metaPageMask]
+}
+
+// headAt returns the entry of the block headed at idx, whatever its
+// order, or nil if no block starts there. A small block's entry is one
+// probe; a block spanning whole pages is found by trying each high
+// order idx is aligned to.
+func (b *Buddy) headAt(idx uint64) *blockMeta {
+	if e := b.lowAt(idx); e != nil && e.state != blockInterior {
+		return e
+	}
+	for o := b.pageOrder; o <= b.maxOrder && idx&(uint64(1)<<(o-b.minOrder)-1) == 0; o++ {
+		if e := b.metaAt(idx, o); e != nil && e.state != blockInterior {
+			return e
+		}
+	}
+	return nil
 }
 
 // pushFree links the block at idx onto the head of order's free list.
 func (b *Buddy) pushFree(idx uint64, order uint) {
-	e := b.metaEnsure(idx)
+	e := b.metaEnsure(idx, order)
 	e.state = blockFree
 	e.order = uint8(order)
 	e.prev = noBlock
 	e.next = b.freeHead[order]
 	if e.next != noBlock {
-		b.metaAt(uint64(e.next)).prev = int32(idx)
+		b.metaAt(uint64(e.next), order).prev = int32(idx)
 	}
 	b.freeHead[order] = int32(idx)
 	b.freeMask |= 1 << order
 }
 
-// popHead unlinks and returns the head of order's free list, which the
-// caller has checked is non-empty.
+// popHead unlinks the head of order's free list, which the caller has
+// checked is non-empty, and returns its index and entry.
 func (b *Buddy) popHead(order uint) (uint64, *blockMeta) {
 	idx := uint64(b.freeHead[order])
-	e := b.metaAt(idx)
+	e := b.metaAt(idx, order)
 	b.freeHead[order] = e.next
 	if e.next != noBlock {
-		b.metaAt(uint64(e.next)).prev = noBlock
+		b.metaAt(uint64(e.next), order).prev = noBlock
 	} else {
 		b.freeMask &^= 1 << order
 	}
@@ -212,7 +293,7 @@ func (b *Buddy) removeFreeAt(idx uint64, e *blockMeta, order uint) {
 	if uint64(h) == idx {
 		b.freeHead[order] = e.next
 		if e.next != noBlock {
-			b.metaAt(uint64(e.next)).prev = noBlock
+			b.metaAt(uint64(e.next), order).prev = noBlock
 		} else {
 			b.freeMask &^= 1 << order
 		}
@@ -222,20 +303,20 @@ func (b *Buddy) removeFreeAt(idx uint64, e *blockMeta, order uint) {
 	// Detach the head, then splice it into idx's position. If idx was
 	// directly after the head, detaching updates e.prev to noBlock and
 	// the splice below reinstalls the head correctly.
-	he := b.metaAt(uint64(h))
+	he := b.metaAt(uint64(h), order)
 	b.freeHead[order] = he.next
 	if he.next != noBlock {
-		b.metaAt(uint64(he.next)).prev = noBlock
+		b.metaAt(uint64(he.next), order).prev = noBlock
 	}
 	he.prev = e.prev
 	he.next = e.next
 	if e.prev != noBlock {
-		b.metaAt(uint64(e.prev)).next = h
+		b.metaAt(uint64(e.prev), order).next = h
 	} else {
 		b.freeHead[order] = h
 	}
 	if e.next != noBlock {
-		b.metaAt(uint64(e.next)).prev = h
+		b.metaAt(uint64(e.next), order).prev = h
 	}
 	e.state = blockInterior
 }
@@ -278,11 +359,17 @@ func (b *Buddy) Alloc(n uint64) (Addr, error) {
 	}
 	cur := order + uint(bits.TrailingZeros64(avail))
 	idx, e := b.popHead(cur)
+	// The allocated block keeps the popped block's entry unless the
+	// split moves it down from the high tier.
+	moved := cur != order && cur >= b.pageOrder
 	// Split down to the needed order, freeing each high half.
 	for cur > order {
 		cur--
 		b.Splits++
 		b.pushFree(idx+(uint64(1)<<(cur-b.minOrder)), cur)
+	}
+	if moved {
+		e = b.metaEnsure(idx, order)
 	}
 	e.state = blockAllocated
 	e.order = uint8(order)
@@ -308,7 +395,7 @@ func (b *Buddy) Free(a Addr) error {
 		return ErrBadFree
 	}
 	idx := off >> b.minOrder
-	e := b.metaAt(idx)
+	e := b.headAt(idx)
 	if e == nil || e.state != blockAllocated {
 		return ErrBadFree
 	}
@@ -322,7 +409,7 @@ func (b *Buddy) Free(a Addr) error {
 	// Coalesce upward: absorb the buddy while it is free at our order.
 	for order < b.maxOrder {
 		budIdx := idx ^ (uint64(1) << (order - b.minOrder))
-		be := b.metaAt(budIdx)
+		be := b.metaAt(budIdx, order)
 		if be == nil || be.state != blockFree || uint(be.order) != order {
 			break
 		}
@@ -346,7 +433,7 @@ func (b *Buddy) SizeOf(a Addr) (uint64, bool) {
 	if off >= b.size || off&((1<<b.minOrder)-1) != 0 {
 		return 0, false
 	}
-	e := b.metaAt(off >> b.minOrder)
+	e := b.headAt(off >> b.minOrder)
 	if e == nil || e.state != blockAllocated {
 		return 0, false
 	}
@@ -402,7 +489,7 @@ func (b *Buddy) CheckInvariants() error {
 			if idx >= total {
 				return fmt.Errorf("order %d free list holds out-of-range index %d", o, idx)
 			}
-			e := b.metaAt(idx)
+			e := b.metaAt(idx, o)
 			if e == nil {
 				return fmt.Errorf("order %d free list references unmaterialized block 0x%x", o, idx<<b.minOrder)
 			}
@@ -433,7 +520,7 @@ func (b *Buddy) CheckInvariants() error {
 	var free, used uint64
 	liveCount, freeHeads := 0, 0
 	for idx := uint64(0); idx < total; {
-		e := b.metaAt(idx)
+		e := b.headAt(idx)
 		if e == nil {
 			return fmt.Errorf("no block head at 0x%x", idx<<b.minOrder)
 		}

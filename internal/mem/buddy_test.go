@@ -275,7 +275,7 @@ func TestBuddyCheckInvariantsDetectsCorruption(t *testing.T) {
 		b := fresh(t)
 		// Flip a listed free block's state behind the list's back.
 		idx := uint64(b.freeHead[4])
-		b.metaAt(idx).state = blockAllocated
+		b.metaAt(idx, 4).state = blockAllocated
 		requireDiagnostic(t, b.CheckInvariants(), "not marked free")
 	})
 	t.Run("free block missing from list", func(t *testing.T) {
@@ -283,10 +283,10 @@ func TestBuddyCheckInvariantsDetectsCorruption(t *testing.T) {
 		// Pop the head off the list (mask kept consistent) without
 		// clearing the block's free marking.
 		idx := uint64(b.freeHead[4])
-		e := b.metaAt(idx)
+		e := b.metaAt(idx, 4)
 		b.freeHead[4] = e.next
 		if e.next != noBlock {
-			b.metaAt(uint64(e.next)).prev = noBlock
+			b.metaAt(uint64(e.next), 4).prev = noBlock
 		} else {
 			b.freeMask &^= 1 << 4
 		}
@@ -295,7 +295,7 @@ func TestBuddyCheckInvariantsDetectsCorruption(t *testing.T) {
 	t.Run("linkage broken", func(t *testing.T) {
 		b := fresh(t)
 		idx := uint64(b.freeHead[4])
-		b.metaAt(idx).prev = int32(idx)
+		b.metaAt(idx, 4).prev = int32(idx)
 		requireDiagnostic(t, b.CheckInvariants(), "linkage broken")
 	})
 	t.Run("accounting drift", func(t *testing.T) {

@@ -68,7 +68,7 @@ func measureIDT(mdl model.Model, cfg Config) []float64 {
 	rng := sim.NewRNG(cfg.Seed)
 	jitter := sim.Normal{Mu: 0, Sigma: cfg.IDTSigma, Min: -float64(mdl.HW.InterruptDispatch) / 2}
 
-	var samples []float64
+	samples := make([]float64, 0, cfg.Samples)
 	var raisedAt sim.Time
 	cpu.SetHandler(machine.VecTimer, func(ctx *machine.IntrContext) {
 		lat := float64(eng.Now().Sub(raisedAt)) + jitter.Sample(rng)
