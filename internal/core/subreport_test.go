@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/workloads"
 )
 
 // subReportCases pairs each experiment that has sub-report flags with
@@ -100,5 +104,91 @@ func TestSubReportsExtendPlainForm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCancelledLeaderLeavesTheWaiterToLead: a plain carat run that
+// joined a carat -mobility run's computation of the carat table
+// computes and stores the table itself when that run is cancelled. The
+// leader is held in its first carat cell until the plain run is parked
+// on its flight, so the wake-and-lead path runs every time.
+func TestCancelledLeaderLeavesTheWaiterToLead(t *testing.T) {
+	t.Parallel()
+	plain := DefaultRunConfig("carat")
+	want := runDigests(t, &Runner{}, plain)
+	key := plain.Key()
+	r := &Runner{Parallel: 1, Cache: cache.New(cache.Config{})}
+
+	leadCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inCell, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	leadErr := make(chan error, 1)
+	go func() {
+		mob := cfgWith("carat", func(c *RunConfig) { c.Mobility = true })
+		_, _, err := r.Run(leadCtx, mob, func(CellEvent) {
+			once.Do(func() { close(inCell); <-hold })
+		})
+		leadErr <- err
+	}()
+	<-inCell
+
+	type result struct {
+		tables []*Table
+		src    cache.Source
+		cells  int
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var res result
+		res.tables, res.src, res.err = r.Run(context.Background(), plain, func(e CellEvent) {
+			if e.Driver == "carat" {
+				res.cells++
+			}
+		})
+		done <- res
+	}()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		f := r.flights[key]
+		parked := f != nil && f.waiters == 1
+		r.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(hold)
+			t.Fatal("the plain run never joined the leader's flight")
+		}
+	}
+	cancel()
+	close(hold)
+
+	if err := <-leadErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("carat -mobility: err %v, want context.Canceled", err)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("carat: %v", res.err)
+	}
+	var got []uint64
+	for _, tb := range res.tables {
+		got = append(got, tb.Digest())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("carat after a cancelled leader: digests %x, uncached %x", got, want)
+	}
+	if kernels := len(workloads.CARATSuite()); res.src != cache.SourceComputed || res.cells != kernels {
+		t.Errorf("carat after a cancelled leader: source %s with %d carat cells, want computed with %d",
+			res.src, res.cells, kernels)
+	}
+	if _, _, ok := LookupTables(r.Cache, key); !ok {
+		t.Error("no carat entry after the waiting run computed the table")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.flights) != 0 {
+		t.Errorf("%d flights left after both runs ended", len(r.flights))
 	}
 }

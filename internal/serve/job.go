@@ -35,7 +35,10 @@ func (s State) terminal() bool {
 //	cell       one experiment cell completed (driver, cell i of n;
 //	           source is always "computed")
 //	done       terminal success (table count, result digest, and the
-//	           tier that served the table set: computed/mem/disk)
+//	           tier that served the table set: computed/mem/disk; a
+//	           plain job that joined another run's computation of
+//	           its table reports that run's source and logged no
+//	           cells for it)
 //	failed     terminal failure (error code + message)
 //	cancelled  terminal cancellation
 //
