@@ -11,6 +11,7 @@ package carat
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -82,9 +83,13 @@ type Table struct {
 	Costs Costs
 
 	regions []Region // sorted by Base
-	// escapes maps a memory location to true when a pointer-typed value
-	// was stored there (conservatively).
-	escapes map[mem.Addr]bool
+	// escapes holds, in ascending address order and without repeats,
+	// every memory location where a pointer-typed value was stored
+	// (conservatively).
+	escapes []mem.Addr
+	// moved is Relocate's scratch for the escape locations that move
+	// with a region when they cannot be rewritten where they stand.
+	moved []mem.Addr
 
 	// Statistics.
 	GuardsChecked  int64
@@ -100,7 +105,22 @@ type Table struct {
 
 // NewTable creates an empty allocation table with default costs.
 func NewTable() *Table {
-	return &Table{Costs: DefaultCosts(), escapes: make(map[mem.Addr]bool)}
+	return &Table{Costs: DefaultCosts()}
+}
+
+// escapesIn returns the index range [i, j) of the escape locations that
+// lie inside r.
+func (t *Table) escapesIn(r Region) (i, j int) {
+	i, _ = slices.BinarySearch(t.escapes, r.Base)
+	rest := t.escapes[i:]
+	return i, i + sort.Search(len(rest), func(k int) bool { return !r.Contains(rest[k]) })
+}
+
+// addEscape adds loc to the escape set, if it is not there yet.
+func (t *Table) addEscape(loc mem.Addr) {
+	if i, ok := slices.BinarySearch(t.escapes, loc); !ok {
+		t.escapes = slices.Insert(t.escapes, i, loc)
+	}
 }
 
 // Len returns the number of tracked regions.
@@ -162,11 +182,8 @@ func (t *Table) TrackFree(base mem.Addr) int64 {
 	}
 	r := t.regions[i]
 	t.regions = append(t.regions[:i], t.regions[i+1:]...)
-	for loc := range t.escapes { // detvet:ok — deletes only; the surviving set is order-free
-		if r.Contains(loc) {
-			delete(t.escapes, loc)
-		}
-	}
+	lo, hi := t.escapesIn(r)
+	t.escapes = slices.Delete(t.escapes, lo, hi)
 	return t.Costs.Track
 }
 
@@ -217,7 +234,7 @@ func (t *Table) GuardRegion(base mem.Addr) int64 {
 // turns out not to point at the heap costs only the inline range check.
 func (t *Table) TrackEscape(loc mem.Addr, val uint64) int64 {
 	if t.find(mem.Addr(val)) >= 0 {
-		t.escapes[loc] = true
+		t.addEscape(loc)
 		t.EscapesTracked++
 		return t.Costs.EscapeCheck + t.Costs.Escape
 	}
@@ -245,30 +262,41 @@ func (t *Table) Relocate(m Memory, oldBase, newBase mem.Addr) (int64, error) {
 	t.WordsMoved += words
 
 	// Patch escaped pointers into the moved region, relocating escape
-	// locations that themselves moved. Escapes are visited in address
-	// order: a location that moves onto an escape outside the region
-	// makes two visits patch the same word, and their order decides its
-	// value.
-	locs := make([]mem.Addr, 0, len(t.escapes))
-	for loc := range t.escapes { // detvet:ok — collected, then sorted
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	newEscapes := make(map[mem.Addr]bool, len(t.escapes))
-	for _, loc := range locs {
-		newLoc := loc
-		if r.Contains(loc) {
-			newLoc = mem.Addr(int64(loc) + delta)
+	// locations that themselves moved (those in [lo, hi)). Escapes are
+	// visited in address order. A location that moves onto an escape
+	// outside the region makes two visits patch the same word; both apply
+	// the same patch, so a pointer that still points into the region
+	// after the first is moved again by the second.
+	lo, hi := t.escapesIn(r)
+	for k, loc := range t.escapes {
+		if k >= lo && k < hi {
+			loc = mem.Addr(int64(loc) + delta)
 		}
-		v := m.Load(newLoc)
+		v := m.Load(loc)
 		if r.Contains(mem.Addr(v)) {
-			m.Store(newLoc, uint64(int64(v)+delta))
+			m.Store(loc, uint64(int64(v)+delta))
 			t.PointersFixed++
 			cost += t.Costs.Patch
 		}
-		newEscapes[newLoc] = true
 	}
-	t.escapes = newEscapes
+	// The moved locations keep their order among themselves. Where they
+	// still fall between their neighbours they are rewritten in place;
+	// otherwise they are merged back among the rest, dropping any that
+	// land on an escape already there.
+	if lo < hi {
+		first, last := mem.Addr(int64(t.escapes[lo])+delta), mem.Addr(int64(t.escapes[hi-1])+delta)
+		if (lo == 0 || t.escapes[lo-1] < first) && (hi == len(t.escapes) || last < t.escapes[hi]) {
+			for k := lo; k < hi; k++ {
+				t.escapes[k] = mem.Addr(int64(t.escapes[k]) + delta)
+			}
+		} else {
+			t.moved = append(t.moved[:0], t.escapes[lo:hi]...)
+			t.escapes = slices.Delete(t.escapes, lo, hi)
+			for _, loc := range t.moved {
+				t.addEscape(mem.Addr(int64(loc) + delta))
+			}
+		}
+	}
 
 	// Update table ordering.
 	t.regions = append(t.regions[:i], t.regions[i+1:]...)

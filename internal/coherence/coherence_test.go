@@ -68,14 +68,24 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 		{"line size 48", 1536, 2, 48},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewCache(%d, %d, %d) did not panic", g.size, g.ways, g.lineSize)
-				}
-			}()
-			NewCache(g.size, g.ways, g.lineSize)
+			mustPanic(t, "NewCache", func() { NewCache(g.size, g.ways, g.lineSize) })
+			mustPanic(t, "newL3Slice", func() { newL3Slice(g.size, g.ways, g.lineSize) })
 		})
 	}
+	// An L3 slice's index word holds a way count below 256 and block
+	// locations below 2^24.
+	mustPanic(t, "newL3Slice with 256 ways", func() { newL3Slice(256*64, 256, 64) })
+	mustPanic(t, "newL3Slice with 2^20 sets", func() { newL3Slice(16<<26, 16, 64) })
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", name)
+		}
+	}()
+	fn()
 }
 
 // TestNewRejectsCoreCount checks the core counts a directory record

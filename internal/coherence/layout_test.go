@@ -3,6 +3,8 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -88,117 +90,238 @@ func (m *lruModel) invalidate(line uint64) LineState {
 	return Invalid
 }
 
-// TestCacheMatchesLRUModel replays seeded operation traces on the flat
-// set layout and on the recency-list model, comparing every result. The
-// geometries cover the L3 slice (2560 sets: not a power of two, so the
-// set index is a real division), a single set, and a small odd count.
+// TestCacheMatchesLRUModel replays seeded operation traces on both
+// cache layouts and on the recency-list model, comparing every result.
+//
+// The dense Cache runs at the L1 (64 sets) and L2 (512 sets)
+// geometries, a single set and a small odd set count. Its traces mix
+// every operation, and also Lookup followed by SetState or Fill of the
+// same line, the pairs that reuse the way Lookup found, with a Peek,
+// Invalidate, Lookup or SetState of the line or of another line in its
+// set sometimes between them. A way the intervening call made stale
+// (an earlier way freed, the remembered one evicted) must not be used.
+//
+// The fill-only L3 slice runs at the slice geometry (2560 sets: not a
+// power of two, so the set index is a real division), a single set and
+// three sets, on Fill and LookupOrFill only: the calls that reach it.
+// Its traces fill sets and evict from them, and every set's stored
+// ways must be the model's resident lines.
 func TestCacheMatchesLRUModel(t *testing.T) {
 	geoms := []struct {
 		name                 string
 		size, ways, lineSize int
 		sets                 uint64
+		fillOnly             bool
 	}{
-		{"l3-slice-2560x16", 2560 << 10, 16, 64, 2560},
-		{"one-set-4way", 256, 4, 64, 1},
-		{"three-sets-2way", 384, 2, 64, 3},
+		{"l3-slice-2560x16", 2560 << 10, 16, 64, 2560, true},
+		{"l3-one-set-4way", 256, 4, 64, 1, true},
+		{"l3-three-sets-2way", 384, 2, 64, 3, true},
+		{"l1-64x8", 32 << 10, 8, 64, 64, false},
+		{"l2-512x8", 256 << 10, 8, 64, 512, false},
+		{"one-set-4way", 256, 4, 64, 1, false},
+		{"three-sets-2way", 384, 2, 64, 3, false},
 	}
 	for _, g := range geoms {
 		t.Run(g.name, func(t *testing.T) {
-			c := NewCache(g.size, g.ways, g.lineSize)
-			if c.sets.d != g.sets {
-				t.Fatalf("sets = %d, want %d", c.sets.d, g.sets)
-			}
 			m := &lruModel{sets: g.sets, ways: uint64(g.ways), res: map[uint64][]modelLine{}}
-			// A few sets' worth of lines, aliased so sets overflow.
-			span := g.sets * uint64(g.ways+3)
-			if span > 4096 {
-				span = 7 * g.sets // 7 lines per set: 16 ways never fill
-			}
 			x := uint64(g.sets)
 			next := func(n uint64) uint64 {
 				x = x*6364136223846793005 + 1442695040888963407
 				return (x >> 33) % n
 			}
-			if g.sets == 2560 {
-				// Overflow a handful of sets too: 20 lines aliased onto
-				// each of sets 5 and 2559.
-				for k := uint64(0); k < 40; k++ {
-					line := 5 + (k%20)*2560
-					if k >= 20 {
-						line = 2559 + (k%20)*2560
-					}
-					ev, evs := c.Fill(line, Shared)
-					wev, wevs := m.fill(line, Shared)
-					if ev != wev || evs != wevs {
-						t.Fatalf("aliased fill %d: evicted (%d,%v), model (%d,%v)", line, ev, evs, wev, wevs)
-					}
-				}
+			if g.fillOnly {
+				replayFillOnly(t, newL3Slice(g.size, g.ways, g.lineSize), m, next)
+				return
 			}
-			// A hit on a way past an invalid one: the fused operation must
-			// find the line, not fill the free way before it.
-			a, b := uint64(0), g.sets
-			for _, l := range []uint64{a, b} {
-				c.Fill(l, Shared)
-				m.fill(l, Shared)
-			}
-			c.Invalidate(a)
-			m.invalidate(a)
-			if st, ev, evs := c.LookupOrFill(b, Modified); st != Shared || evs != Invalid {
-				t.Fatalf("LookupOrFill past an invalid way = (%v, %d, %v), want a Shared hit", st, ev, evs)
-			}
-			m.lookup(b)
-			for op := 0; op < 20000; op++ {
-				line := next(span)
-				st := LineState(1 + next(3))
-				switch k := next(11); {
-				case k < 4:
-					if got, want := c.Lookup(line), m.lookup(line); got != want {
-						t.Fatalf("op %d Lookup(%d) = %v, model %v", op, line, got, want)
-					}
-				case k < 7:
-					ev, evs := c.Fill(line, st)
-					wev, wevs := m.fill(line, st)
-					if ev != wev || evs != wevs {
-						t.Fatalf("op %d Fill(%d) evicted (%d,%v), model (%d,%v)", op, line, ev, evs, wev, wevs)
-					}
-				case k < 8:
-					if got, want := c.Invalidate(line), m.invalidate(line); got != want {
-						t.Fatalf("op %d Invalidate(%d) = %v, model %v", op, line, got, want)
-					}
-				case k < 9:
-					if next(4) == 0 {
-						st = Invalid
-					}
-					c.SetState(line, st)
-					m.setState(line, st)
-				case k < 10:
-					if got, want := c.Peek(line), m.peek(line); got != want {
-						t.Fatalf("op %d Peek(%d) = %v, model %v", op, line, got, want)
-					}
-				default:
-					tick := c.tick
-					got, ev, evs := c.LookupOrFill(line, st)
-					want, wev, wevs := m.lookup(line), uint64(0), Invalid
-					ticks := uint64(1) // Lookup's
-					if want == Invalid {
-						wev, wevs = m.fill(line, st)
-						ticks++ // and Fill's
-					}
-					if got != want || ev != wev || evs != wevs {
-						t.Fatalf("op %d LookupOrFill(%d) = (%v,%d,%v), model (%v,%d,%v)", op, line, got, ev, evs, want, wev, wevs)
-					}
-					if c.tick != tick+ticks {
-						t.Fatalf("op %d LookupOrFill(%d) advanced the tick by %d, Lookup+Fill by %d", op, line, c.tick-tick, ticks)
-					}
-				}
-			}
-			if c.Hits != m.hits || c.Misses != m.miss {
-				t.Fatalf("hits/misses = %d/%d, model %d/%d", c.Hits, c.Misses, m.hits, m.miss)
-			}
-			if c.Hits == 0 || c.Misses == 0 {
-				t.Fatal("trace exercised only hits or only misses")
-			}
+			replayDense(t, NewCache(g.size, g.ways, g.lineSize), m, next)
 		})
+	}
+}
+
+// replayFillOnly drives a fill-only slice and the model with seeded
+// Fill and LookupOrFill calls. Half the lines alias onto 24 hot sets,
+// ways+8 lines each, so those sets fill and evict; the rest spread over
+// up to 7 lines per set.
+func replayFillOnly(t *testing.T, c *l3Slice, m *lruModel, next func(uint64) uint64) {
+	t.Helper()
+	if c.sets.d != m.sets {
+		t.Fatalf("sets = %d, want %d", c.sets.d, m.sets)
+	}
+	hot := min(m.sets, 24)
+	evictions := 0
+	for op := 0; op < 40000; op++ {
+		line := next(7 * m.sets)
+		if next(2) == 0 {
+			line = next(hot)*(m.sets/hot) + m.sets*next(m.ways+8)
+		}
+		st := LineState(1 + next(3))
+		if next(3) == 0 {
+			ev, evs := c.Fill(line, st)
+			wev, wevs := m.fill(line, st)
+			if ev != wev || evs != wevs {
+				t.Fatalf("op %d Fill(%d) evicted (%d,%v), model (%d,%v)", op, line, ev, evs, wev, wevs)
+			}
+			if evs != Invalid {
+				evictions++
+			}
+			continue
+		}
+		tick := c.tick
+		got, ev, evs := c.LookupOrFill(line, st)
+		want, wev, wevs := m.lookup(line), uint64(0), Invalid
+		ticks := uint64(1) // Lookup's
+		if want == Invalid {
+			wev, wevs = m.fill(line, st)
+			ticks++ // and Fill's
+		}
+		if got != want || ev != wev || evs != wevs {
+			t.Fatalf("op %d LookupOrFill(%d) = (%v,%d,%v), model (%v,%d,%v)", op, line, got, ev, evs, want, wev, wevs)
+		}
+		if c.tick != tick+ticks {
+			t.Fatalf("op %d LookupOrFill(%d) advanced the tick by %d, Lookup+Fill by %d", op, line, c.tick-tick, ticks)
+		}
+		if evs != Invalid {
+			evictions++
+		}
+	}
+	if c.Hits != m.hits || c.Misses != m.miss {
+		t.Fatalf("hits/misses = %d/%d, model %d/%d", c.Hits, c.Misses, m.hits, m.miss)
+	}
+	if c.Hits == 0 || c.Misses == 0 || evictions == 0 {
+		t.Fatalf("trace made %d hits, %d misses and %d evictions; want each", c.Hits, c.Misses, evictions)
+	}
+	for set, w := range c.index {
+		n := int(w % (1 << countBits))
+		res := m.res[uint64(set)]
+		if n != len(res) {
+			t.Fatalf("set %d: %d ways stored, model holds %d", set, n, len(res))
+		}
+		if n == 0 {
+			continue
+		}
+		ways := c.block(w>>countBits, c.blockWays(n))
+		for _, r := range res {
+			if st := waysState(ways[:n], r.line); st != r.state {
+				t.Fatalf("set %d: line %d is %v, model %v", set, r.line, st, r.state)
+			}
+		}
+	}
+}
+
+// waysState returns line's state among ways, Invalid if absent.
+func waysState(ways []cacheLine, line uint64) LineState {
+	if l := find(ways, line); l != nil {
+		return l.state()
+	}
+	return Invalid
+}
+
+// replayDense drives a dense Cache and the model with seeded calls of
+// every kind, and with Lookup→SetState and Lookup→Fill pairs of one
+// line, sometimes split by one other call on the same cache.
+func replayDense(t *testing.T, c *Cache, m *lruModel, next func(uint64) uint64) {
+	t.Helper()
+	if c.sets.d != m.sets {
+		t.Fatalf("sets = %d, want %d", c.sets.d, m.sets)
+	}
+	// A hit on a way past an invalid one: Lookup must find the line, and
+	// the Fill that reuses its way must not take the free way before it.
+	a, b := uint64(0), m.sets
+	for _, l := range []uint64{a, b} {
+		c.Fill(l, Shared)
+		m.fill(l, Shared)
+	}
+	c.Invalidate(a)
+	m.invalidate(a)
+	if st := c.Lookup(b); st != Shared {
+		t.Fatalf("Lookup past an invalid way = %v, want a Shared hit", st)
+	}
+	m.lookup(b)
+	if ev, evs := c.Fill(b, Modified); evs != Invalid || c.Peek(b) != Modified || c.Peek(a) != Invalid {
+		t.Fatalf("Fill after the Lookup evicted (%d,%v); line %d is %v", ev, evs, b, c.Peek(b))
+	}
+	m.fill(b, Modified)
+
+	span := m.sets * uint64(m.ways+3) // lines alias, so sets overflow
+	fill := func(op int, line uint64, st LineState) {
+		t.Helper()
+		ev, evs := c.Fill(line, st)
+		wev, wevs := m.fill(line, st)
+		if ev != wev || evs != wevs {
+			t.Fatalf("op %d Fill(%d) evicted (%d,%v), model (%d,%v)", op, line, ev, evs, wev, wevs)
+		}
+	}
+	setState := func(line uint64, st LineState) {
+		if next(4) == 0 {
+			st = Invalid
+		}
+		c.SetState(line, st)
+		m.setState(line, st)
+	}
+	lookup := func(op int, line uint64) {
+		t.Helper()
+		if got, want := c.Lookup(line), m.lookup(line); got != want {
+			t.Fatalf("op %d Lookup(%d) = %v, model %v", op, line, got, want)
+		}
+	}
+	pairs := 0
+	for op := 0; op < 40000; op++ {
+		line := next(span)
+		st := LineState(1 + next(3))
+		switch k := next(12); {
+		case k < 3:
+			lookup(op, line)
+		case k < 5:
+			fill(op, line, st)
+		case k < 6:
+			if got, want := c.Invalidate(line), m.invalidate(line); got != want {
+				t.Fatalf("op %d Invalidate(%d) = %v, model %v", op, line, got, want)
+			}
+		case k < 7:
+			setState(line, st)
+		case k < 8:
+			if got, want := c.Peek(line), m.peek(line); got != want {
+				t.Fatalf("op %d Peek(%d) = %v, model %v", op, line, got, want)
+			}
+		default:
+			// Lookup, maybe one call on this line or on another line
+			// of its set, then SetState or Fill of the line.
+			lookup(op, line)
+			other := line%m.sets + m.sets*next(m.ways+3)
+			if next(2) == 0 {
+				other = line
+			}
+			switch next(6) {
+			case 0:
+				c.Peek(other)
+				m.peek(other)
+			case 1:
+				c.Invalidate(other)
+				m.invalidate(other)
+			case 2:
+				setState(other, LineState(1+next(3)))
+			case 3:
+				lookup(op, other)
+			}
+			if next(2) == 0 {
+				setState(line, st)
+			} else {
+				fill(op, line, st)
+			}
+			if c.way != nil {
+				t.Fatalf("op %d: a way is still remembered after SetState or Fill", op)
+			}
+			pairs++
+		}
+		if c.Peek(line) != m.peek(line) {
+			t.Fatalf("op %d: line %d is %v, model %v", op, line, c.Peek(line), m.peek(line))
+		}
+	}
+	if c.Hits != m.hits || c.Misses != m.miss {
+		t.Fatalf("hits/misses = %d/%d, model %d/%d", c.Hits, c.Misses, m.hits, m.miss)
+	}
+	if c.Hits == 0 || c.Misses == 0 || pairs == 0 {
+		t.Fatal("trace exercised only hits, only misses, or no Lookup pairs")
 	}
 }
 
@@ -480,5 +603,23 @@ func TestDirectoryWideWriteInvalidatesAllWords(t *testing.T) {
 	d, _ = s.dir.get(line)
 	if d.count() != 1 || !d.has(5) || d.owner() != 5 {
 		t.Fatalf("after write: n=%d owner=%d", d.count(), d.owner())
+	}
+}
+
+// TestFreshSystemBytes pins what building a 1024-core system costs the
+// Go heap before its first access: the dense L1s and L2s (72 MB) and one
+// index word per L3 set (10.5 MB), under 100 MB in all. Zeroed 16-way
+// L3 sets would add 671 MB.
+func TestFreshSystemBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sockets, cfg.CoresPerSocket = 2, 512
+	debug.FreeOSMemory()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 100 {
+		t.Fatalf("a fresh %d-core system allocated %.1f MB, want under 100", s.Cores(), mb)
 	}
 }

@@ -346,9 +346,9 @@ type System struct {
 	FilterClass SharingClass
 
 	l1, l2 []*Cache
-	l3     []*Cache // one slice per core (NUCA); home by line hash
-	homes  fastmod  // line % cores
-	tiles  []tile   // each core's mesh position
+	l3     []*l3Slice // one slice per core (NUCA); home by line hash
+	homes  fastmod    // line % cores
+	tiles  []tile     // each core's mesh position
 	dir    dirTable
 
 	regions []Region // sorted by base
@@ -371,7 +371,7 @@ func New(cfg Config) *System {
 	for i := 0; i < cores; i++ {
 		s.l1 = append(s.l1, NewCache(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
 		s.l2 = append(s.l2, NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize))
-		s.l3 = append(s.l3, NewCache(cfg.L3SlicePerCore, cfg.L3Ways, cfg.LineSize))
+		s.l3 = append(s.l3, newL3Slice(cfg.L3SlicePerCore, cfg.L3Ways, cfg.LineSize))
 	}
 	s.tiles = make([]tile, cores)
 	for c := range s.tiles {
@@ -453,7 +453,7 @@ func (s *System) hops(a, b int) (hops uint64, crossSocket bool) {
 // traffic accounts the hops and energy of n interconnect hops, carrying
 // a line payload if xfer is true. It charges no latency.
 func (s *System) traffic(n uint64, xfer bool) {
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	s.Stats.Hops += n
 	s.Stats.EnergyPJ += float64(n) * c.EnergyPerHopPJ
 	s.Stats.InterconnectPJ += float64(n) * c.EnergyPerHopPJ
@@ -504,7 +504,7 @@ func (s *System) Access(core int, addr mem.Addr, write bool) int64 {
 
 // accessMESI is the full reactive protocol.
 func (s *System) accessMESI(core int, line uint64, write bool) int64 {
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	st := s.l1[core].Lookup(line)
 	if st != Invalid {
 		if !write || st == Modified || st == Exclusive {
@@ -605,7 +605,7 @@ func (s *System) accessMESI(core int, line uint64, write bool) int64 {
 // data homes in the owner's own L3 slice, so misses never cross the
 // interconnect.
 func (s *System) accessPrivate(core int, line uint64, write bool) int64 {
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	s.Stats.DeactivatedAcc++
 	if st := s.l1[core].Lookup(line); st != Invalid {
 		if write {
@@ -640,7 +640,7 @@ func (s *System) accessReadOnly(core int, line uint64, write bool) int64 {
 	if write {
 		return s.accessMESI(core, line, write)
 	}
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	s.Stats.DeactivatedAcc++
 	if s.l1[core].Lookup(line) != Invalid {
 		s.Stats.L1Hits++
@@ -662,7 +662,7 @@ func (s *System) accessReadOnly(core int, line uint64, write bool) int64 {
 // the line straight from the producer's cache (2-hop), skipping the
 // directory; producer writes stay local (it owns the data by contract).
 func (s *System) accessSteered(core int, line uint64, write bool, producer int) int64 {
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	s.Stats.DeactivatedAcc++
 	if st := s.l1[core].Lookup(line); st != Invalid {
 		if write {
@@ -702,7 +702,7 @@ func (s *System) accessSteered(core int, line uint64, write bool, producer int) 
 
 // fetchData reads the line at its home: L3 slice hit or memory.
 func (s *System) fetchData(core, home int, line uint64) int64 {
-	c := s.Cfg.Costs
+	c := &s.Cfg.Costs
 	h, cross := s.hops(home, core)
 	lat := s.chargeHops(h, cross, true) // data return path
 	if st, _, _ := s.l3[home].LookupOrFill(line, Shared); st != Invalid {

@@ -106,12 +106,21 @@ func (r *RNG) Int63n(n int64) int64 {
 // retried. Accepted draws keep the v % n mapping, so for small n (where
 // the rejection band is vanishingly thin) the output stream is the
 // unbiased common case of the old modulo reduction.
+//
+// The common path divides at most once. A power of two rejects nothing
+// and reduces by a mask. Otherwise 2^64 mod n is below n, so the
+// rejection band lies inside the top n draws, and only a draw there
+// computes the band's edge.
 func (r *RNG) bounded(n uint64) uint64 {
-	thresh := -n % n // 2^64 mod n
-	max := ^uint64(0) - thresh
 	v := r.Uint64()
-	for v > max {
-		v = r.Uint64()
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v > -n { // v > 2^64 - n
+		last := ^uint64(0) - -n%n // the last draw kept: 2^64 - 1 - 2^64 mod n
+		for v > last {
+			v = r.Uint64()
+		}
 	}
 	return v % n
 }

@@ -173,3 +173,42 @@ func TestIntnLargeNMeanUnbiased(t *testing.T) {
 		t.Fatalf("normalized mean = %.4f, want ~0.5", mean)
 	}
 }
+
+// referenceBounded is bounded's original form: the remainder 2^64 mod n
+// on every call.
+func referenceBounded(r *RNG, n uint64) uint64 {
+	thresh := -n % n
+	last := ^uint64(0) - thresh
+	v := r.Uint64()
+	for v > last {
+		v = r.Uint64()
+	}
+	return v % n
+}
+
+// TestBoundedMatchesReference pins bounded's division-free paths to the
+// original formula. For each n, the generator is set so its next draw
+// is v, with v at, just below and just above the last kept draw
+// 2^64 - 1 - 2^64 mod n, at the edge of the band where the fast path
+// computes that remainder, and at a few ordinary values; both forms must
+// return the same value and leave the same state, retries included.
+func TestBoundedMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 4, 5, 7, 64, 100, 1000, 1 << 15, 1<<16 + 1, 3 << 61,
+		1<<63 - 1, 1 << 63, 1<<63 + 1, ^uint64(0) - 1, ^uint64(0)}
+	for k := uint(1); k < 64; k++ {
+		ns = append(ns, 1<<k)
+	}
+	for _, n := range ns {
+		last := ^uint64(0) - -n%n
+		vs := []uint64{0, 1, n - 1, n, 12345, last - 1, last, last + 1,
+			-n - 1, -n, -n + 1, ^uint64(0) - 1, ^uint64(0)}
+		for _, v := range vs {
+			fast, ref := &RNG{state: unmix(v) - gamma}, &RNG{state: unmix(v) - gamma}
+			got, want := fast.bounded(n), referenceBounded(ref, n)
+			if got != want || fast.state != ref.state {
+				t.Fatalf("n=%#x v=%#x: bounded = %d (state %#x), reference %d (state %#x)",
+					n, v, got, fast.state, want, ref.state)
+			}
+		}
+	}
+}

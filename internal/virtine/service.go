@@ -44,7 +44,7 @@ func SimulateService(cfg ServiceConfig) ServiceResult {
 
 	service := cfg.StartupCycles + cfg.ExecCycles
 	var now, serverFree, busy float64
-	var lats []float64
+	lats := make([]float64, 0, max(cfg.Requests, 0))
 	for i := 0; i < cfg.Requests; i++ {
 		now += arrival.Sample(rng)
 		start := now
